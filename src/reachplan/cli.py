@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .dynamics import AffineModel
-from .geometry import Box, box_to_polytope
+from .geometry import Box, GeometryError, box_to_polytope
 from .partition import PartitionTree, uniform_cell_count
 from .planner import Scenario, builtin_scenario, run_mission
 from .reach import facet_reachable
@@ -28,6 +28,15 @@ SCHEMA_VERSION = 1
 
 _REQUIRED = ["system", "ws_lo", "ws_hi", "pu_lo", "pu_hi", "L_df", "L_g",
              "h_min", "C_u", "beta_u", "x_init", "x_target"]
+# (state dimension, input dimension) per built-in plant
+_SYSTEM_DIMS = {"mecanum": (2, 2), "unicycle": (3, 2)}
+_VECTORS = ("ws_lo", "ws_hi", "pu_lo", "pu_hi", "h_min", "x_init", "x_target")
+# numeric fields that must be finite and non-negative when present
+_SCALARS = ("L_df", "L_g", "C_u", "beta_u", "p_prior", "theta_thre", "shrink",
+            "dt", "ident_period", "wall_budget", "terminal_budget",
+            "terminal_alpha", "terminal_kappa", "terminal_slack_weight",
+            "r_stop")
+_POSITIVE = ("C_u", "dt")
 
 
 def load_scenario(spec: str, overrides: dict) -> Scenario:
@@ -50,30 +59,58 @@ def load_scenario(spec: str, overrides: dict) -> Scenario:
 
 
 def validate_scenario_dict(data: dict):
-    """Return an error string naming the offending field, or None."""
+    """Return an error string naming the offending field, or None.
+
+    Builds the workspace, input box and partition root with the same
+    constructors a mission uses, so an accepted scenario can run.
+    """
     if not isinstance(data, dict):
         return "scenario: not a JSON object"
     for k in _REQUIRED:
         if k not in data:
             return f"scenario.{k}: missing required field"
-    if data["system"] not in ("mecanum", "unicycle"):
+    if data["system"] not in _SYSTEM_DIMS:
         return "scenario.system: must be 'mecanum' or 'unicycle'"
+    n, m = _SYSTEM_DIMS[data["system"]]
+    v = {}
+    for key in _VECTORS:
+        try:
+            v[key] = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError):
+            return f"scenario.{key}: not a numeric vector"
+        size = m if key.startswith("pu_") else n
+        if v[key].shape != (size,):
+            return f"scenario.{key}: needs {size} entries for '{data['system']}'"
+        if not np.all(np.isfinite(v[key])):
+            return f"scenario.{key}: must be finite"
+    for key in _SCALARS:
+        if key not in data:
+            continue
+        try:
+            x = float(data[key])
+        except (TypeError, ValueError):
+            return f"scenario.{key}: not a number"
+        if not np.isfinite(x):
+            return f"scenario.{key}: must be finite"
+        if x <= 0 and key in _POSITIVE:
+            return f"scenario.{key}: must be positive"
+        if x < 0:
+            return f"scenario.{key}: must not be negative"
     try:
-        ws_lo = np.asarray(data["ws_lo"], dtype=float)
-        ws_hi = np.asarray(data["ws_hi"], dtype=float)
-        for key in ("x_init", "x_target"):
-            x = np.asarray(data[key], dtype=float)
-            if x.shape != ws_lo.shape:
-                return f"scenario.{key}: dimension mismatch with workspace"
-            if np.any(x < ws_lo) or np.any(x > ws_hi):
-                return f"scenario.{key}: outside the workspace box"
-        if np.any(ws_hi <= ws_lo):
-            return "scenario.ws_hi: must exceed ws_lo componentwise"
-        h = np.asarray(data["h_min"], dtype=float)
-        if np.any(h <= 0):
-            return "scenario.h_min: must be positive"
-    except (TypeError, ValueError) as e:
-        return f"scenario: malformed numeric field ({e})"
+        ws = Box(lo=v["ws_lo"], hi=v["ws_hi"])
+    except GeometryError:
+        return "scenario.ws_hi: must exceed ws_lo componentwise"
+    try:
+        Box(lo=v["pu_lo"], hi=v["pu_hi"])
+    except GeometryError:
+        return "scenario.pu_hi: must exceed pu_lo componentwise"
+    for key in ("x_init", "x_target"):
+        if not ws.contains(v[key]):
+            return f"scenario.{key}: outside the workspace box"
+    try:
+        PartitionTree(ws.lo, ws.hi, v["h_min"])
+    except GeometryError as e:
+        return f"scenario.h_min: {e}"
     return None
 
 
@@ -120,6 +157,9 @@ def cmd_run(args) -> int:
         })
         if args.h_min is not None:
             scn.h_min = np.full_like(scn.h_min, float(args.h_min))
+        err = validate_scenario_dict(scn.to_dict())
+        if err:
+            raise ValueError(err)
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -100,23 +100,29 @@ class ReachGraph:
     def expected_info_gain(self, a: int, b: int) -> float:
         """p_e times the total entropy of the target node's uncertain
         outgoing edges (what resolving the target cell would teach us)."""
-        e = self.edges[(a, b)]
+        return self.edges[(a, b)].p_e * self._uncertain_out_entropy(b)
+
+    def _uncertain_out_entropy(self, b: int) -> float:
         total = 0.0
         for dst in self.out.get(b, ()):
             e2 = self.edges[(b, dst)]
             if e2.status == UNCERTAIN:
                 total += edge_entropy(e2.p_e)
-        return e.p_e * total
+        return total
 
     def refresh_uncertain_weights(self, cell_sides: dict):
         """Recompute every uncertain edge weight; l_u is the source cell's
-        side length along the transition axis."""
+        side length along the transition axis. Each target's out-entropy
+        is summed once per refresh."""
+        entropy: dict = {}
         for (a, b), e in self.edges.items():
             if e.status != UNCERTAIN:
                 continue
+            h = entropy.get(b)
+            if h is None:
+                h = entropy[b] = self._uncertain_out_entropy(b)
             l_u = float(cell_sides[a][e.shared.axis])
-            e.weight = uncertain_weight(self.C_u, l_u, self.beta_u,
-                                        self.expected_info_gain(a, b))
+            e.weight = uncertain_weight(self.C_u, l_u, self.beta_u, e.p_e * h)
 
     def total_entropy(self) -> float:
         return sum(edge_entropy(e.p_e) for e in self.edges.values()

@@ -4,7 +4,11 @@ Cells are axis-aligned boxes organized in a tree. Refinement is driven by
 the straight segment from the current state to the target: every leaf the
 segment touches is subdivided until it reaches the minimum side length.
 Refinement is monotone (no coarsening) and preserves leaf identities of
-untouched cells so per-cell bookkeeping survives re-partitioning.
+untouched cells so per-cell bookkeeping survives re-partitioning. The tree
+keeps the shared facets between adjacent leaves current as it splits: a
+child can only touch its parent's former neighbours and its own siblings
+(the neighbour-finding argument of Samet's quadtrees), so a split costs
+time in the size of its neighbourhood, not in the number of leaves.
 """
 from __future__ import annotations
 
@@ -54,14 +58,20 @@ class PartitionTree:
                     "root side / h_min must be a power of two on every axis"
                 )
         self._next_id = 0
+        self.nodes: dict[int, Box] = {}
         self.root = self._new_box(lo, hi, depth=0)
         self.leaves: dict[int, Box] = {self.root.id: self.root}
         self.parent: dict[int, int] = {}
         self.children: dict[int, list[int]] = {}
+        # (a, b) -> facet seen from leaf a, for every ordered adjacent pair;
+        # the (lower id, higher id) entry is the one shared_facet computed
+        self.facets: dict[tuple, SharedFacet] = {}
+        self.neighbours: dict[int, set] = {self.root.id: set()}
 
     def _new_box(self, lo, hi, depth) -> Box:
         b = Box(lo=lo, hi=hi, id=self._next_id, depth=depth)
         self._next_id += 1
+        self.nodes[b.id] = b
         return b
 
     @property
@@ -69,12 +79,25 @@ class PartitionTree:
         return self.root.dim
 
     def locate(self, x) -> Box:
-        """Leaf containing x; on internal boundaries the lower-id leaf wins."""
+        """Leaf containing x; on internal boundaries the lower-id leaf wins.
+
+        Walks down from the root through every child that contains x (a
+        child contains x only if its parent does, so no hit is missed).
+        """
         x = np.asarray(x, dtype=float)
-        hits = [b for b in self.leaves.values() if b.contains(x)]
-        if not hits:
+        if not self.root.contains(x):
             raise GeometryError(f"point {x} outside the partition root")
-        return min(hits, key=lambda b: b.id)
+        best = None
+        stack = [self.root]
+        while stack:
+            b = stack.pop()
+            kids = self.children.get(b.id)
+            if kids is None:
+                if best is None or b.id < best.id:
+                    best = b
+                continue
+            stack.extend(c for c in map(self.nodes.get, kids) if c.contains(x))
+        return best
 
     def splittable_axes(self, cell: Box) -> list:
         tol = 1e-9
@@ -103,7 +126,32 @@ class PartitionTree:
         for c in children:
             self.parent[c.id] = cell.id
             self.leaves[c.id] = c
+        former = [self.leaves[n] for n in sorted(self._unlink(cell.id))]
+        for i, c in enumerate(children):
+            self.neighbours[c.id] = set()
+            # every candidate has a lower id than c, as in adjacency's order
+            for other in former + children[:i]:
+                sf = shared_facet(other, c)
+                if sf is not None:
+                    self._link(other.id, c.id, sf)
         return children
+
+    def _unlink(self, a: int) -> set:
+        """Forget leaf a's adjacencies; returns its former neighbour ids."""
+        nbrs = self.neighbours.pop(a)
+        for b in nbrs:
+            self.neighbours[b].discard(a)
+            del self.facets[(a, b)]
+            del self.facets[(b, a)]
+        return nbrs
+
+    def _link(self, a: int, b: int, sf: SharedFacet):
+        self.facets[(a, b)] = sf
+        self.facets[(b, a)] = SharedFacet(
+            axis=sf.axis, direction=-sf.direction, lo=sf.lo.copy(), hi=sf.hi.copy()
+        )
+        self.neighbours[a].add(b)
+        self.neighbours[b].add(a)
 
     def refine_segment(self, a, b) -> list:
         """Algorithm: refine every leaf the segment a-b touches to h_min.
@@ -174,21 +222,15 @@ def uniform_cell_count(root_lo, root_hi, h_min) -> int:
 def adjacency(tree: PartitionTree) -> dict:
     """All ordered adjacent leaf pairs with their shared facet rectangles.
 
-    Returns {(id_a, id_b): SharedFacet seen from cell a}. A large cell next
-    to k smaller neighbors across one facet produces k entries.
+    Returns {(id_a, id_b): SharedFacet seen from cell a}, read from the map
+    the tree keeps current on split: (a, b) then (b, a) for each a < b, in
+    ascending order. A large cell next to k smaller neighbors across one
+    facet produces k entries.
     """
-    tol = 1e-9
-    leaves = sorted(tree.leaves.values(), key=lambda b: b.id)
     out = {}
-    for i, a in enumerate(leaves):
-        for b in leaves[i + 1:]:
-            sf = shared_facet(a, b, tol)
-            if sf is None:
-                continue
-            out[(a.id, b.id)] = sf
-            out[(b.id, a.id)] = SharedFacet(
-                axis=sf.axis, direction=-sf.direction, lo=sf.lo.copy(), hi=sf.hi.copy()
-            )
+    for a, b in sorted(k for k in tree.facets if k[0] < k[1]):
+        out[(a, b)] = tree.facets[(a, b)]
+        out[(b, a)] = tree.facets[(b, a)]
     return out
 
 

@@ -665,7 +665,6 @@ def run_mission(scn: Scenario) -> MissionLog:
     log.event(0.0, "mission_start", scenario=scn.name or scn.system,
               seed=scn.seed)
     stall = 0
-    prev_sig = None
     for it in range(scn.max_iters):
         if time.perf_counter() - t_wall > scn.wall_budget:
             log.status = "failure:wall_budget"
@@ -761,7 +760,6 @@ def run_mission(scn: Scenario) -> MissionLog:
                 log.event(ms.t, "no_path", cell=cur.id)
                 break
             ms.centering_maneuver(cur, 0.2)
-        sig = (cur.id, ms.tree.leaf_count(), n_resolved > 0, moved)
         if moved or n_resolved > 0 or n_split > 0:
             stall = 0
         else:
@@ -770,7 +768,6 @@ def run_mission(scn: Scenario) -> MissionLog:
                 log.status = "failure:stalled"
                 log.event(ms.t, "stalled", cell=cur.id)
                 break
-        prev_sig = sig
     else:
         log.status = "failure:iteration_budget"
     if log.status == "incomplete":

@@ -97,3 +97,34 @@ def test_run_writes_outputs(tmp_path, capsys):
 def test_run_bad_scenario_usage_error(capsys):
     assert main(["run", "--scenario", "no-such-scenario"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def _assert_rejected(tmp_path, capsys, field, changes):
+    """validate and run both exit 1 with a message naming the field."""
+    data = builtin_scenario("mecanum").to_dict()
+    data.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))       # NaN is written as a JSON NaN
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert f"scenario.{field}" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(path), "--quiet"]) == 1
+    assert f"scenario.{field}" in capsys.readouterr().err
+
+
+def test_h_min_not_power_of_two_rejected(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "h_min", {"h_min": [3.0, 3.0]})
+
+
+def test_inverted_input_box_rejected(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "pu_hi",
+                     {"pu_lo": [5.0, 5.0], "pu_hi": [-5.0, -5.0]})
+
+
+def test_non_finite_x_init_rejected(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, "x_init",
+                     {"x_init": [float("nan"), 6.5]})
+
+
+def test_run_h_min_override_rejected(capsys):
+    assert main(["run", "--scenario", "mecanum", "--h-min", "3", "--quiet"]) == 1
+    assert "scenario.h_min" in capsys.readouterr().err

@@ -184,3 +184,37 @@ def test_snapshot_shape():
     assert by_pair[(1, 0)]["p_e"] == 0.5
     assert snap["tally"][CERTAIN] == 1
     assert snap["entropy"] == pytest.approx(math.log(2))
+
+
+def test_refresh_weights_match_per_edge_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(3, 12))
+        adj = {}
+        for a, b in itertools.permutations(range(n), 2):
+            if rng.random() < 0.4:
+                adj[(a, b)] = _sf(axis=int(rng.integers(2)))
+        sides = {i: rng.uniform(0.25, 2.0, 2) for i in range(n)}
+        g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)))
+        g.rebuild(adj, sides)
+        for (a, b), e in g.edges.items():
+            r = rng.random()
+            if r < 0.25:
+                g.mark_impossible(a, b)
+            elif r < 0.5:
+                g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
+            else:
+                e.p_e = float(rng.uniform(0.05, 0.95))
+        g.refresh_uncertain_weights(sides)
+        for (a, b), e in g.edges.items():
+            if e.status != UNCERTAIN:
+                continue
+            out_h = 0.0
+            for dst in g.out.get(b, ()):
+                e2 = g.edges[(b, dst)]
+                if e2.status == UNCERTAIN:
+                    out_h += edge_entropy(e2.p_e)
+            eig = e.p_e * out_h
+            assert g.expected_info_gain(a, b) == eig
+            l_u = float(sides[a][e.shared.axis])
+            assert e.weight == g.C_u * l_u / (1.0 + g.beta_u * eig)

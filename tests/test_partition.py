@@ -1,10 +1,13 @@
 """Adaptive partition tree, segment refinement, adjacency extraction."""
+import math
+
 import numpy as np
 import pytest
 
 from reachplan.geometry import Box, GeometryError
-from reachplan.partition import (PartitionTree, adjacency, segment_intersects,
-                                 shared_facet, uniform_cell_count)
+from reachplan.partition import (PartitionTree, SharedFacet, adjacency,
+                                 segment_intersects, shared_facet,
+                                 uniform_cell_count)
 
 
 def test_uniform_cell_count_oracle():
@@ -141,3 +144,92 @@ def test_snapshot_sorted_and_complete():
     snap = tree.snapshot()
     assert [s["id"] for s in snap] == sorted(s["id"] for s in snap)
     assert len(snap) == tree.leaf_count()
+
+
+def _all_pairs_adjacency(tree):
+    """Reference: compare every pair of leaves, lower id first."""
+    leaves = sorted(tree.leaves.values(), key=lambda b: b.id)
+    out = {}
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            sf = shared_facet(a, b)
+            if sf is None:
+                continue
+            out[(a.id, b.id)] = sf
+            out[(b.id, a.id)] = SharedFacet(axis=sf.axis, direction=-sf.direction,
+                                            lo=sf.lo.copy(), hi=sf.hi.copy())
+    return out
+
+
+def _assert_same_adjacency(got, want):
+    assert list(got) == list(want)
+    for key, sf in want.items():
+        g = got[key]
+        assert (g.axis, g.direction) == (sf.axis, sf.direction)
+        assert g.lo.tobytes() == sf.lo.tobytes()
+        assert g.hi.tobytes() == sf.hi.tobytes()
+
+
+_GRIDS = {
+    "2d": ([-8.0, -8.0], [8.0, 8.0], [0.25, 0.25]),
+    "unicycle": ([-10.0, -10.0, -math.pi], [10.0, 10.0, math.pi],
+                 [1.25, 1.25, math.pi / 4]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("seed", range(3))
+def test_incremental_adjacency_matches_all_pairs(grid, seed):
+    lo, hi, h = _GRIDS[grid]
+    rng = np.random.default_rng(seed)
+    tree = PartitionTree(lo, hi, h)
+    for _ in range(40):
+        cands = sorted((b for b in tree.leaves.values()
+                        if tree.splittable_axes(b)), key=lambda b: b.id)
+        if not cands:
+            break
+        tree.split(cands[int(rng.integers(len(cands)))])
+        _assert_same_adjacency(adjacency(tree), _all_pairs_adjacency(tree))
+        for a, nbrs in tree.neighbours.items():
+            assert a in tree.leaves
+            assert all((a, b) in tree.facets for b in nbrs)
+    assert set(tree.neighbours) == set(tree.leaves)
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_incremental_adjacency_under_segment_refinement(grid):
+    lo, hi, h = _GRIDS[grid]
+    rng = np.random.default_rng(7)
+    tree = PartitionTree(lo, hi, h)
+    for _ in range(4):
+        a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        tree.refine_segment(a, b)
+        _assert_same_adjacency(adjacency(tree), _all_pairs_adjacency(tree))
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_locate_matches_linear_scan(grid):
+    lo, hi, h = _GRIDS[grid]
+    lo, hi, h = np.array(lo), np.array(hi), np.array(h)
+    rng = np.random.default_rng(11)
+    tree = PartitionTree(lo, hi, h)
+    for _ in range(2):
+        tree.refine_segment(rng.uniform(lo, hi), rng.uniform(lo, hi))
+    leaves = list(tree.leaves.values())
+    points = [rng.uniform(lo, hi) for _ in range(100)]
+    # leaf corners and facet midpoints: several leaves share them, and the
+    # lowest id must win
+    for leaf in leaves[::4]:
+        points.extend(leaf.vertices())
+        for k in range(leaf.dim):
+            for side in (leaf.lo, leaf.hi):
+                p = leaf.center.copy()
+                p[k] = side[k]
+                points.append(p)
+    points += [lo, hi]
+    ties = 0
+    for x in points:
+        hits = [b.id for b in leaves if b.contains(x)]
+        assert tree.locate(x).id == min(hits)
+        ties += len(hits) > 1
+    assert ties > 100
