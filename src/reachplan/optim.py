@@ -2,9 +2,9 @@
 
 Linear programs are solved by a two-phase tableau simplex with Bland's
 rule (deterministic and cycle-free; problem sizes here stay below ~50
-variables). Quadratic programs use a primal active-set method warm-started
-from a phase-1 feasible point. Strict inequalities are modeled as margins
-of at least DELTA_STRICT.
+variables). Strictly convex quadratic programs are solved by enumerating
+candidate active sets and returning the first KKT-consistent point.
+Strict inequalities are modeled as margins of at least DELTA_STRICT.
 """
 from __future__ import annotations
 
@@ -301,7 +301,7 @@ class QPResult:
     max_violation: float
 
 
-def solve_qp(H, q, G, h, z0=None, feas_tol: float = 1e-8) -> QPResult:
+def solve_qp(H, q, G, h, feas_tol: float = 1e-8) -> QPResult:
     """min ½ zᵀH z + qᵀz  s.t.  G z ≤ h, for strictly convex small QPs.
 
     Enumerates candidate active sets of size ≤ n in lexicographic order

@@ -9,9 +9,14 @@ model within the bounds (predictive certificate) or to rule it out for
 all of them (predictive unreachability). Underactuated systems get two
 relaxations: a truncated-pyramid subpolytope for facets normal to the
 heading axis and a threshold-angle vertex relaxation for side facets.
+
+The robustified systems have one unknown per input (m ≤ 3 on the built-in
+plants) and are decided in closed form, for all vertices and sign
+patterns at once; the tableau simplex only settles borderline systems.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -127,53 +132,203 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
                             exact_vertices=tuple(range(p.n_vertices)))
 
 
-def _predictive_vertex_feasible(model, bounds: DeviationBounds, p, j, exit_facet,
-                                pu: Box, expanded: bool):
-    """One vertex of the robustified system, over all 2^m sign patterns.
+# Closed-form decision of the robustified vertex systems (m <= 3 inputs).
+# A system is feasible when some candidate point violates no row by more
+# than _FEAS_TOL and has a strict-row slack above DELTA_STRICT + _BAND, and
+# infeasible when no candidate violating no row by more than _NEAR has a
+# slack of DELTA_STRICT - _NEAR or more. Systems in between go to the
+# tableau, whose own tolerances then decide the borderline cases.
+_DET_TOL = 1e-12     # candidate rows this close to parallel define no point
+_FEAS_TOL = 1e-9
+_BAND = 1e-7
+_NEAR = 1e-6
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_tables(m: int, K: int):
+    """Tables shared by every system with m inputs and K invariance rows.
+
+    S (P, m): the sign patterns in itertools.product((1, -1)) order.
+    cap_lo, cap_hi (P, m): bounds whose max/min with the input box clip it
+    to each pattern's orthant. box (m, 2m): the rows [I; -I] by component.
+    pick (m, Q): the m-tuples of rows that can meet in one point (two box
+    rows of one axis are parallel).
+    """
+    def meet(rows):
+        axes = [r % m for r in rows if r < 2 * m]
+        return len(set(axes)) == len(axes)
+
+    S = np.array(list(itertools.product((1.0, -1.0), repeat=m)))
+    cap_lo = np.where(S > 0, 0.0, -np.inf)
+    cap_hi = np.where(S < 0, 0.0, np.inf)
+    box = np.hstack([np.eye(m), -np.eye(m)])
+    pick = np.array([c for c in itertools.combinations(range(2 * m + K), m) if meet(c)],
+                    dtype=int).reshape(-1, m).T
+    for a in (S, cap_lo, cap_hi, box, pick):
+        a.flags.writeable = False
+    return S, cap_lo, cap_hi, box, pick
+
+
+def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                 exit_facet: int, pu: Box, expanded: bool):
+    """Rows of the robustified system of every (vertex j, sign pattern k).
 
     expanded=False builds the worst-case (reachability-guaranteeing) rows;
     expanded=True builds the best-case rows whose infeasibility at a vertex
-    refutes reachability for every in-bound model.
+    refutes reachability for every in-bound model. The systems are
+    C u ≤ d with C (m, R + 1, M, P) by input component and d (R + 1, M, P),
+    where R = 2m + K. Rows 0..2m-1 bound u to the pattern's orthant of the
+    input box; the next K are the facet rows of each vertex, where the exit
+    facet and the padding of vertices with fewer facets are 0·u ≤ 1 (the
+    mask ``real`` (K, M) marks the invariance rows); the last row is the
+    strict row negated: a system is feasible iff some u meeting rows
+    0..R-1 has d[R] - C[:, R]·u ≥ DELTA_STRICT. ``boxed`` (P,) is False
+    for the patterns whose orthant misses the input box.
     """
-    v = p.vertices[j]
-    drift = model.A @ v + model.c
-    margin = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
-    n1 = p.normals[exit_facet]
+    # Products are broadcast sums and the mask is built in Python: integer
+    # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
+    # mission, and touching their code first here would raise its peak RSS.
     m = model.B.shape[1]
-    row_exit = n1 @ model.B
-    inv_ids = [i for i in p.vertex_facets[j] if i != exit_facet]
-    for pattern in itertools.product((1.0, -1.0), repeat=m):
-        s = np.array(pattern)
-        flip = -1.0 if expanded else 1.0
-        a_st = row_exit - flip * s * bounds.eps_B
-        b_st = -float(n1 @ drift) + flip * margin
-        A_le, b_le = [], []
-        for i in inv_ids:
-            ni = p.normals[i]
-            A_le.append(ni @ model.B + flip * s * bounds.eps_B)
-            b_le.append(-float(ni @ drift) + (margin if expanded else -margin))
-        prob = LinearFeasibilityProblem(
-            A_le=np.array(A_le).reshape(-1, m), b_le=np.array(b_le),
-            A_ge_strict=a_st.reshape(1, -1), b_ge_strict=np.array([b_st]),
-            lo=pu.lo, hi=pu.hi, signs=list(pattern),
-        )
-        u = linear_feasible(prob, maximize_margin=not expanded)
-        if u is not None:
-            return u
-    return None
+    # row k holds the k-th facet of every vertex, -1 past a vertex's last
+    table = list(itertools.zip_longest(*p.vertex_facets, fillvalue=-1))
+    idx = np.array(table)
+    real = np.array([[i >= 0 and i != exit_facet for i in row] for row in table])
+    K, M = idx.shape
+    S, cap_lo, cap_hi, box, pick = _pattern_tables(m, K)
+    flip = -1.0 if expanded else 1.0
+    w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
+    drift = (p.normals[idx] * w).sum(axis=2)                         # (K, M)
+    drift_exit = (p.normals[exit_facet] * w).sum(axis=1)
+    margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
+    NB = (p.normals @ model.B).T
+    dB = flip * bounds.eps_B * S.T
+    lo = np.maximum(pu.lo, cap_lo)
+    hi = np.minimum(pu.hi, cap_hi)
+    C = np.empty((m, 2 * m + K + 1, M, S.shape[0]))
+    d = np.empty(C.shape[1:])
+    C[:, :2 * m] = box[:, :, None, None]
+    d[:m] = hi.T[:, None]
+    d[m:2 * m] = -lo.T[:, None]
+    C[:, 2 * m:-1] = np.where(real[:, :, None], NB[:, idx, None] + dB[:, None, None], 0.0)
+    d[2 * m:-1] = np.where(real, -drift - flip * margin, 1.0)[:, :, None]
+    C[:, -1] = (dB - NB[:, exit_facet, None])[:, None]
+    d[-1] = (drift_exit - flip * margin)[:, None]
+    return S, C, d, real, pick, (lo <= hi).all(axis=1)
+
+
+def _cross(x, y):
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _solve_square(A, r):
+    """Batched A u = r for m ≤ 3 by Cramer's rule (cross products of the
+    rows for m = 3); A[k][i] is coefficient k of row i and r[i] its bound.
+    Systems with |det A| ≤ _DET_TOL get NaN, which every comparison rejects.
+    """
+    m = len(r)
+    if m == 1:
+        det = A[0][0]
+        num = (r[0],)
+    elif m == 2:
+        det = A[0][0] * A[1][1] - A[1][0] * A[0][1]
+        num = (r[0] * A[1][1] - r[1] * A[1][0], A[0][0] * r[1] - A[0][1] * r[0])
+    else:
+        rows = [[A[k][i] for k in range(3)] for i in range(3)]
+        c12, c20, c01 = (_cross(rows[1], rows[2]), _cross(rows[2], rows[0]),
+                         _cross(rows[0], rows[1]))
+        det = rows[0][0] * c12[0] + rows[0][1] * c12[1] + rows[0][2] * c12[2]
+        num = tuple(r[0] * c12[k] + r[1] * c20[k] + r[2] * c01[k] for k in range(3))
+    inv = 1.0 / np.where(np.abs(det) > _DET_TOL, det, np.nan)
+    return [x * inv for x in num]
+
+
+def _closed_form_verdicts(C, d, pick, boxed):
+    """Decide every (vertex, pattern) system of m ≤ 3 inputs.
+
+    The largest strict-row slack over the pattern's orthant of the input
+    box intersected with the invariance half-spaces is attained at a
+    vertex of that polytope, where m of its rows meet. Every such point is
+    enumerated. Returns the masks (M, P) of the systems decided feasible
+    and of the undecided ones, the candidate points (m arrays (Q, M, P))
+    and the slack of each feasible candidate (-inf for the others).
+    """
+    m = C.shape[0]
+    U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, P)
+    # box rows ±u_k ≤ d directly, the other rows by their coefficients
+    viol = np.maximum(U[0] - d[0], -U[0] - d[m])
+    for k in range(1, m):
+        viol = np.maximum(viol, np.maximum(U[k] - d[k], -U[k] - d[m + k]))
+    res = C[0, 2 * m:, None] * U[0]                             # (K + 1, Q, M, P)
+    for k in range(1, m):
+        res += C[k, 2 * m:, None] * U[k]
+    res -= d[2 * m:, None]
+    viol = np.maximum(viol, res[:-1].max(axis=0))
+    slack = -res[-1]
+    score = np.where(viol <= _FEAS_TOL, slack, -np.inf)
+    feasible = (score.max(axis=0) > DELTA_STRICT + _BAND) & boxed
+    near = np.where(viol <= _NEAR, slack, -np.inf).max(axis=0)
+    undecided = (near >= DELTA_STRICT - _NEAR) & boxed & ~feasible
+    return feasible, undecided, U, score
+
+
+def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                     exit_facet: int, pu: Box, expanded: bool):
+    """Decide the robustified system of every vertex.
+
+    Returns None when some vertex has no feasible sign pattern. Otherwise
+    the worst-case system gives controls (M, m) that meet it at every
+    vertex, each from the first pattern decided feasible; the best-case
+    (expanded) system is only ever used to refute and gives True.
+
+    Systems of m ≤ 3 inputs are decided in closed form. A vertex without a
+    pattern decided feasible has its undecided patterns, and every pattern
+    when m > 3, solved by linear_feasible in pattern order.
+    """
+    S, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facet, pu, expanded)
+    m, _, M, P = C.shape
+    if m <= 3:
+        feasible, undecided, U, score = _closed_form_verdicts(C, d, pick, boxed)
+    else:
+        feasible, undecided = np.zeros((M, P), bool), np.ones((M, P), bool)
+    decided = feasible.tolist()
+    controls = np.empty((M, m))
+    for j, row in enumerate(decided):
+        if True in row:
+            continue
+        rows = [2 * m + r for r, ok in enumerate(real[:, j].tolist()) if ok]
+        for k in np.flatnonzero(undecided[j]):
+            prob = LinearFeasibilityProblem(
+                A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
+                A_ge_strict=-C[:, -1:, j, k].T, b_ge_strict=-d[-1:, j, k],
+                lo=pu.lo, hi=pu.hi, signs=S[k].tolist(),
+            )
+            u = linear_feasible(prob, maximize_margin=not expanded)
+            if u is not None:
+                controls[j] = u
+                break
+        else:
+            return None
+    if expanded:
+        return True
+    for j, row in enumerate(decided):
+        if True in row:
+            # the best point of the first pattern decided feasible
+            k = row.index(True)
+            best = score[:, j, k]
+            q = np.flatnonzero(best == best.max())[0]
+            controls[j] = [u[q, j, k] for u in U]
+    return controls
 
 
 def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                       exit_facet: int, pu: Box) -> Optional[ReachCertificate]:
     """Certificate valid for every affine model within the deviation bounds."""
-    controls, margins = {}, {}
+    found = _robust_vertices(model, bounds, p, exit_facet, pu, expanded=False)
+    if found is None:
+        return None
+    controls, margins = dict(enumerate(found)), {}
     n1 = p.normals[exit_facet]
-    for j in range(p.n_vertices):
-        u = _predictive_vertex_feasible(model, bounds, p, j, exit_facet, pu,
-                                        expanded=False)
-        if u is None:
-            return None
-        controls[j] = u
+    for j, u in controls.items():
         v = p.vertices[j]
         worst = (float(n1 @ (model.A @ v + model.B @ u + model.c))
                  - bounds.eps_B * float(np.sum(np.abs(u)))
@@ -191,12 +346,7 @@ def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern.
     """
-    for j in range(p.n_vertices):
-        u = _predictive_vertex_feasible(model, bounds, p, j, exit_facet, pu,
-                                        expanded=True)
-        if u is None:
-            return True
-    return False
+    return _robust_vertices(model, bounds, p, exit_facet, pu, expanded=True) is None
 
 
 @dataclass

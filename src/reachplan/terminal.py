@@ -67,8 +67,7 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
 
     # rows over z = (u, delta): G z <= h
     rows, rhs = [], []
-    clf_row = np.concatenate([gradV @ model.B, [-1.0]])
-    rows.append(clf_row)
+    rows.append(np.concatenate([gradV @ model.B, [-1.0]]))
     rhs.append(-params.alpha * V - float(gradV @ drift))
     h_vals = barrier_values(cell, x)
     for k in range(n):
@@ -99,22 +98,20 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     G = np.array(rows)
     h = np.array(rhs)
 
-    # feasible start: satisfy the hard rows at some u, then lift delta
+    # the slack delta makes the Lyapunov row satisfiable, so the program is
+    # feasible iff the barrier rows are within the input box
     hard = LinearFeasibilityProblem(
         A_le=G[1:n_hard, :m], b_le=h[1:n_hard],
         A_ge_strict=np.zeros((0, m)), b_ge_strict=np.zeros(0),
         lo=pu.lo, hi=pu.hi,
     )
-    u0 = linear_feasible(hard)
-    if u0 is None:
+    if linear_feasible(hard) is None:
         raise SolverError("barrier rows infeasible within the input box")
-    delta0 = max(0.0, float(clf_row[:m] @ u0) - h[0]) + 1e-9
-    z0 = np.concatenate([u0, [delta0]])
 
     H = 2.0 * np.eye(m + 1)
     H[m, m] = 2.0 * params.slack_weight
     q = np.zeros(m + 1)
-    res: QPResult = solve_qp(H, q, G, h, z0=z0)
+    res: QPResult = solve_qp(H, q, G, h)
     u = res.z[:m]
     delta = float(res.z[m])
     return TerminalStep(u=u, delta=delta, V=V, min_barrier=float(np.min(h_vals)),

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from reachplan.cli import _write_outputs
 from reachplan.dynamics import Trajectory
 from reachplan.partition import uniform_cell_count
-from reachplan.planner import MissionLog, Scenario, builtin_scenario
+from reachplan.planner import MissionLog, Scenario, builtin_scenario, run_mission
 
 
 def test_builtin_mecanum_parameters():
@@ -82,3 +83,24 @@ def test_mission_log_append_and_success():
     assert log.events[-1] == {"t": 3.0, "type": "arrived", "cell": 7}
     log.status = "success"
     assert log.success
+
+
+def test_unicycle_runs_are_deterministic(tmp_path):
+    """The built-in unicycle mission with a target 2.5 m from the start
+    (about 3 s a run) gives the same trajectory bytes and edge statuses
+    twice in one process."""
+    scn = builtin_scenario("unicycle")
+    scn.x_target = np.array([-1.875, 0.625, -np.pi / 8])
+    runs = [run_mission(scn) for _ in range(2)]
+    assert runs[0].success
+    csv = []
+    for k, log in enumerate(runs):
+        _write_outputs(str(tmp_path / str(k)), scn, log)
+        csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+    def edge_statuses(log):
+        return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
+                for s in log.snapshots]
+
+    assert edge_statuses(runs[0]) == edge_statuses(runs[1])

@@ -1,10 +1,14 @@
 """Facet-reachability certificates, controller synthesis, exit-time bounds."""
+import itertools
+
 import numpy as np
 import pytest
 
+from reachplan import optim, reach
 from reachplan.deviation import DeviationBounds, deviation_bounds
 from reachplan.dynamics import AffineModel, TrueSystem, analytic_linearize, integrate, unicycle_system
-from reachplan.geometry import Box, box_to_polytope, facet_id
+from reachplan.geometry import Box, box_to_polytope, facet_id, truncated_pyramid
+from reachplan.optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible, solve_lp
 from reachplan.reach import (exit_time_bound, facet_reachable, predict_reachable,
                              predict_unreachable, relaxed_facet_reachable,
                              robust_exit_time_bound, synthesize_controller)
@@ -151,6 +155,170 @@ def test_predict_unreachable_obvious_case():
     bounds = DeviationBounds(0.01, 0.01, 0.01)
     assert predict_unreachable(m, bounds, p, facet_id(0, +1), pu)
     assert not predict_unreachable(m, bounds, p, facet_id(0, -1), pu)
+
+
+def _reference_patterns(model, bounds, p, j, exit_facet, pu, expanded):
+    """Per-pattern tableau verdicts of one vertex's robustified system: the
+    loop the batched closed-form kernel replaces, kept as its oracle."""
+    v = p.vertices[j]
+    drift = model.A @ v + model.c
+    margin = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
+    n1 = p.normals[exit_facet]
+    m = model.B.shape[1]
+    flip = -1.0 if expanded else 1.0
+    inv_ids = [i for i in p.vertex_facets[j] if i != exit_facet]
+    verdicts = []
+    for pattern in itertools.product((1.0, -1.0), repeat=m):
+        s = np.array(pattern)
+        A_le = [p.normals[i] @ model.B + flip * s * bounds.eps_B for i in inv_ids]
+        b_le = [-float(p.normals[i] @ drift) - flip * margin for i in inv_ids]
+        prob = LinearFeasibilityProblem(
+            A_le=np.array(A_le).reshape(-1, m), b_le=np.array(b_le),
+            A_ge_strict=(n1 @ model.B - flip * s * bounds.eps_B).reshape(1, -1),
+            b_ge_strict=np.array([-float(n1 @ drift) + flip * margin]),
+            lo=pu.lo, hi=pu.hi, signs=list(pattern),
+        )
+        verdicts.append(linear_feasible(prob, maximize_margin=not expanded) is not None)
+    return verdicts
+
+
+def _random_predictive_instance(rng):
+    """n = 2 or 3 states, m = 1, 2 or 3 inputs. Some input matrices have a
+    zero row or two parallel columns (singular candidate pairs); some input
+    boxes have a zero bound, exclude 0, or miss 0 by a sliver so that an
+    orthant is empty by less than the feasibility tolerance."""
+    n = int(rng.choice([2, 3]))
+    m = int(rng.choice([1, 2, 3]))
+    B = rng.uniform(-1.0, 1.0, (n, m))
+    r = rng.random()
+    if r < 0.15:
+        B[rng.integers(n)] = 0.0
+    elif r < 0.3 and m > 1:
+        B[:, 1] = 2.0 * B[:, 0]
+    model = _model(rng.uniform(-0.5, 0.5, (n, n)), B, rng.uniform(-2.0, 2.0, n))
+    lo = rng.uniform(-2.0, 0.0, n)
+    cell = Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, n))
+    if n == 3 and rng.random() < 0.3:
+        p = truncated_pyramid(cell, int(rng.integers(3)), int(rng.choice([-1, 1])), 0.5)
+    else:
+        p = box_to_polytope(cell)
+    u_lo, u_hi = rng.uniform(-3.0, 0.0, m), rng.uniform(0.1, 3.0, m)
+    for k in range(m):
+        r = rng.random()
+        if r < 0.15:
+            u_lo[k] = 0.0
+        elif r < 0.25:
+            u_lo[k], u_hi[k] = -rng.uniform(0.1, 3.0), 0.0
+        elif r < 0.35:
+            u_lo[k] = rng.uniform(0.1, 1.0)
+            u_hi[k] = u_lo[k] + 1.0
+        elif r < 0.45:
+            u_lo[k] = 5e-10
+        elif r < 0.5:
+            u_lo[k], u_hi[k] = -rng.uniform(0.5, 2.0), -5e-10
+    bounds = (DeviationBounds.zero() if rng.random() < 0.25
+              else DeviationBounds(*rng.uniform(0.0, 0.1, 3)))
+    return model, bounds, p, int(rng.integers(2 * n)), Box(lo=u_lo, hi=u_hi)
+
+
+def _robust_rows_hold(model, bounds, p, exit_facet, pu, controls, tol=1e-9):
+    """Worst-case robust vertex conditions in their |u| form."""
+    n1 = p.normals[exit_facet]
+    for j in range(p.n_vertices):
+        u = controls[j]
+        assert np.all(u >= pu.lo - tol) and np.all(u <= pu.hi + tol)
+        v = p.vertices[j]
+        vel = model.A @ v + model.B @ u + model.c
+        spread = (bounds.eps_B * float(np.sum(np.abs(u)))
+                  + bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c)
+        assert float(n1 @ vel) - spread >= DELTA_STRICT - tol
+        for i in p.vertex_facets[j]:
+            if i != exit_facet:
+                assert float(p.normals[i] @ vel) + spread <= tol
+
+
+def test_batched_predictive_verdicts_match_tableau_reference():
+    rng = np.random.default_rng(31)
+    systems = undecided = certified = refuted = 0
+    for _ in range(250):
+        model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        for expanded in (False, True):
+            S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, fct, pu,
+                                                            expanded)
+            feasible, open_, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
+            ref = [_reference_patterns(model, bounds, p, j, fct, pu, expanded)
+                   for j in range(p.n_vertices)]
+            for j, k in np.ndindex(feasible.shape):
+                systems += 1
+                if open_[j, k]:
+                    undecided += 1
+                else:
+                    assert feasible[j, k] == ref[j][k], (j, k, expanded)
+            every_vertex = all(any(r) for r in ref)
+            if expanded:
+                assert predict_unreachable(model, bounds, p, fct, pu) == (not every_vertex)
+                refuted += not every_vertex
+            else:
+                cert = predict_reachable(model, bounds, p, fct, pu)
+                assert (cert is not None) == every_vertex
+                if cert is not None:
+                    certified += 1
+                    _robust_rows_hold(model, bounds, p, fct, pu, cert.controls)
+    assert certified > 10 and refuted > 10
+    assert undecided <= systems // 100
+
+
+def test_band_systems_are_left_to_the_tableau():
+    """Systems whose best slack is DELTA_STRICT +- 1e-8 get the verdict of
+    linear_feasible, whose own tolerance accepts slacks a little below
+    DELTA_STRICT."""
+    rng = np.random.default_rng(37)
+    band = 0
+    while band < 300:
+        model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        expanded = bool(rng.random() < 0.5)
+        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, fct, pu, expanded)
+        m = C.shape[0]
+        j, k = int(rng.integers(p.n_vertices)), int(rng.integers(S.shape[0]))
+        if not boxed[k]:
+            continue
+        rows = 2 * m + np.flatnonzero(real[:, j])
+        a = -C[:, -1, j, k]
+        status, u, _ = solve_lp(-a, C[:, rows, j, k].T, d[rows, j, k],
+                                -d[m:2 * m, j, k], d[:m, j, k])
+        if status != "optimal":
+            continue
+        best = float(a @ u) + d[-1, j, k]
+        for offset in (1e-8, -1e-8):
+            shifted = d.copy()
+            shifted[-1, j, k] += DELTA_STRICT + offset - best
+            prob = LinearFeasibilityProblem(
+                A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
+                A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, k],
+                lo=pu.lo, hi=pu.hi, signs=S[k].tolist())
+            ref = linear_feasible(prob, maximize_margin=not expanded) is not None
+            feasible, open_, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
+            assert open_[j, k] or feasible[j, k] == ref
+            band += 1
+
+
+@pytest.mark.parametrize("offset", [1e-8, -1e-8])
+def test_band_vertices_fall_back_to_linear_feasible(offset):
+    """Single integrator whose every vertex can push out through +x with a
+    best slack of DELTA_STRICT + offset: the verdicts come from the tableau
+    and equal the per-pattern reference."""
+    model = _model(np.zeros((2, 2)), np.eye(2), [DELTA_STRICT + offset - 1.0, 0.0])
+    p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
+    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    zero = DeviationBounds.zero()
+    fct = facet_id(0, +1)
+    ref = [any(_reference_patterns(model, zero, p, j, fct, pu, expanded=False))
+           for j in range(4)]
+    before = optim.STATS.lp_calls
+    cert = predict_reachable(model, zero, p, fct, pu)
+    assert optim.STATS.lp_calls > before
+    assert (cert is not None) == all(ref)
+    assert predict_unreachable(model, zero, p, fct, pu) == (not all(ref))
 
 
 def test_robust_exit_time_bound_degrades_with_uncertainty():
