@@ -6,6 +6,7 @@ small heading/velocity disturbances (underactuated, n = 3, m = 2).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -62,17 +63,24 @@ class Trajectory:
         return self.x[-1]
 
 
+def _floats(x) -> list:
+    """The state as Python floats, for scalar math in the plant models."""
+    return np.asarray(x, dtype=float).tolist()
+
+
 def mecanum_system() -> TrueSystem:
     def f(x):
+        x0, x1 = _floats(x)
         return np.array([
-            -0.5 * np.sin(0.1 * x[0] - 0.2 * x[1]) - 4.5,
-            -0.2 * np.sin(0.3 * x[0] - 0.1 * x[1]) - 4.5,
+            -0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
+            -0.2 * math.sin(0.3 * x0 - 0.1 * x1) - 4.5,
         ])
 
     def g(x):
+        x0, x1 = _floats(x)
         return np.array([
-            [1.0 + 0.02 * x[0], 0.02 * x[1]],
-            [-0.02 * x[0], 1.0 - 0.02 * x[1]],
+            [1.0 + 0.02 * x0, 0.02 * x1],
+            [-0.02 * x0, 1.0 - 0.02 * x1],
         ])
 
     def df(x):
@@ -90,16 +98,15 @@ def unicycle_system() -> TrueSystem:
     def dv(x):
         return 0.03 * np.cos(0.01 * x[0] + 0.02 * x[1])
 
-    def dw(x):
-        return 0.03 * np.sin(-0.02 * x[0] + 0.01 * x[1])
-
     def f(x):
-        th = x[2]
-        return np.array([np.cos(th) * dv(x), np.sin(th) * dv(x), dw(x)])
+        x0, x1, th = _floats(x)
+        v = 0.03 * math.cos(0.01 * x0 + 0.02 * x1)
+        return np.array([math.cos(th) * v, math.sin(th) * v,
+                         0.03 * math.sin(-0.02 * x0 + 0.01 * x1)])
 
     def g(x):
-        th = x[2]
-        return np.array([[np.cos(th), 0.0], [np.sin(th), 0.0], [0.0, 1.0]])
+        th = float(x[2])
+        return np.array([[math.cos(th), 0.0], [math.sin(th), 0.0], [0.0, 1.0]])
 
     def df(x):
         th = x[2]
@@ -132,7 +139,7 @@ def analytic_linearize(s: TrueSystem, x_e) -> AffineModel:
 def clamp_to_box(u, pu: Box):
     u = np.asarray(u, dtype=float)
     clamped = np.minimum(np.maximum(u, pu.lo), pu.hi)
-    return clamped, bool(np.any(clamped != u))
+    return clamped, bool((clamped != u).any())
 
 
 def _rk4_step(deriv, x, dt):
@@ -145,15 +152,22 @@ def _rk4_step(deriv, x, dt):
 
 def _exit_violation(x, cell: Box):
     """Most-violated facet of the cell and its signed violation."""
-    vio_lo = cell.lo - x
-    vio_hi = x - cell.hi
     best_f, best_v = None, 0.0
-    for k in range(cell.dim):
-        if vio_lo[k] > best_v:
-            best_v, best_f = vio_lo[k], facet_id(k, -1)
-        if vio_hi[k] > best_v:
-            best_v, best_f = vio_hi[k], facet_id(k, +1)
+    for k, (xk, lo, hi) in enumerate(zip(x.tolist(), cell.lo.tolist(), cell.hi.tolist())):
+        if lo - xk > best_v:
+            best_v, best_f = lo - xk, facet_id(k, -1)
+        if xk - hi > best_v:
+            best_v, best_f = xk - hi, facet_id(k, +1)
     return best_f, best_v
+
+
+def _trajectory(ts, xs, us, clamps: int, exit_facet=None, exit_time=None) -> Trajectory:
+    """Close a rollout, warning once if any step's control was clamped."""
+    if clamps:
+        warnings.warn(f"control clamped to input box on {clamps} steps")
+    return Trajectory(t=np.array(ts), x=np.array(xs), u=np.array(us),
+                      exit_facet=exit_facet, exit_time=exit_time,
+                      clamp_warnings=clamps)
 
 
 def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
@@ -167,6 +181,7 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
     x = np.asarray(x0, dtype=float).copy()
     if not cell.contains(x, tol=1e-7):
         raise ValueError("initial state outside the cell")
+    xdot = s.xdot
     ts, xs, us = [0.0], [x.copy()], []
     clamps = 0
     t = 0.0
@@ -177,10 +192,10 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
             u, was_clamped = clamp_to_box(u, pu)
             if was_clamped:
                 clamps += 1
-        deriv = lambda z: s.xdot(z, u)
+        deriv = lambda z: xdot(z, u)
         h = min(dt, t_max - t)
         x_new = _rk4_step(deriv, x, h)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise FloatingPointError("non-finite state during integration")
         fct, vio = _exit_violation(x_new, cell)
         if fct is not None and vio > 1e-12:
@@ -202,18 +217,13 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
             ts.append(t)
             xs.append(x_cross)
             us.append(u)
-            return Trajectory(
-                t=np.array(ts), x=np.array(xs), u=np.array(us),
-                exit_facet=f_cross if f_cross is not None else fct,
-                exit_time=t, clamp_warnings=clamps,
-            )
+            return _trajectory(ts, xs, us, clamps,
+                               exit_facet=f_cross if f_cross is not None else fct,
+                               exit_time=t)
         x = x_new
         t += h
         if (step + 1) % record_stride == 0 or step == n_steps - 1:
             ts.append(t)
             xs.append(x.copy())
             us.append(u)
-    if clamps:
-        warnings.warn(f"control clamped to input box on {clamps} steps")
-    return Trajectory(t=np.array(ts), x=np.array(xs), u=np.array(us),
-                      clamp_warnings=clamps)
+    return _trajectory(ts, xs, us, clamps)

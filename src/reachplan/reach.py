@@ -349,23 +349,68 @@ def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope
     return _robust_vertices(model, bounds, p, exit_facet, pu, expanded=True) is None
 
 
+# Containment tolerance of locate_simplex, and the band around it in which
+# a weight from the stacked inverses is not trusted. Near the tolerance
+# those weights differ from the exact Simplex.barycentric solve by about
+# 1e-15, also on thin boxes and steep truncated pyramids.
+LOCATE_TOL = 1e-9
+LOCATE_BAND = 1e-10
+
+
 @dataclass
 class PWAController:
-    """Piecewise-affine feedback u = F_l x + g_l on a triangulated polytope."""
+    """Piecewise-affine feedback u = F_l x + g_l on a triangulated polytope.
+
+    Every Kuhn simplex starts at the same vertex v0 (code 0), so the
+    barycentric weights of x in all n! simplices are one product,
+    ``bary @ (x - v0) + unit``: block l of n+1 rows holds the inverse edge
+    matrix of simplex l under the row that gives its v0 weight. A weight
+    within LOCATE_BAND of the tolerance, or a point outside the polytope,
+    is settled by locate_simplex itself, so the chosen simplex is always
+    the one locate_simplex (lowest index on ties) or, outside, the
+    least-violating rule picks.
+    """
 
     simplices: list
     gains: list          # (F, g) per simplex
+    origin: np.ndarray = field(init=False, repr=False)
+    bary: np.ndarray = field(init=False, repr=False)
+    unit: np.ndarray = field(init=False, repr=False)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
+    def __post_init__(self):
+        self.origin = self.simplices[0].vertices[0]
+        blocks = []
+        for s in self.simplices:
+            if not np.array_equal(s.vertices[0], self.origin):
+                raise ValueError("simplices must share their first vertex")
+            inv = np.linalg.inv((s.vertices[1:] - self.origin).T)
+            blocks.append(np.vstack([-inv.sum(axis=0), inv]))
+        self.bary = np.vstack(blocks)
+        self.unit = np.zeros(self.bary.shape[0])
+        self.unit[::self.origin.size + 1] = 1.0
+
+    def locate(self, x: np.ndarray) -> int:
+        """Index of the simplex whose affine law applies at x."""
+        lam = (self.bary @ (x - self.origin) + self.unit).tolist()
+        n1 = self.origin.size + 1
+        for idx in range(len(self.simplices)):
+            low = min(lam[idx * n1:(idx + 1) * n1])
+            if low >= -LOCATE_TOL + LOCATE_BAND:
+                return idx
+            if low > -LOCATE_TOL - LOCATE_BAND:
+                break       # too close to the tolerance to call
         try:
-            idx, _ = locate_simplex(self.simplices, x)
+            idx, _ = locate_simplex(self.simplices, x, tol=LOCATE_TOL)
         except GeometryError:
             # numerical overshoot outside the polytope: fall back to the
             # least-violating simplex
             idx = max(range(len(self.simplices)),
                       key=lambda i: float(np.min(self.simplices[i].barycentric(x))))
-        F, g = self.gains[idx]
+        return idx
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        F, g = self.gains[self.locate(x)]
         return F @ x + g
 
 

@@ -1,4 +1,6 @@
 """True systems, analytic linearization, RK4 integration, crossing detection."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -52,6 +54,49 @@ def test_unicycle_control_structure():
     g = s.g([0.0, 0.0, np.pi / 3])
     assert np.allclose(g[:, 0], [np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0])
     assert np.allclose(g[:, 1], [0.0, 0.0, 1.0])
+
+
+# The plant formulas as numpy expressions: the built-in models evaluate
+# them on Python floats, which must give the same bits.
+def _mecanum_f_np(x):
+    return np.array([-0.5 * np.sin(0.1 * x[0] - 0.2 * x[1]) - 4.5,
+                     -0.2 * np.sin(0.3 * x[0] - 0.1 * x[1]) - 4.5])
+
+
+def _mecanum_g_np(x):
+    return np.array([[1.0 + 0.02 * x[0], 0.02 * x[1]],
+                     [-0.02 * x[0], 1.0 - 0.02 * x[1]]])
+
+
+def _unicycle_f_np(x):
+    dv = 0.03 * np.cos(0.01 * x[0] + 0.02 * x[1])
+    dw = 0.03 * np.sin(-0.02 * x[0] + 0.01 * x[1])
+    return np.array([np.cos(x[2]) * dv, np.sin(x[2]) * dv, dw])
+
+
+def _unicycle_g_np(x):
+    return np.array([[np.cos(x[2]), 0.0], [np.sin(x[2]), 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("maker, f_np, g_np", [
+    (mecanum_system, _mecanum_f_np, _mecanum_g_np),
+    (unicycle_system, _unicycle_f_np, _unicycle_g_np),
+])
+def test_plant_matches_numpy_formulas_bit_for_bit(maker, f_np, g_np):
+    s = maker()
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        x = rng.uniform(-10, 10, s.n)
+        u = rng.uniform(-3, 3, s.m)
+        for got, want in ((s.f(x), f_np(x)), (s.g(x), g_np(x)),
+                          (s.xdot(x, u), f_np(x) + g_np(x) @ u),
+                          (s.f(x.tolist()), f_np(x)), (s.g(x.tolist()), g_np(x)),
+                          (s.xdot(x.tolist(), u.tolist()), f_np(x) + g_np(x) @ u)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all()
+    # integer lists are states too
+    ints = list(range(1, s.n + 1))
+    assert (s.f(ints) == f_np(np.asarray(ints, dtype=float))).all()
 
 
 def test_clamp_to_box():
@@ -116,6 +161,31 @@ def test_integrate_control_clamping_counted():
     assert traj.clamp_warnings == 5
     # effective input was clamped to 0.5
     assert traj.final_state[0] == pytest.approx(0.025)
+
+
+def test_clamped_rollout_that_crosses_a_facet_warns():
+    # u = 2 clamped to 0.5: from 0.9025 the +x facet is reached at
+    # t = 0.195, inside the 20th step
+    s = TrueSystem(n=1, m=1, f=lambda x: np.zeros(1), g=lambda x: np.eye(1))
+    cell = Box(lo=[-1.0], hi=[1.0])
+    pu = Box(lo=[-0.5], hi=[0.5])
+    with pytest.warns(UserWarning, match="clamped to input box on 20 steps"):
+        traj = integrate(s, lambda x: np.array([2.0]), [0.9025], cell,
+                         dt=1e-2, t_max=1.0, pu=pu)
+    assert traj.exit_facet == facet_id(0, +1)
+    assert traj.exit_time == pytest.approx(0.195, abs=1e-8)
+    assert traj.clamp_warnings == 20
+
+
+def test_unclamped_crossing_does_not_warn():
+    s = _constant_field([1.0, 0.0])
+    cell = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
+    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(s, lambda x: np.zeros(2), [0.2, 0.5], cell,
+                         dt=1e-2, t_max=5.0, pu=pu)
+    assert traj.exit_facet == facet_id(0, +1) and traj.clamp_warnings == 0
 
 
 def test_affine_model_xdot():

@@ -7,7 +7,8 @@ import pytest
 from reachplan import optim, reach
 from reachplan.deviation import DeviationBounds, deviation_bounds
 from reachplan.dynamics import AffineModel, TrueSystem, analytic_linearize, integrate, unicycle_system
-from reachplan.geometry import Box, box_to_polytope, facet_id, truncated_pyramid
+from reachplan.geometry import (Box, GeometryError, box_to_polytope, facet_id,
+                                locate_simplex, truncated_pyramid)
 from reachplan.optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible, solve_lp
 from reachplan.reach import (exit_time_bound, facet_reachable, predict_reachable,
                              predict_unreachable, relaxed_facet_reachable,
@@ -121,6 +122,96 @@ def test_controller_interpolates_vertex_controls():
         x = s.vertices.mean(axis=0)
         blend = np.mean([controls[j] for j in s.vertex_ids], axis=0)
         assert np.allclose(F @ x + g, blend, atol=1e-9)
+
+
+def _reference_simplex(tri, x):
+    """Point location by one exact solve per simplex: the first simplex
+    locate_simplex accepts, else the least-violating one."""
+    try:
+        return locate_simplex(tri, x)[0]
+    except GeometryError:
+        return max(range(len(tri)), key=lambda i: float(np.min(tri[i].barycentric(x))))
+
+
+def _location_controllers():
+    """Controllers on 2-d/3-d boxes, on every truncated pyramid of them and
+    on a thin, steep pyramid."""
+    rng = np.random.default_rng(41)
+    out = []
+    for n in (2, 3):
+        lo = rng.uniform(-5, 5, n)
+        b = Box(lo=lo, hi=lo + rng.uniform(0.2, 1.5, n))
+        polys = [box_to_polytope(b)] + [
+            truncated_pyramid(b, axis, d, rng.uniform(0.3, 0.9))
+            for axis in range(n) for d in (-1, 1)]
+        for p in polys:
+            controls = {j: rng.uniform(-1, 1, 2) for j in range(p.n_vertices)}
+            out.append(synthesize_controller(p, controls))
+    steep = truncated_pyramid(Box(lo=[0.3, -2.0, 1.0], hi=[1.3, -2.0 + 1e-4, 2.0]), 2, -1, 1e-3)
+    out.append(synthesize_controller(steep, {j: np.zeros(2) for j in range(8)}))
+    return out
+
+
+def _band_points(ctrl, rng):
+    """Points whose weight on one vertex of one simplex is -1e-9 (the
+    locate_simplex tolerance), -1e-9 - 1e-11 or -1e-9 + 1e-11."""
+    pts = []
+    for s in ctrl.simplices:
+        for k in range(s.dim + 1):
+            for w in (-1e-9 - 1e-11, -1e-9, -1e-9 + 1e-11):
+                lam = np.insert(rng.dirichlet(np.ones(s.dim)) * (1.0 - w), k, w)
+                pts.append(lam @ s.vertices)
+    return pts
+
+
+def _location_points(ctrl, rng):
+    p_vertices = np.unique(np.vstack([s.vertices for s in ctrl.simplices]), axis=0)
+    pts = list(p_vertices)                                   # shared corners
+    for s in ctrl.simplices:
+        # centroids of every face: shared facets, edges and corners
+        for r in range(1, s.dim + 1):
+            for ids in itertools.combinations(range(s.dim + 1), r):
+                pts.append(s.vertices[list(ids)].mean(axis=0))
+        # random interior points
+        for lam in rng.dirichlet(np.ones(s.dim + 1), 20):
+            pts.append(lam @ s.vertices)
+    pts += _band_points(ctrl, rng)
+    # overshoot: pushed away from the centre past every corner and the
+    # first face centroids, as after a rollout step across the exit facet
+    center = p_vertices.mean(axis=0)
+    for x in list(pts[:len(p_vertices)]) + pts[len(p_vertices):len(p_vertices) + 40]:
+        for eps in (1e-12, 1e-9, 1e-7, 1e-3):
+            pts.append(x + eps * (x - center))
+    return pts
+
+
+def test_stacked_point_location_matches_exact_solves():
+    rng = np.random.default_rng(43)
+    outside = 0
+    for ctrl in _location_controllers():
+        for x in _location_points(ctrl, rng):
+            ref = _reference_simplex(ctrl.simplices, x)
+            assert ctrl.locate(x) == ref
+            F, g = ctrl.gains[ref]
+            assert np.array_equal(ctrl(x), F @ x + g)
+            try:
+                locate_simplex(ctrl.simplices, x)
+            except GeometryError:
+                outside += 1
+    assert outside > 100
+
+
+def test_band_absorbs_weight_errors_below_its_width():
+    # shift every stacked weight by up to 3e-11, a third of the band: the
+    # weights near the tolerance must still be settled exactly
+    rng = np.random.default_rng(47)
+    checked = 0
+    for ctrl in _location_controllers():
+        ctrl.unit = ctrl.unit + rng.uniform(-3e-11, 3e-11, ctrl.unit.shape)
+        for x in _band_points(ctrl, rng):
+            assert ctrl.locate(x) == _reference_simplex(ctrl.simplices, x)
+            checked += 1
+    assert checked > 500
 
 
 def test_predictive_implies_exact_and_shrinks_with_bounds():
