@@ -12,11 +12,12 @@ from .dynamics import (AffineModel, Trajectory, TrueSystem, analytic_linearize,
 from .geometry import Box, Polytope, Simplex, box_to_polytope, locate_simplex, triangulate
 from .graph import ReachGraph, edge_entropy, uncertain_weight
 from .partition import PartitionTree, adjacency, segment_intersects, uniform_cell_count
-from .planner import MissionLog, Scenario, builtin_scenario, run_mission
+from .planner import MissionLog, run_mission
 from .reach import (ExitTimeBound, PWAController, ReachCertificate,
                     exit_time_bound, facet_reachable, predict_reachable,
                     predict_unreachable, relaxed_facet_reachable,
                     robust_exit_time_bound, synthesize_controller)
+from .scenario import Scenario, builtin_scenario
 from .sysid import ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
 

@@ -5,7 +5,7 @@ Subcommands:
   partition-demo  run only the segment-driven refinement and print the
                   leaf count and reduction ratio
   certify         one-shot facet-reachability check from a model JSON file
-  validate        schema-check a scenario JSON file
+  validate        parse a scenario JSON file with the parser run uses
 
 Exit codes: 0 success, 1 usage/validation error, 2 mission failure.
 """
@@ -19,99 +19,40 @@ import sys
 import numpy as np
 
 from .dynamics import AffineModel
-from .geometry import Box, GeometryError, box_to_polytope
+from .geometry import Box, box_to_polytope
 from .partition import PartitionTree, uniform_cell_count
-from .planner import Scenario, builtin_scenario, run_mission
+from .planner import run_mission
 from .reach import facet_reachable
+from .scenario import Scenario, builtin_scenario
 
 SCHEMA_VERSION = 1
 
-_REQUIRED = ["system", "ws_lo", "ws_hi", "pu_lo", "pu_hi", "L_df", "L_g",
-             "h_min", "C_u", "beta_u", "x_init", "x_target"]
-# (state dimension, input dimension) per built-in plant
-_SYSTEM_DIMS = {"mecanum": (2, 2), "unicycle": (3, 2)}
-_VECTORS = ("ws_lo", "ws_hi", "pu_lo", "pu_hi", "h_min", "x_init", "x_target")
-# numeric fields that must be finite and non-negative when present
-_SCALARS = ("L_df", "L_g", "C_u", "beta_u", "p_prior", "theta_thre", "shrink",
-            "dt", "ident_period", "wall_budget", "terminal_budget",
-            "terminal_alpha", "terminal_kappa", "terminal_slack_weight",
-            "r_stop")
-_POSITIVE = ("C_u", "dt")
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; exit code 2 means a mission failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def load_scenario(spec: str, overrides: dict) -> Scenario:
-    """Resolve a scenario by built-in name or JSON file path."""
+    """Parse a built-in name or JSON file path, with the non-None
+    ``overrides`` replacing fields first; a scalar ``h_min`` applies to
+    every axis."""
     if os.path.exists(spec):
         with open(spec) as f:
             data = json.load(f)
-        err = validate_scenario_dict(data)
-        if err:
-            raise ValueError(err)
-        data.pop("schema_version", None)
-        scn = Scenario.from_dict(data)
     else:
-        scn = builtin_scenario(spec)
-    for k, v in overrides.items():
-        if v is not None:
-            setattr(scn, k, np.asarray(v, dtype=float) if isinstance(
-                getattr(scn, k), np.ndarray) else type(getattr(scn, k))(v))
-    return scn
-
-
-def validate_scenario_dict(data: dict):
-    """Return an error string naming the offending field, or None.
-
-    Builds the workspace, input box and partition root with the same
-    constructors a mission uses, so an accepted scenario can run.
-    """
-    if not isinstance(data, dict):
-        return "scenario: not a JSON object"
-    for k in _REQUIRED:
-        if k not in data:
-            return f"scenario.{k}: missing required field"
-    if data["system"] not in _SYSTEM_DIMS:
-        return "scenario.system: must be 'mecanum' or 'unicycle'"
-    n, m = _SYSTEM_DIMS[data["system"]]
-    v = {}
-    for key in _VECTORS:
-        try:
-            v[key] = np.asarray(data[key], dtype=float)
-        except (TypeError, ValueError):
-            return f"scenario.{key}: not a numeric vector"
-        size = m if key.startswith("pu_") else n
-        if v[key].shape != (size,):
-            return f"scenario.{key}: needs {size} entries for '{data['system']}'"
-        if not np.all(np.isfinite(v[key])):
-            return f"scenario.{key}: must be finite"
-    for key in _SCALARS:
-        if key not in data:
-            continue
-        try:
-            x = float(data[key])
-        except (TypeError, ValueError):
-            return f"scenario.{key}: not a number"
-        if not np.isfinite(x):
-            return f"scenario.{key}: must be finite"
-        if x <= 0 and key in _POSITIVE:
-            return f"scenario.{key}: must be positive"
-        if x < 0:
-            return f"scenario.{key}: must not be negative"
-    try:
-        ws = Box(lo=v["ws_lo"], hi=v["ws_hi"])
-    except GeometryError:
-        return "scenario.ws_hi: must exceed ws_lo componentwise"
-    try:
-        Box(lo=v["pu_lo"], hi=v["pu_hi"])
-    except GeometryError:
-        return "scenario.pu_hi: must exceed pu_lo componentwise"
-    for key in ("x_init", "x_target"):
-        if not ws.contains(v[key]):
-            return f"scenario.{key}: outside the workspace box"
-    try:
-        PartitionTree(ws.lo, ws.hi, v["h_min"])
-    except GeometryError as e:
-        return f"scenario.h_min: {e}"
-    return None
+        data = builtin_scenario(spec).to_dict()
+    if isinstance(data, dict):
+        for k, v in overrides.items():
+            if v is None:
+                continue
+            if k == "h_min" and isinstance(data.get(k), list):
+                v = [v] * len(data[k])
+            data[k] = v
+    return Scenario.from_dict(data)
 
 
 def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
@@ -153,14 +94,9 @@ def cmd_run(args) -> int:
     try:
         scn = load_scenario(args.scenario, {
             "dt": args.dt, "theta_thre": args.theta_thre,
-            "max_iters": args.max_iters, "seed": args.seed,
+            "max_iters": args.max_iters, "h_min": args.h_min,
         })
-        if args.h_min is not None:
-            scn.h_min = np.full_like(scn.h_min, float(args.h_min))
-        err = validate_scenario_dict(scn.to_dict())
-        if err:
-            raise ValueError(err)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     log = run_mission(scn)
@@ -180,7 +116,7 @@ def cmd_run(args) -> int:
 def cmd_partition_demo(args) -> int:
     try:
         scn = load_scenario(args.scenario, {})
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     tree = PartitionTree(scn.ws_lo, scn.ws_hi, scn.h_min)
@@ -222,28 +158,23 @@ def cmd_certify(args) -> int:
 def cmd_validate(args) -> int:
     try:
         with open(args.scenario) as f:
-            data = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    err = validate_scenario_dict(data)
-    if err:
-        print(f"invalid: {err}", file=sys.stderr)
+            Scenario.from_dict(json.load(f))
+    except (ValueError, OSError) as e:      # a JSON syntax error is a ValueError
+        print(f"invalid: {e}", file=sys.stderr)
         return 1
     print("valid")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="reachplan",
-                                 description="PWA abstraction planner/simulator")
+    ap = _ArgumentParser(prog="reachplan",
+                         description="PWA abstraction planner/simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a mission")
     p_run.add_argument("--scenario", required=True,
                        help="built-in name (mecanum|unicycle) or JSON path")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--dt", type=float, default=None)
     p_run.add_argument("--h-min", type=float, default=None)
     p_run.add_argument("--theta-thre", type=float, default=None,

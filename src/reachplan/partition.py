@@ -33,9 +33,6 @@ class SharedFacet:
     lo: np.ndarray
     hi: np.ndarray
 
-    def lengths(self) -> np.ndarray:
-        return self.hi - self.lo
-
     def measure(self) -> float:
         s = np.delete(self.hi - self.lo, self.axis)
         return float(np.prod(s))

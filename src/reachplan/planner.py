@@ -19,8 +19,7 @@ import numpy as np
 
 from . import graph as gr
 from .deviation import cell_pair_bounds
-from .dynamics import (AffineModel, Trajectory, TrueSystem, integrate,
-                       mecanum_system, unicycle_system)
+from .dynamics import AffineModel, Trajectory, integrate
 from .geometry import Box, box_to_polytope, facet_axis_dir, facet_id
 from .optim import STATS, SolverError, solve_lp
 from .partition import PartitionTree, adjacency, uniform_cell_count
@@ -28,100 +27,9 @@ from .reach import (ReachCertificate, exit_time_bound, facet_reachable,
                     predict_reachable, predict_unreachable,
                     relaxed_facet_reachable, robust_exit_time_bound,
                     synthesize_controller)
+from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
-
-
-@dataclass
-class Scenario:
-    system: str                      # "mecanum" | "unicycle"
-    ws_lo: np.ndarray
-    ws_hi: np.ndarray
-    pu_lo: np.ndarray
-    pu_hi: np.ndarray
-    L_df: float
-    L_g: float
-    h_min: np.ndarray
-    C_u: float
-    beta_u: float
-    x_init: np.ndarray
-    x_target: np.ndarray
-    p_prior: float = 0.5
-    theta_thre: float = 0.0          # radians; side-facet relaxation threshold
-    shrink: float = 0.5              # truncated-pyramid ratio
-    dt: float = 1e-3
-    ident_period: float = 1e-3
-    max_iters: int = 300
-    retry_budget: int = 10
-    stall_limit: int = 8
-    wall_budget: float = 600.0       # seconds of wall time
-    terminal_budget: float = 40.0    # simulated seconds for the final cell
-    terminal_alpha: float = 1.0
-    terminal_kappa: float = 1.0
-    terminal_slack_weight: float = 1.0
-    r_stop: float = 0.1
-    record_stride: int = 10
-    seed: int = 0
-    name: str = ""
-
-    def __post_init__(self):
-        for f in ("ws_lo", "ws_hi", "pu_lo", "pu_hi", "h_min", "x_init", "x_target"):
-            setattr(self, f, np.asarray(getattr(self, f), dtype=float))
-        ws = Box(lo=self.ws_lo, hi=self.ws_hi)
-        if not (ws.contains(self.x_init) and ws.contains(self.x_target)):
-            raise ValueError("x_init and x_target must lie inside the workspace")
-
-    @property
-    def underactuated(self) -> bool:
-        return self.system == "unicycle"
-
-    def workspace(self) -> Box:
-        return Box(lo=self.ws_lo, hi=self.ws_hi)
-
-    def pu(self) -> Box:
-        return Box(lo=self.pu_lo, hi=self.pu_hi)
-
-    def make_system(self) -> TrueSystem:
-        if self.system == "mecanum":
-            return mecanum_system()
-        if self.system == "unicycle":
-            return unicycle_system()
-        raise ValueError(f"unknown system '{self.system}'")
-
-    def to_dict(self) -> dict:
-        d = {}
-        for k, v in self.__dict__.items():
-            d[k] = v.tolist() if isinstance(v, np.ndarray) else v
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "Scenario":
-        return Scenario(**{k: v for k, v in d.items() if k in Scenario.__dataclass_fields__})
-
-
-def builtin_scenario(name: str) -> Scenario:
-    if name == "mecanum":
-        return Scenario(
-            system="mecanum", name="mecanum",
-            ws_lo=[-8.0, -8.0], ws_hi=[8.0, 8.0],
-            pu_lo=[-5.0, -5.0], pu_hi=[5.0, 5.0],
-            L_df=0.03, L_g=0.03, h_min=[1.0, 1.0],
-            C_u=100.0, beta_u=0.8,
-            x_init=[6.5, 6.5], x_target=[-0.5, -0.5],
-            terminal_kappa=20.0, terminal_slack_weight=1e6,
-        )
-    if name == "unicycle":
-        return Scenario(
-            system="unicycle", name="unicycle",
-            ws_lo=[-10.0, -10.0, -np.pi], ws_hi=[10.0, 10.0, np.pi],
-            pu_lo=[-10.0, -10.0], pu_hi=[10.0, 10.0],
-            L_df=0.05, L_g=1.0, h_min=[1.25, 1.25, np.pi / 4],
-            C_u=10.0, beta_u=1.0, theta_thre=np.deg2rad(10.0),
-            x_init=[-4.375, 0.625, -np.pi / 8],
-            x_target=[0.625, 0.625, -np.pi / 8],
-            r_stop=0.5, terminal_budget=20.0, terminal_slack_weight=1e6,
-        )
-    raise ValueError(f"no built-in scenario '{name}'")
 
 
 @dataclass
@@ -194,12 +102,27 @@ class _Mission:
         return c
 
     def locate_after_exit(self, exit_fct: int, cell: Box):
+        """Leaf entered through ``exit_fct``, which becomes the current
+        cell, or None when the state left the workspace."""
         axis, d = facet_axis_dir(exit_fct)
         probe = self.x.copy()
         probe[axis] += d * 1e-7
         if not self.ws.contains(probe, tol=0.0):
             return None
-        return self.tree.locate(probe)
+        entered = self.tree.locate(probe)
+        self.cur_id = entered.id
+        return entered
+
+    def advance(self, ctrl, cell: Box, t_max: float, stride: int) -> Trajectory:
+        """Roll the plant out under ``ctrl`` until it leaves ``cell`` or
+        ``t_max`` passes, log the samples against the cell and move the
+        mission clock and state to the rollout's end."""
+        traj = integrate(self.sys, ctrl, self.x, cell, self.scn.dt, t_max,
+                         pu=self.pu, record_stride=stride)
+        self.log.append_traj(traj, self.t, cell.id)
+        self.t += traj.t[-1]
+        self.x = traj.final_state
+        return traj
 
     def speed_estimate(self, model: Optional[AffineModel]) -> float:
         if model is not None:
@@ -225,11 +148,7 @@ class _Mission:
                 u = self.last_u
             else:
                 u = self._ingress_control(cell)
-            traj = integrate(self.sys, lambda _x: u, self.x, cell, scn.dt,
-                             5 * scn.dt, pu=self.pu, record_stride=5)
-            self.log.append_traj(traj, self.t, cell.id)
-            self.t += traj.t[-1]
-            self.x = traj.final_state
+            traj = self.advance(lambda _x: u, cell, 5 * scn.dt, 5)
             steps += 1
             margin = self._interior_margin(cell)
             if margin <= prev_margin + 1e-12:
@@ -238,9 +157,7 @@ class _Mission:
             prev_margin = margin
             if traj.exit_facet is not None:
                 self.retries[cell.id] += 1
-                entered = self.locate_after_exit(traj.exit_facet, cell)
-                if entered is not None:
-                    self.cur_id = entered.id
+                self.locate_after_exit(traj.exit_facet, cell)
                 self.log.event(self.t, "ingress_escape", cell=cell.id,
                                facet=int(traj.exit_facet))
                 return False
@@ -466,13 +383,8 @@ class _Mission:
             l_u = float(cell.sides[e.shared.axis])
             timeout = 3.0 * l_u / self.speed_estimate(self.models.get(cell.id))
         timeout = max(timeout, 50 * scn.dt)
-        traj = integrate(self.sys, ctrl, self.x, cell, scn.dt, timeout,
-                         pu=self.pu, record_stride=scn.record_stride)
-        self.log.append_traj(traj, self.t, cell.id)
-        self.t += traj.t[-1]
-        self.x = traj.final_state
-        if traj.u is not None and len(traj.u):
-            self.last_u = np.asarray(traj.u[-1], dtype=float)
+        traj = self.advance(ctrl, cell, timeout, scn.record_stride)
+        self.last_u = traj.u[-1]
         if cell.id in self.models:
             self.last_model = self.models[cell.id]
         if traj.exit_facet is None:
@@ -487,20 +399,14 @@ class _Mission:
             return "failed"
         # keep the same feedback law running briefly so the crossing velocity
         # carries the state clear of the shared facet before handing over
-        pen = integrate(self.sys, ctrl, self.x, entered, scn.dt, 20 * scn.dt,
-                        pu=self.pu, record_stride=scn.record_stride)
-        self.log.append_traj(pen, self.t, entered.id)
-        self.t += pen.t[-1]
-        self.x = pen.final_state
-        if pen.u is not None and len(pen.u):
-            self.last_u = np.asarray(pen.u[-1], dtype=float)
+        pen = self.advance(ctrl, entered, 20 * scn.dt, scn.record_stride)
+        self.last_u = pen.u[-1]
         if pen.exit_facet is not None:
             deeper = self.locate_after_exit(pen.exit_facet, entered)
             if deeper is None:
                 self.log.event(self.t, "workspace_exit", cell=entered.id)
                 return "failed"
             entered = deeper
-        self.cur_id = entered.id
         sf = self.adj[(cell.id, nb)]
         intended_fct = facet_id(sf.axis, sf.direction)
         if entered.id != nb or traj.exit_facet != intended_fct:
@@ -529,16 +435,10 @@ class _Mission:
                 step = clf_cbf_control(model, self.x, cell.center, cell, self.pu, params)
             except SolverError:
                 break
-            traj = integrate(self.sys, lambda _x: step.u, self.x, cell,
-                             self.scn.dt, 10 * self.scn.dt, pu=self.pu,
-                             record_stride=self.scn.record_stride)
-            self.log.append_traj(traj, self.t, cell.id)
-            self.t += traj.t[-1]
-            self.x = traj.final_state
+            traj = self.advance(lambda _x: step.u, cell, 10 * self.scn.dt,
+                                self.scn.record_stride)
             if traj.exit_facet is not None:
-                entered = self.locate_after_exit(traj.exit_facet, cell)
-                if entered is not None:
-                    self.cur_id = entered.id
+                self.locate_after_exit(traj.exit_facet, cell)
                 return
         self.log.event(self.t, "centering", cell=cell.id)
 
@@ -571,7 +471,7 @@ class _Mission:
             timeout = max(3.0 * float(cell.sides[sf.axis])
                           / self.speed_estimate(model), 50 * self.scn.dt)
             t_used = 0.0
-            exited = False
+            traj = None
             while t_used < timeout:
                 drift = model.A @ self.x + model.c
                 # barrier-style rows: approach the remaining facets no
@@ -583,22 +483,16 @@ class _Mission:
                                         self.pu.lo, self.pu.hi)
                 if status != "optimal":
                     break
-                traj = integrate(self.sys, lambda _x, u=u: u, self.x, cell,
-                                 self.scn.dt, 10 * self.scn.dt, pu=self.pu,
-                                 record_stride=self.scn.record_stride)
-                self.log.append_traj(traj, self.t, cell.id)
-                self.t += traj.t[-1]
+                traj = self.advance(lambda _x: u, cell, 10 * self.scn.dt,
+                                    self.scn.record_stride)
                 t_used += traj.t[-1]
-                self.x = traj.final_state
                 if traj.exit_facet is not None:
-                    exited = True
                     break
-            if not exited:
+            if traj is None or traj.exit_facet is None:
                 continue
             entered = self.locate_after_exit(traj.exit_facet, cell)
             if entered is None:
                 return False
-            self.cur_id = entered.id
             self.escape_count += 1
             self.log.event(self.t, "forced_exploration", cell=cell.id,
                            intended=nb, actual=entered.id,
@@ -640,12 +534,8 @@ class _Mission:
                            "min_barrier": step.min_barrier,
                            "kkt_stationarity": step.kkt_stationarity,
                            "kkt_complementarity": step.kkt_complementarity})
-            traj = integrate(self.sys, lambda _x: step.u, self.x, cell, scn.dt,
-                             period, pu=self.pu, record_stride=scn.record_stride)
-            self.log.append_traj(traj, self.t, cell.id)
-            self.t += traj.t[-1]
+            traj = self.advance(lambda _x: step.u, cell, period, scn.record_stride)
             t_phase += traj.t[-1]
-            self.x = traj.final_state
             if traj.exit_facet is not None:
                 self.log.event(self.t, "terminal_escape", cell=cell.id,
                                facet=int(traj.exit_facet))
@@ -662,12 +552,13 @@ def run_mission(scn: Scenario) -> MissionLog:
     STATS.reset()
     ms = _Mission(scn)
     log = ms.log
-    log.event(0.0, "mission_start", scenario=scn.name or scn.system,
-              seed=scn.seed)
+    log.event(0.0, "mission_start", scenario=scn.name or scn.system)
     stall = 0
     for it in range(scn.max_iters):
-        if time.perf_counter() - t_wall > scn.wall_budget:
-            log.status = "failure:wall_budget"
+        if not ms.ws.contains(ms.x):
+            # an ingress rollout or an aborted identification left it
+            log.status = "failure:workspace_exit"
+            log.event(ms.t, "workspace_exit", cell=ms.cur_id)
             break
         n_split = ms.refine()
         cur = ms.current_cell()

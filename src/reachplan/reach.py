@@ -42,10 +42,6 @@ class ReachCertificate:
     relaxed_vertices: tuple = ()
     exact_vertices: tuple = ()
 
-    def control_array(self) -> np.ndarray:
-        M = self.polytope.n_vertices
-        return np.array([self.controls[j] for j in range(M)])
-
 
 @dataclass
 class ExitTimeBound:

@@ -19,10 +19,11 @@ from reachplan.geometry import Box, box_to_polytope
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, ReachGraph, edge_entropy,
                              uncertain_weight)
 from reachplan.partition import SharedFacet
-from reachplan.planner import builtin_scenario, run_mission
+from reachplan.planner import run_mission
 from reachplan.reach import (exit_time_bound, facet_reachable,
                              predict_reachable, predict_unreachable,
                              robust_exit_time_bound, synthesize_controller)
+from reachplan.scenario import builtin_scenario
 from reachplan.sysid import ExcitationPlan, identify_affine
 
 

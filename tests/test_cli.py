@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from reachplan.cli import main, validate_scenario_dict
-from reachplan.planner import builtin_scenario
+from reachplan.cli import main
+from reachplan.scenario import Scenario, builtin_scenario
 
 
 def test_validate_good_and_bad(tmp_path, capsys):
@@ -27,19 +27,19 @@ def test_validate_good_and_bad(tmp_path, capsys):
     assert main(["validate", "--scenario", str(notjson)]) == 1
 
 
-def test_validate_dict_field_errors():
+def test_validate_dict_field_errors(tmp_path, capsys):
     base = builtin_scenario("mecanum").to_dict()
-    assert validate_scenario_dict(base) is None
-    d = dict(base); d["system"] = "quadrotor"
-    assert "system" in validate_scenario_dict(d)
-    d = dict(base); d["x_target"] = [99.0, 0.0]
-    assert "x_target" in validate_scenario_dict(d)
-    d = dict(base); d["h_min"] = [0.0, 1.0]
-    assert "h_min" in validate_scenario_dict(d)
-    d = dict(base); d["ws_hi"] = [-9.0, 8.0]
-    err = validate_scenario_dict(d)
-    assert err is not None
-    assert not isinstance(validate_scenario_dict([1, 2]), type(None))
+    assert Scenario.from_dict(base).to_dict() == base
+    for field, changes in [("system", {"system": "quadrotor"}),
+                           ("x_target", {"x_target": [99.0, 0.0]}),
+                           ("h_min", {"h_min": [0.0, 1.0]}),
+                           ("ws_hi", {"ws_hi": [-9.0, 8.0]})]:
+        _assert_rejected(tmp_path, capsys, field, changes)
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([1, 2]))
+    for cmd in ("validate", "run"):
+        assert main([cmd, "--scenario", str(path)]) == 1
+        assert "not a JSON object" in capsys.readouterr().err
 
 
 def test_partition_demo_writes_snapshot(tmp_path, capsys):
@@ -78,8 +78,7 @@ def test_certify_exit_codes(tmp_path, capsys):
 
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
-    rc = main(["run", "--scenario", "mecanum", "--seed", "0",
-               "--out", str(out), "--quiet"])
+    rc = main(["run", "--scenario", "mecanum", "--out", str(out), "--quiet"])
     assert rc == 0
     with open(out / "trajectory.csv") as f:
         rows = list(csv.reader(f))
@@ -99,8 +98,23 @@ def test_run_bad_scenario_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run"],                                            # --scenario missing
+    ["run", "--scenario", "mecanum", "--dt", "abc"],
+    ["run", "--scenario", "mecanum", "--seed", "0"],    # no such option
+])
+def test_argument_errors_exit_1(argv, capsys):
+    """Exit code 2 is left to mission failures."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+
+
 def _assert_rejected(tmp_path, capsys, field, changes):
-    """validate and run both exit 1 with a message naming the field."""
+    """validate and run both exit 1 with a message naming the field, and
+    parsing the same dict raises it."""
     data = builtin_scenario("mecanum").to_dict()
     data.update(changes)
     path = tmp_path / "scenario.json"
@@ -109,6 +123,20 @@ def _assert_rejected(tmp_path, capsys, field, changes):
     assert f"scenario.{field}" in capsys.readouterr().err
     assert main(["run", "--scenario", str(path), "--quiet"]) == 1
     assert f"scenario.{field}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"scenario.{field}"):
+        Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("record_stride", {"record_stride": 0}),    # division by zero in integrate
+    ("max_iters", {"max_iters": 2.5}),          # a float given to range()
+    ("system", {"system": ["mecanum"]}),        # an unhashable system name
+    ("shrink", {"shrink": 0}),                  # no truncated pyramid for the
+    ("shrink", {"shrink": 3}),                  # relaxed (unicycle) certificates
+    ("terminal_slack_weight", {"terminal_slack_weight": 0}),  # singular QP
+])
+def test_input_that_crashed_a_mission_rejected(tmp_path, capsys, field, changes):
+    _assert_rejected(tmp_path, capsys, field, changes)
 
 
 def test_h_min_not_power_of_two_rejected(tmp_path, capsys):
@@ -123,6 +151,18 @@ def test_inverted_input_box_rejected(tmp_path, capsys):
 def test_non_finite_x_init_rejected(tmp_path, capsys):
     _assert_rejected(tmp_path, capsys, "x_init",
                      {"x_init": [float("nan"), 6.5]})
+
+
+def test_run_leaving_the_workspace_is_a_mission_failure(tmp_path):
+    """With a 1 s step an ingress rollout overshoots the workspace edge."""
+    data = builtin_scenario("mecanum").to_dict()
+    data["dt"] = 1.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "failure:workspace_exit"
 
 
 def test_run_h_min_override_rejected(capsys):

@@ -4,8 +4,10 @@ import pytest
 
 from reachplan.cli import _write_outputs
 from reachplan.dynamics import Trajectory
+from reachplan.geometry import facet_id
 from reachplan.partition import uniform_cell_count
-from reachplan.planner import MissionLog, Scenario, builtin_scenario, run_mission
+from reachplan.planner import MissionLog, _Mission, run_mission
+from reachplan.scenario import Scenario, builtin_scenario
 
 
 def test_builtin_mecanum_parameters():
@@ -83,6 +85,27 @@ def test_mission_log_append_and_success():
     assert log.events[-1] == {"t": 3.0, "type": "arrived", "cell": 7}
     log.status = "success"
     assert log.success
+
+
+def test_gain_margin_escape_enters_the_neighbour():
+    """With no model yet the ingress control is zero, so from 1 cm inside
+    a cell's low x facet the mecanum drift (about -4.5 per axis) carries
+    the state out during the first rollout."""
+    ms = _Mission(builtin_scenario("mecanum"))
+    ms.refine()
+    cell = ms.current_cell()
+    ms.x = cell.lo + np.array([0.01, 0.5])
+    assert not ms.gain_margin(cell, need=0.25)
+    assert ms.retries[cell.id] == 1
+    entered = ms.tree.leaves[ms.cur_id]
+    assert entered.id != cell.id and entered.hi[0] == cell.lo[0]
+    assert entered.contains(ms.x)
+    assert ms.log.events[-1] == {"t": ms.t, "type": "ingress_escape",
+                                 "cell": cell.id, "facet": facet_id(0, -1)}
+    assert ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
+    assert ms.log.traj_t[0] == 0.0 and ms.log.traj_t[-1] == ms.t
+    assert 0.0 < ms.t < 5 * ms.scn.dt
+    assert ms.x[0] == pytest.approx(cell.lo[0], abs=1e-8)
 
 
 def test_unicycle_runs_are_deterministic(tmp_path):
