@@ -4,18 +4,20 @@ Nodes are leaf cell ids. A directed edge (a, b) exists per shared facet
 rectangle and carries one of three statuses: certain (transition
 certified, weight = exit-time bound), impossible (refuted, excluded from
 search), or uncertain (weight trades traversal cost against the expected
-information gained by exploring it).
+information gained by exploring it). Every uncertain edge is reachable
+with the graph's prior probability ``p_prior``.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from .partition import SharedFacet
+
+if TYPE_CHECKING:
+    from .reach import ReachCertificate
 
 CERTAIN = "certain"
 IMPOSSIBLE = "impossible"
@@ -39,14 +41,25 @@ def uncertain_weight(C_u: float, l_u: float, beta_u: float, eig: float) -> float
 
 @dataclass
 class Edge:
+    """Everything known about one transition, kept while both cells live.
+
+    ``cert`` drives the transition; it may exist while the edge stays
+    uncertain, when no crossing time could be pinned on it. ``soft`` marks
+    an impossible status that comes from a failed sufficient-only
+    certification rather than a refutation. ``failures`` counts
+    executions that did not end in the target cell; the planner sets it
+    to its limit when the certificate yields no controller.
+    """
     src: int
     dst: int
     status: str
     shared: SharedFacet
     weight: float = 0.0
-    p_e: float = 0.5
     t_bound: Optional[float] = None
     cert_kind: Optional[str] = None
+    cert: Optional[ReachCertificate] = None
+    soft: bool = False
+    failures: int = 0
 
 
 class ReachGraph:
@@ -57,25 +70,21 @@ class ReachGraph:
         self.edges: dict = {}          # (src, dst) -> Edge
         self.out: dict = {}            # src -> list of dst
 
-    def rebuild(self, adjacency: dict, cell_sides: dict, keep_status: bool = True):
-        """Reset edges from a fresh adjacency map, preserving resolved
-        statuses for pairs that survived repartitioning."""
-        old = self.edges if keep_status else {}
+    def rebuild(self, adjacency: dict):
+        """Follow a repartitioning. A pair survives only if neither cell
+        split, so its facet and everything learned about it still hold and
+        its Edge is kept as it is; a new pair starts uncertain and every
+        other edge is dropped. Uncertain weights are left to
+        refresh_uncertain_weights."""
+        old = self.edges
         self.edges = {}
         self.out = {}
         for (a, b), sf in adjacency.items():
-            prev = old.get((a, b))
-            if prev is not None and prev.status != UNCERTAIN:
-                e = Edge(src=a, dst=b, status=prev.status, shared=sf,
-                         weight=prev.weight, p_e=prev.p_e,
-                         t_bound=prev.t_bound, cert_kind=prev.cert_kind)
-            else:
-                e = Edge(src=a, dst=b, status=UNCERTAIN, shared=sf, p_e=self.p_prior)
-            self.edges[(a, b)] = e
+            e = old.get((a, b))
+            self.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, sf)
             self.out.setdefault(a, []).append(b)
         for dsts in self.out.values():
             dsts.sort()
-        self.refresh_uncertain_weights(cell_sides)
 
     def mark_certain(self, a: int, b: int, t_bound: float, kind: str,
                      t_est: Optional[float] = None):
@@ -98,16 +107,16 @@ class ReachGraph:
         e.weight = 0.0
 
     def expected_info_gain(self, a: int, b: int) -> float:
-        """p_e times the total entropy of the target node's uncertain
+        """p_prior times the total entropy of the target node's uncertain
         outgoing edges (what resolving the target cell would teach us)."""
-        return self.edges[(a, b)].p_e * self._uncertain_out_entropy(b)
+        return self.p_prior * self._uncertain_out_entropy(b)
 
     def _uncertain_out_entropy(self, b: int) -> float:
+        h = edge_entropy(self.p_prior)
         total = 0.0
         for dst in self.out.get(b, ()):
-            e2 = self.edges[(b, dst)]
-            if e2.status == UNCERTAIN:
-                total += edge_entropy(e2.p_e)
+            if self.edges[(b, dst)].status == UNCERTAIN:
+                total += h
         return total
 
     def refresh_uncertain_weights(self, cell_sides: dict):
@@ -122,11 +131,11 @@ class ReachGraph:
             if h is None:
                 h = entropy[b] = self._uncertain_out_entropy(b)
             l_u = float(cell_sides[a][e.shared.axis])
-            e.weight = uncertain_weight(self.C_u, l_u, self.beta_u, e.p_e * h)
+            e.weight = uncertain_weight(self.C_u, l_u, self.beta_u, self.p_prior * h)
 
     def total_entropy(self) -> float:
-        return sum(edge_entropy(e.p_e) for e in self.edges.values()
-                   if e.status == UNCERTAIN)
+        h = edge_entropy(self.p_prior)
+        return sum(h for e in self.edges.values() if e.status == UNCERTAIN)
 
     def status_tally(self) -> dict:
         tally = {CERTAIN: 0, IMPOSSIBLE: 0, UNCERTAIN: 0}
@@ -164,8 +173,8 @@ class ReachGraph:
     def snapshot(self) -> dict:
         return {
             "edges": [
-                {"source": a, "target": b, "status": e.status,
-                 "weight": e.weight, "p_e": e.p_e if e.status == UNCERTAIN else None,
+                {"source": a, "target": b, "status": e.status, "weight": e.weight,
+                 "p_e": self.p_prior if e.status == UNCERTAIN else None,
                  "t_bound": e.t_bound, "cert_kind": e.cert_kind}
                 for (a, b), e in sorted(self.edges.items())
             ],

@@ -8,8 +8,7 @@ Strict inequalities are modeled as margins of at least DELTA_STRICT.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +167,7 @@ class LinearFeasibilityProblem:
     """Mixed strict/non-strict linear rows over a box of controls.
 
     Non-strict rows: a_kᵀu ≤ b_k. Strict rows: a_kᵀu ≥ b_k + delta_strict.
-    Optional per-component sign constraints (+1, -1, 0 or None).
+    The box lo ≤ u ≤ hi must not be empty.
     """
 
     A_le: np.ndarray
@@ -177,26 +176,7 @@ class LinearFeasibilityProblem:
     b_ge_strict: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    signs: Optional[list] = None
     delta_strict: float = DELTA_STRICT
-
-
-def _apply_signs(lo, hi, signs):
-    lo = lo.copy()
-    hi = hi.copy()
-    if signs is not None:
-        for k, s in enumerate(signs):
-            if s is None:
-                continue
-            if s > 0:
-                lo[k] = max(lo[k], 0.0)
-            elif s < 0:
-                hi[k] = min(hi[k], 0.0)
-            else:
-                lo[k] = hi[k] = 0.0
-    if np.any(hi < lo):
-        return None
-    return lo, hi
 
 
 def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
@@ -205,10 +185,8 @@ def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
     """
     STATS.lp_calls += 1
     n = p.lo.size
-    bounds = _apply_signs(np.asarray(p.lo, float), np.asarray(p.hi, float), p.signs)
-    if bounds is None:
-        return None
-    lo, hi = bounds
+    lo = np.asarray(p.lo, dtype=float)
+    hi = np.asarray(p.hi, dtype=float)
     A_le = np.asarray(p.A_le, dtype=float).reshape(-1, n)
     b_le = np.asarray(p.b_le, dtype=float)
     A_st = np.asarray(p.A_ge_strict, dtype=float).reshape(-1, n)

@@ -20,7 +20,8 @@ import numpy as np
 from . import graph as gr
 from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
-from .geometry import Box, box_to_polytope, facet_axis_dir, facet_id
+from .geometry import (Box, GeometryError, box_to_polytope, facet_axis_dir,
+                       facet_id)
 from .optim import STATS, SolverError, solve_lp
 from .partition import PartitionTree, adjacency, uniform_cell_count
 from .reach import (ReachCertificate, exit_time_bound, facet_reachable,
@@ -30,6 +31,9 @@ from .reach import (ReachCertificate, exit_time_bound, facet_reachable,
 from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
+
+# an edge that failed this often is left out of planning
+MAX_EDGE_FAILURES = 3
 
 
 @dataclass
@@ -71,13 +75,9 @@ class _Mission:
         self.tree = PartitionTree(scn.ws_lo, scn.ws_hi, scn.h_min)
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
-        self.inherited: dict = {}     # cell id -> model inherited from parent
         self.certs: dict = {}         # (src id, facet id) -> certificate or None
-        self.edge_certs: dict = {}    # (src id, dst id) -> certificate
         self.pred_attempted: set = set()
         self.retries = defaultdict(int)
-        self.edge_failures = defaultdict(int)
-        self.soft_impossible: set = set()   # uncertifiable, not refuted
         self.escape_count = 0
         self.log = MissionLog()
         self.x = scn.x_init.copy()
@@ -85,7 +85,6 @@ class _Mission:
         self.cur_id: int = -1
         self.last_model: Optional[AffineModel] = None
         self.last_u: Optional[np.ndarray] = None
-        self.adj: dict = {}
 
     # ---------------- helpers ----------------
 
@@ -233,7 +232,7 @@ class _Mission:
             e = self.graph.edges[(cell.id, nb)]
             if e.status != gr.UNCERTAIN:
                 continue
-            sf = self.adj[(cell.id, nb)]
+            sf = e.shared
             fct = facet_id(sf.axis, sf.direction)
             cert = self.certify_cell_facet(cell, fct)
             if cert is None:
@@ -242,14 +241,14 @@ class _Mission:
                 if self.scn.underactuated and self.split_cell(cell):
                     self.log.event(self.t, "cell_split", cell=cell.id)
                     return resolved + 1
-                if self.scn.underactuated:
-                    # not a proof of unreachability; remember that this mark
-                    # may be lifted if planning ever becomes disconnected
-                    self.soft_impossible.add((cell.id, nb))
+                # the relaxed condition is not a proof of unreachability;
+                # remember that this mark may be lifted if planning ever
+                # becomes disconnected
+                e.soft = self.scn.underactuated
                 self.graph.mark_impossible(cell.id, nb)
                 resolved += 1
                 continue
-            self.edge_certs[(cell.id, nb)] = cert
+            e.cert = cert
             larger = self.facet_measure(cell, sf.axis) > sf.measure() * (1 + 1e-9)
             if larger:
                 continue  # which neighbor is entered cannot be pinned down
@@ -303,7 +302,7 @@ class _Mission:
                 if key in self.pred_attempted:
                     continue
                 self.pred_attempted.add(key)
-                sf = self.adj[(cid, nb)]
+                sf = e.shared
                 fct = facet_id(sf.axis, sf.direction)
                 if predict_unreachable(src, bounds, poly, fct, self.pu):
                     self.graph.mark_impossible(cid, nb)
@@ -319,7 +318,7 @@ class _Mission:
                 if rb is None:
                     continue
                 cert.controls = rb.controls
-                self.edge_certs[(cid, nb)] = cert
+                e.cert = cert
                 self.graph.mark_certain(cid, nb, rb.T0, "predictive")
                 resolved += 1
         return resolved
@@ -329,37 +328,23 @@ class _Mission:
     def refine(self) -> int:
         split_ids = self.tree.refine_segment(self.x, self.scn.x_target)
         for pid in split_ids:
-            self._inherit_after_split(pid)
-        if split_ids:
-            self._prune_stale_edge_certs()
+            self._forget_split(pid)
         return len(split_ids)
 
     def split_cell(self, cell: Box) -> bool:
-        """Split one leaf, keeping model inheritance and cert caches tidy."""
+        """Split one leaf and forget its model and certificates."""
         if not self.tree.splittable_axes(cell):
             return False
         self.tree.split(cell)
-        self._inherit_after_split(cell.id)
-        self._prune_stale_edge_certs()
+        self._forget_split(cell.id)
         return True
 
-    def _inherit_after_split(self, pid: int):
-        model = self.models.pop(pid, None) or self.inherited.pop(pid, None)
-        for child in self.tree.children.get(pid, ()):
-            if model is not None:
-                self.inherited[child] = model
+    def _forget_split(self, pid: int):
+        self.models.pop(pid, None)
         self.certs = {k: v for k, v in self.certs.items() if k[0] != pid}
 
-    def _prune_stale_edge_certs(self):
-        alive = set(self.tree.leaves)
-        self.edge_certs = {k: v for k, v in self.edge_certs.items()
-                           if k[0] in alive and k[1] in alive}
-
     def rebuild_graph(self):
-        self.adj = adjacency(self.tree)
-        sides = {b.id: b.sides for b in self.tree.leaves.values()}
-        self.graph.rebuild(self.adj, sides)
-        self._sides = sides
+        self.graph.rebuild(adjacency(self.tree))
 
     # ---------------- execution ----------------
 
@@ -368,13 +353,21 @@ class _Mission:
         'outside_cert' or 'failed'."""
         scn = self.scn
         e = self.graph.edges[(cell.id, nb)]
-        cert = self.edge_certs.get((cell.id, nb))
+        cert = e.cert
         if cert is None:
             return "blocked"
         if not force and not cert.polytope.contains(self.x, tol=1e-7):
             # relaxed certificate valid only on its subpolytope
             return "outside_cert"
-        ctrl = synthesize_controller(cert.polytope, cert.controls)
+        try:
+            ctrl = synthesize_controller(cert.polytope, cert.controls)
+        except GeometryError:
+            # a (nearly) flat simplex of the certified polytope carries no
+            # affine law; the certificate is unusable, so plan without it
+            e.cert = None
+            e.failures = MAX_EDGE_FAILURES
+            self.log.event(self.t, "degenerate_certificate", cell=cell.id, to=nb)
+            return "blocked"
         if e.status == gr.CERTAIN and e.t_bound:
             # worst-case bounds from grazing certificates can reach hours;
             # budget a generous multiple of the typical crossing time instead
@@ -391,7 +384,7 @@ class _Mission:
             # certificate did not carry the state across in a generous time
             # budget; disqualify the edge rather than charging the cell
             self.log.event(self.t, "traversal_timeout", cell=cell.id, to=nb)
-            self.edge_failures[(cell.id, nb)] += 1
+            e.failures += 1
             return "blocked"
         entered = self.locate_after_exit(traj.exit_facet, cell)
         if entered is None:
@@ -407,10 +400,9 @@ class _Mission:
                 self.log.event(self.t, "workspace_exit", cell=entered.id)
                 return "failed"
             entered = deeper
-        sf = self.adj[(cell.id, nb)]
-        intended_fct = facet_id(sf.axis, sf.direction)
+        intended_fct = facet_id(e.shared.axis, e.shared.direction)
         if entered.id != nb or traj.exit_facet != intended_fct:
-            self.edge_failures[(cell.id, nb)] += 1
+            e.failures += 1
             self.log.event(self.t, "unintended_exit", cell=cell.id,
                            intended=nb, actual=entered.id,
                            intended_facet=intended_fct,
@@ -453,18 +445,18 @@ class _Mission:
         if model is None or self.escape_count >= 25:
             return False
         p = box_to_polytope(cell)
+        edges = self.graph.edges
         candidates = [nb for nb in self.graph.out.get(cell.id, ())
-                      if (cell.id, nb) in self.soft_impossible]
+                      if edges[(cell.id, nb)].soft]
 
         def rank(nb):
-            sf = self.adj[(cell.id, nb)]
             # rotation facets first: the heading rate is directly actuated
-            return (0 if sf.axis == cell.dim - 1 else 1, nb)
+            return (0 if edges[(cell.id, nb)].shared.axis == cell.dim - 1 else 1, nb)
 
         u_abs = float(np.max(np.abs(np.concatenate([self.pu.lo, self.pu.hi]))))
         kappa = 2.0 * u_abs / float(np.min(cell.sides))
         for nb in sorted(candidates, key=rank):
-            sf = self.adj[(cell.id, nb)]
+            sf = edges[(cell.id, nb)].shared
             fct = facet_id(sf.axis, sf.direction)
             n1 = p.normals[fct]
             others = [i for i in range(2 * cell.dim) if i != fct]
@@ -588,14 +580,18 @@ def run_mission(scn: Scenario) -> MissionLog:
         if cur.id not in ms.tree.leaves:
             continue  # current cell was split, replan on the new partition
         n_resolved += ms.predictive_pass()
-        ms.graph.refresh_uncertain_weights(ms._sides)
+        ms.graph.refresh_uncertain_weights(
+            {b.id: b.sides for b in ms.tree.leaves.values()})
 
+        # an edge whose failures change below is blocked or ends the loop
+        failed = {pair for pair, e in ms.graph.edges.items()
+                  if e.failures >= MAX_EDGE_FAILURES}
         blocked: set = set()
         moved = False
         recentered: set = set()
         while True:
-            avoid = blocked | {e for e, k in ms.edge_failures.items() if k >= 3}
-            path, cost = ms.graph.shortest_path(cur.id, tgt.id, blocked=frozenset(avoid))
+            path, cost = ms.graph.shortest_path(cur.id, tgt.id,
+                                                blocked=frozenset(blocked | failed))
             if path is None:
                 break
             snap = ms.graph.snapshot()
@@ -617,7 +613,7 @@ def run_mission(scn: Scenario) -> MissionLog:
                     nxt = (path[k], path[k + 1])
                     e_nxt = ms.graph.edges.get(nxt)
                     if (e_nxt is None or e_nxt.status != gr.CERTAIN
-                            or ms.edge_certs.get(nxt) is None):
+                            or e_nxt.cert is None):
                         break
                     if ms.execute_edge(here, path[k + 1]) != "moved":
                         break
@@ -631,7 +627,7 @@ def run_mission(scn: Scenario) -> MissionLog:
                 # the state toward the cell interior and retry; if still
                 # outside afterwards the gains are extrapolated (the exit
                 # facet may then differ from the intended one)
-                if ms.edge_failures[edge] >= 2:
+                if ms.graph.edges[edge].failures >= 2:
                     blocked.add(edge)
                     continue
                 recentered.add(edge)

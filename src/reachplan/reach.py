@@ -278,14 +278,15 @@ def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
 
     Systems of m ≤ 3 inputs are decided in closed form. A vertex without a
     pattern decided feasible has its undecided patterns, and every pattern
-    when m > 3, solved by linear_feasible in pattern order.
+    whose orthant meets the input box when m > 3, solved by linear_feasible
+    over that orthant in pattern order.
     """
-    S, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facet, pu, expanded)
+    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facet, pu, expanded)
     m, _, M, P = C.shape
     if m <= 3:
         feasible, undecided, U, score = _closed_form_verdicts(C, d, pick, boxed)
     else:
-        feasible, undecided = np.zeros((M, P), bool), np.ones((M, P), bool)
+        feasible, undecided = np.zeros((M, P), bool), np.tile(boxed, (M, 1))
     decided = feasible.tolist()
     controls = np.empty((M, m))
     for j, row in enumerate(decided):
@@ -296,7 +297,7 @@ def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
             prob = LinearFeasibilityProblem(
                 A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
                 A_ge_strict=-C[:, -1:, j, k].T, b_ge_strict=-d[-1:, j, k],
-                lo=pu.lo, hi=pu.hi, signs=S[k].tolist(),
+                lo=-d[m:2 * m, j, k], hi=d[:m, j, k],
             )
             u = linear_feasible(prob, maximize_margin=not expanded)
             if u is not None:
@@ -419,7 +420,7 @@ def synthesize_controller(p: Polytope, controls: dict) -> PWAController:
         V = np.vstack([s.vertices.T, np.ones((1, n + 1))])   # (n+1, n+1)
         U = np.array([controls[j] for j in s.vertex_ids]).T  # (m, n+1)
         if abs(np.linalg.det(V)) < 1e-14:
-            raise RuntimeError("degenerate simplex in controller synthesis")
+            raise GeometryError("degenerate simplex in controller synthesis")
         Fg = U @ np.linalg.inv(V)
         gains.append((Fg[:, :n], Fg[:, n]))
     return PWAController(simplices=tri, gains=gains)

@@ -1,13 +1,14 @@
 """Entropy weights, status bookkeeping, and shortest path on the cell graph."""
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from reachplan.graph import (CERTAIN, IMPOSSIBLE, UNCERTAIN, ReachGraph,
+from reachplan.graph import (CERTAIN, IMPOSSIBLE, UNCERTAIN, Edge, ReachGraph,
                              edge_entropy, uncertain_weight)
-from reachplan.partition import SharedFacet
+from reachplan.partition import PartitionTree, SharedFacet, adjacency
 
 
 def _sf(axis=0, direction=+1):
@@ -23,7 +24,7 @@ def _line_graph(n_nodes, C_u=1.0, beta_u=0.0):
         adj[(a + 1, a)] = _sf(direction=-1)
     sides = {i: np.ones(2) for i in range(n_nodes)}
     g = ReachGraph(C_u=C_u, beta_u=beta_u)
-    g.rebuild(adj, sides)
+    g.rebuild(adj)
     return g, sides
 
 
@@ -91,19 +92,17 @@ def test_weight_never_exceeds_bound():
 
 
 def test_rebuild_preserves_resolved_status():
-    g, sides = _line_graph(3)
+    g, _ = _line_graph(3)
     g.mark_certain(0, 1, t_bound=4.0, kind="relaxed", t_est=1.5)
     g.mark_impossible(2, 1)
     adj = {k: _sf(direction=+1 if k[1] > k[0] else -1)
            for k in [(0, 1), (1, 0), (1, 2), (2, 1)]}
-    g.rebuild(adj, sides)
+    g.rebuild(adj)
     assert g.edges[(0, 1)].status == CERTAIN
     assert g.edges[(0, 1)].weight == 1.5
     assert g.edges[(0, 1)].cert_kind == "relaxed"
     assert g.edges[(2, 1)].status == IMPOSSIBLE
     assert g.edges[(1, 2)].status == UNCERTAIN
-    g.rebuild(adj, sides, keep_status=False)
-    assert all(e.status == UNCERTAIN for e in g.edges.values())
 
 
 def test_total_entropy_counts_only_uncertain():
@@ -141,11 +140,11 @@ def test_shortest_path_matches_brute_force():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         g = ReachGraph(C_u=1.0, beta_u=0.0)
-        adj, sides = {}, {i: np.ones(2) for i in range(n)}
+        adj = {}
         for a, b in itertools.permutations(range(n), 2):
             if rng.random() < 0.45:
                 adj[(a, b)] = _sf()
-        g.rebuild(adj, sides)
+        g.rebuild(adj)
         for (a, b), e in g.edges.items():
             r = rng.random()
             if r < 0.2:
@@ -195,16 +194,15 @@ def test_refresh_weights_match_per_edge_formula():
             if rng.random() < 0.4:
                 adj[(a, b)] = _sf(axis=int(rng.integers(2)))
         sides = {i: rng.uniform(0.25, 2.0, 2) for i in range(n)}
-        g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)))
-        g.rebuild(adj, sides)
+        g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)),
+                       p_prior=float(rng.uniform(0.05, 0.95)))
+        g.rebuild(adj)
         for (a, b), e in g.edges.items():
             r = rng.random()
             if r < 0.25:
                 g.mark_impossible(a, b)
             elif r < 0.5:
                 g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
-            else:
-                e.p_e = float(rng.uniform(0.05, 0.95))
         g.refresh_uncertain_weights(sides)
         for (a, b), e in g.edges.items():
             if e.status != UNCERTAIN:
@@ -213,8 +211,67 @@ def test_refresh_weights_match_per_edge_formula():
             for dst in g.out.get(b, ()):
                 e2 = g.edges[(b, dst)]
                 if e2.status == UNCERTAIN:
-                    out_h += edge_entropy(e2.p_e)
-            eig = e.p_e * out_h
+                    out_h += edge_entropy(g.p_prior)
+            eig = g.p_prior * out_h
             assert g.expected_info_gain(a, b) == eig
             l_u = float(sides[a][e.shared.axis])
             assert e.weight == g.C_u * l_u / (1.0 + g.beta_u * eig)
+
+
+def _mark_at_random(g, rng):
+    """Resolve some uncertain edges and put the planner's per-edge state
+    (certificate, soft mark, failure count) on some edges."""
+    for (a, b), e in g.edges.items():
+        r = rng.random()
+        if e.status == UNCERTAIN and r < 0.15:
+            g.mark_impossible(a, b)
+            e.soft = bool(rng.random() < 0.5)
+        elif e.status == UNCERTAIN and r < 0.3:
+            g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact",
+                           t_est=float(rng.uniform(0.1, 5)))
+            e.cert = object()
+        elif r < 0.4:
+            e.cert = object()       # a certificate that pins no crossing time
+        if rng.random() < 0.2:
+            e.failures += int(rng.integers(1, 4))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_rebuild_after_random_splits(dim):
+    """Across random split sequences, rebuild keeps the very Edge of every
+    surviving pair, starts new pairs uncertain, and the refreshed weights
+    equal those of a graph built from scratch with the same statuses."""
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(6):
+        tree = PartitionTree(np.zeros(dim), np.full(dim, 8.0), np.full(dim, 0.5))
+        g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)),
+                       p_prior=float(rng.uniform(0.05, 0.95)))
+        g.rebuild(adjacency(tree))
+        for _ in range(10):
+            _mark_at_random(g, rng)
+            before = dict(g.edges)
+            saved = {pair: copy.copy(e) for pair, e in before.items()}
+            for _ in range(int(rng.integers(1, 4))):
+                leaves = [c for c in tree.leaves.values() if tree.splittable_axes(c)]
+                tree.split(leaves[int(rng.integers(len(leaves)))])
+            adj = adjacency(tree)
+            g.rebuild(adj)
+            assert list(g.edges) == list(adj)
+            for pair, e in g.edges.items():
+                assert pair[0] in tree.leaves and pair[1] in tree.leaves
+                if pair in before:
+                    assert e is before[pair] and e == saved[pair]
+                else:
+                    assert e == Edge(pair[0], pair[1], UNCERTAIN, adj[pair])
+            assert g.out == {a: sorted(b for s, b in adj if s == a)
+                             for a in {s for s, _ in adj}}
+            sides = {c.id: c.sides for c in tree.leaves.values()}
+            g.refresh_uncertain_weights(sides)
+            fresh = ReachGraph(g.C_u, g.beta_u, g.p_prior)
+            fresh.rebuild(adj)
+            for pair, e in g.edges.items():
+                fresh.edges[pair].status = e.status
+            fresh.refresh_uncertain_weights(sides)
+            assert [e.weight for e in g.edges.values() if e.status == UNCERTAIN] == \
+                [e.weight for e in fresh.edges.values() if e.status == UNCERTAIN]
+            assert g.total_entropy() == fresh.total_entropy()

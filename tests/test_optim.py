@@ -90,17 +90,6 @@ def test_maximize_margin_dominates_plain_feasibility():
         assert got == pytest.approx(best, abs=1e-6)
 
 
-def test_sign_constraints():
-    p = LinearFeasibilityProblem(
-        A_le=np.zeros((0, 2)), b_le=np.zeros(0),
-        A_ge_strict=np.array([[1.0, 0.0]]), b_ge_strict=np.array([0.5]),
-        lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]),
-        signs=[-1, None],
-    )
-    # x0 must be <= 0 but the strict row needs x0 > 0.5: infeasible
-    assert linear_feasible(p) is None
-
-
 def test_maximin_lp_against_scipy_epigraph():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -1,4 +1,7 @@
 """Scenario plumbing and mission log bookkeeping."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -111,7 +114,7 @@ def test_gain_margin_escape_enters_the_neighbour():
 def test_unicycle_runs_are_deterministic(tmp_path):
     """The built-in unicycle mission with a target 2.5 m from the start
     (about 3 s a run) gives the same trajectory bytes and edge statuses
-    twice in one process."""
+    twice in one process, and both match their recorded sha256."""
     scn = builtin_scenario("unicycle")
     scn.x_target = np.array([-1.875, 0.625, -np.pi / 8])
     runs = [run_mission(scn) for _ in range(2)]
@@ -121,9 +124,14 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         _write_outputs(str(tmp_path / str(k)), scn, log)
         csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
     assert csv[0] == csv[1]
+    assert hashlib.sha256(csv[0]).hexdigest() == (
+        "7aca6aa7127c314a0ef326d032974e84a06f9798439ec580954dc558762941f9")
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
                 for s in log.snapshots]
 
-    assert edge_statuses(runs[0]) == edge_statuses(runs[1])
+    statuses = edge_statuses(runs[0])
+    assert statuses == edge_statuses(runs[1])
+    assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
+        "a546915293cb3f6a2934b86f5c813f902622353d0c367df8a1d2e1f4f6f0ae5b")

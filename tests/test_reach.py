@@ -261,13 +261,18 @@ def _reference_patterns(model, bounds, p, j, exit_facet, pu, expanded):
     verdicts = []
     for pattern in itertools.product((1.0, -1.0), repeat=m):
         s = np.array(pattern)
+        lo = np.where(s > 0, np.maximum(pu.lo, 0.0), pu.lo)
+        hi = np.where(s < 0, np.minimum(pu.hi, 0.0), pu.hi)
+        if np.any(hi < lo):
+            verdicts.append(False)      # the orthant misses the input box
+            continue
         A_le = [p.normals[i] @ model.B + flip * s * bounds.eps_B for i in inv_ids]
         b_le = [-float(p.normals[i] @ drift) - flip * margin for i in inv_ids]
         prob = LinearFeasibilityProblem(
             A_le=np.array(A_le).reshape(-1, m), b_le=np.array(b_le),
             A_ge_strict=(n1 @ model.B - flip * s * bounds.eps_B).reshape(1, -1),
             b_ge_strict=np.array([-float(n1 @ drift) + flip * margin]),
-            lo=pu.lo, hi=pu.hi, signs=list(pattern),
+            lo=lo, hi=hi,
         )
         verdicts.append(linear_feasible(prob, maximize_margin=not expanded) is not None)
     return verdicts
@@ -386,7 +391,7 @@ def test_band_systems_are_left_to_the_tableau():
             prob = LinearFeasibilityProblem(
                 A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, k],
-                lo=pu.lo, hi=pu.hi, signs=S[k].tolist())
+                lo=-d[m:2 * m, j, k], hi=d[:m, j, k])
             ref = linear_feasible(prob, maximize_margin=not expanded) is not None
             feasible, open_, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
             assert open_[j, k] or feasible[j, k] == ref
