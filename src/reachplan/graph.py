@@ -75,7 +75,9 @@ class ReachGraph:
         split, so its facet and everything learned about it still hold and
         its Edge is kept as it is; a new pair starts uncertain and every
         other edge is dropped. Uncertain weights are left to
-        refresh_uncertain_weights."""
+        refresh_uncertain_weights. Out-lists keep the order of
+        ``adjacency``, which partition.adjacency gives in ascending target
+        order per source."""
         old = self.edges
         self.edges = {}
         self.out = {}
@@ -83,8 +85,6 @@ class ReachGraph:
             e = old.get((a, b))
             self.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, sf)
             self.out.setdefault(a, []).append(b)
-        for dsts in self.out.values():
-            dsts.sort()
 
     def mark_certain(self, a: int, b: int, t_bound: float, kind: str,
                      t_est: Optional[float] = None):

@@ -26,8 +26,7 @@ from .optim import STATS, SolverError, solve_lp
 from .partition import PartitionTree, adjacency, uniform_cell_count
 from .reach import (ReachCertificate, exit_time_bound, facet_reachable,
                     predict_reachable, predict_unreachable,
-                    relaxed_facet_reachable, robust_exit_time_bound,
-                    synthesize_controller)
+                    relaxed_facet_reachable, synthesize_controller)
 from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
@@ -291,17 +290,17 @@ class _Mission:
             src_cid, src = min(
                 id_models,
                 key=lambda im: float(np.linalg.norm(im[1].linearization_point - cell.center)))
+            todo = [nb for nb in self.graph.out.get(cid, ())
+                    if self.graph.edges[(cid, nb)].status == gr.UNCERTAIN
+                    and (cid, nb, src_cid) not in self.pred_attempted]
+            if not todo:
+                continue
             bounds = cell_pair_bounds(self.scn.L_df, self.scn.L_g,
                                       src.linearization_point, cell)
             poly = box_to_polytope(cell)
-            for nb in self.graph.out.get(cid, ()):
+            for nb in todo:
+                self.pred_attempted.add((cid, nb, src_cid))
                 e = self.graph.edges[(cid, nb)]
-                if e.status != gr.UNCERTAIN:
-                    continue
-                key = (cid, nb, src_cid)
-                if key in self.pred_attempted:
-                    continue
-                self.pred_attempted.add(key)
                 sf = e.shared
                 fct = facet_id(sf.axis, sf.direction)
                 if predict_unreachable(src, bounds, poly, fct, self.pu):
@@ -314,12 +313,8 @@ class _Mission:
                 cert = predict_reachable(src, bounds, poly, fct, self.pu)
                 if cert is None:
                     continue
-                rb = robust_exit_time_bound(src, bounds, poly, fct, self.pu)
-                if rb is None:
-                    continue
-                cert.controls = rb.controls
                 e.cert = cert
-                self.graph.mark_certain(cid, nb, rb.T0, "predictive")
+                self.graph.mark_certain(cid, nb, cert.bound.T0, "predictive")
                 resolved += 1
         return resolved
 

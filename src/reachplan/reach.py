@@ -33,22 +33,24 @@ from .optim import (DELTA_STRICT, LinearFeasibilityProblem, linear_feasible,
 
 
 @dataclass
-class ReachCertificate:
-    exit_facet: int
-    controls: dict                     # vertex index -> u_j
-    kind: str                          # exact | predictive | relaxed
-    margins: dict                      # vertex index -> min strict-row slack
-    polytope: Polytope                 # region the certificate is valid on
-    relaxed_vertices: tuple = ()
-    exact_vertices: tuple = ()
-
-
-@dataclass
 class ExitTimeBound:
     T0: float
     alpha: float
     beta: float
     c1: float
+    controls: Optional[dict] = None    # vertex index -> u_j, when the bound chose them
+
+
+@dataclass
+class ReachCertificate:
+    exit_facet: int
+    controls: dict                     # vertex index -> u_j
+    kind: str                          # exact | predictive | relaxed
+    margins: dict                      # vertex index -> (robust) outward speed
+    polytope: Polytope                 # region the certificate is valid on
+    relaxed_vertices: tuple = ()
+    exact_vertices: tuple = ()
+    bound: Optional[ExitTimeBound] = None   # predictive: the robust exit-time bound
 
 
 def _vertex_rows(model: AffineModel, p: Polytope, j: int, exit_facet: int):
@@ -245,8 +247,7 @@ def _closed_form_verdicts(C, d, pick, boxed):
     box intersected with the invariance half-spaces is attained at a
     vertex of that polytope, where m of its rows meet. Every such point is
     enumerated. Returns the masks (M, P) of the systems decided feasible
-    and of the undecided ones, the candidate points (m arrays (Q, M, P))
-    and the slack of each feasible candidate (-inf for the others).
+    and of the undecided ones.
     """
     m = C.shape[0]
     U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, P)
@@ -260,21 +261,17 @@ def _closed_form_verdicts(C, d, pick, boxed):
     res -= d[2 * m:, None]
     viol = np.maximum(viol, res[:-1].max(axis=0))
     slack = -res[-1]
-    score = np.where(viol <= _FEAS_TOL, slack, -np.inf)
-    feasible = (score.max(axis=0) > DELTA_STRICT + _BAND) & boxed
+    feasible = (np.where(viol <= _FEAS_TOL, slack, -np.inf).max(axis=0)
+                > DELTA_STRICT + _BAND) & boxed
     near = np.where(viol <= _NEAR, slack, -np.inf).max(axis=0)
     undecided = (near >= DELTA_STRICT - _NEAR) & boxed & ~feasible
-    return feasible, undecided, U, score
+    return feasible, undecided
 
 
-def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                     exit_facet: int, pu: Box, expanded: bool):
-    """Decide the robustified system of every vertex.
-
-    Returns None when some vertex has no feasible sign pattern. Otherwise
-    the worst-case system gives controls (M, m) that meet it at every
-    vertex, each from the first pattern decided feasible; the best-case
-    (expanded) system is only ever used to refute and gives True.
+def _robust_feasible(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                     exit_facet: int, pu: Box, expanded: bool) -> bool:
+    """True iff the robustified system of every vertex has a feasible sign
+    pattern: the worst-case system (expanded=False) or the best-case one.
 
     Systems of m ≤ 3 inputs are decided in closed form. A vertex without a
     pattern decided feasible has its undecided patterns, and every pattern
@@ -284,12 +281,10 @@ def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facet, pu, expanded)
     m, _, M, P = C.shape
     if m <= 3:
-        feasible, undecided, U, score = _closed_form_verdicts(C, d, pick, boxed)
+        feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
     else:
         feasible, undecided = np.zeros((M, P), bool), np.tile(boxed, (M, 1))
-    decided = feasible.tolist()
-    controls = np.empty((M, m))
-    for j, row in enumerate(decided):
+    for j, row in enumerate(feasible.tolist()):
         if True in row:
             continue
         rows = [2 * m + r for r, ok in enumerate(real[:, j].tolist()) if ok]
@@ -299,41 +294,34 @@ def _robust_vertices(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                 A_ge_strict=-C[:, -1:, j, k].T, b_ge_strict=-d[-1:, j, k],
                 lo=-d[m:2 * m, j, k], hi=d[:m, j, k],
             )
-            u = linear_feasible(prob, maximize_margin=not expanded)
-            if u is not None:
-                controls[j] = u
+            if linear_feasible(prob, maximize_margin=not expanded) is not None:
                 break
         else:
-            return None
-    if expanded:
-        return True
-    for j, row in enumerate(decided):
-        if True in row:
-            # the best point of the first pattern decided feasible
-            k = row.index(True)
-            best = score[:, j, k]
-            q = np.flatnonzero(best == best.max())[0]
-            controls[j] = [u[q, j, k] for u in U]
-    return controls
+            return False
+    return True
 
 
 def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                       exit_facet: int, pu: Box) -> Optional[ReachCertificate]:
-    """Certificate valid for every affine model within the deviation bounds."""
-    found = _robust_vertices(model, bounds, p, exit_facet, pu, expanded=False)
-    if found is None:
+    """Certificate valid for every affine model within the deviation bounds.
+
+    Issued when the worst-case vertex systems are feasible and the robust
+    exit-time LP has a positive outward speed. Its controls, margins and
+    bound all come from that LP: the margins are each vertex's robust
+    outward speed under those controls, each at least ``bound.c1``.
+    """
+    if not _robust_feasible(model, bounds, p, exit_facet, pu, expanded=False):
         return None
-    controls, margins = dict(enumerate(found)), {}
+    bound = robust_exit_time_bound(model, bounds, p, exit_facet, pu)
+    if bound is None:
+        return None
     n1 = p.normals[exit_facet]
-    for j, u in controls.items():
-        v = p.vertices[j]
-        worst = (float(n1 @ (model.A @ v + model.B @ u + model.c))
-                 - bounds.eps_B * float(np.sum(np.abs(u)))
-                 - bounds.eps_A * float(np.linalg.norm(v)) - bounds.eps_c)
-        margins[j] = worst
-    return ReachCertificate(exit_facet=exit_facet, controls=controls,
+    spread = _robust_spread(bounds, p, pu)
+    margins = {j: float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread[j]
+               for j, u in bound.controls.items()}
+    return ReachCertificate(exit_facet=exit_facet, controls=bound.controls,
                             kind="predictive", margins=margins, polytope=p,
-                            exact_vertices=tuple(range(p.n_vertices)))
+                            exact_vertices=tuple(range(p.n_vertices)), bound=bound)
 
 
 def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
@@ -343,7 +331,7 @@ def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern.
     """
-    return _robust_vertices(model, bounds, p, exit_facet, pu, expanded=True) is None
+    return not _robust_feasible(model, bounds, p, exit_facet, pu, expanded=True)
 
 
 # Containment tolerance of locate_simplex, and the band around it in which
@@ -426,30 +414,46 @@ def synthesize_controller(p: Polytope, controls: dict) -> PWAController:
     return PWAController(simplices=tri, gains=gains)
 
 
+def _crossing_bound(p: Polytope, exit_facet: int, c1: float,
+                    controls: Optional[dict] = None) -> ExitTimeBound:
+    """(beta - alpha) / c1, where alpha/beta span the exit-normal extent of
+    the whole polytope."""
+    proj = p.vertices @ p.normals[exit_facet]
+    alpha = float(np.min(proj))
+    beta = float(np.max(proj))
+    return ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1,
+                         controls=controls)
+
+
 def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
                     exit_facet: int, vertex_subset=None) -> ExitTimeBound:
     """Guaranteed crossing-time bound (beta - alpha) / c1 for a certificate.
 
-    alpha/beta span the exit-normal extent of the whole polytope; c1 is the
-    minimum certified outward speed, optionally restricted to a vertex
-    subset (used by relaxed certificates whose zeroed vertices carry no
-    outward-speed guarantee).
+    c1 is the minimum certified outward speed, optionally restricted to a
+    vertex subset (used by relaxed certificates whose zeroed vertices carry
+    no outward-speed guarantee).
     """
     n1 = p.normals[exit_facet]
-    proj = p.vertices @ n1
-    alpha = float(np.min(proj))
-    beta = float(np.max(proj))
     js = range(p.n_vertices) if vertex_subset is None else vertex_subset
     c1 = min(float(n1 @ (model.A @ p.vertices[j] + model.B @ controls[j] + model.c))
              for j in js)
     if c1 <= DELTA_STRICT / 2:
         raise ValueError(f"degenerate exit-time bound: c1 = {c1}")
-    return ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1)
+    return _crossing_bound(p, exit_facet, c1)
+
+
+def _robust_spread(bounds: DeviationBounds, p: Polytope, pu: Box) -> list:
+    """Per vertex, eps_A·‖v_j‖ + eps_B·U_max + eps_c: how far an in-bound
+    model can move n·(A v_j + B u + c) for a unit normal n and any u in the
+    input box, whose largest vertex norm is U_max."""
+    u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** pu.dim))
+    return [bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_B * u_max + bounds.eps_c
+            for v in p.vertices]
 
 
 def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
                            p: Polytope, exit_facet: int, pu: Box) -> Optional[ExitTimeBound]:
-    """Exit-time bound valid for every in-bound model.
+    """Exit-time bound valid for every in-bound model, with its controls.
 
     Maximizes the worst-vertex robust outward speed c1_rob over all vertex
     controls by one epigraph LP; the eps_B·‖u‖ terms are upper-bounded by
@@ -459,37 +463,23 @@ def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
     """
     M = p.n_vertices
     m = pu.dim
-    n1 = p.normals[exit_facet]
-    u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** m))
+    spread = _robust_spread(bounds, p, pu)
     obj_rows = np.zeros((M, M * m))
     obj_rhs = np.zeros(M)
     A_le, b_le = [], []
     for j in range(M):
-        v = p.vertices[j]
-        drift = model.A @ v + model.c
-        margin = (bounds.eps_A * float(np.linalg.norm(v))
-                  + bounds.eps_B * u_max + bounds.eps_c)
-        obj_rows[j, j * m:(j + 1) * m] = n1 @ model.B
-        obj_rhs[j] = -float(n1 @ drift) + margin
-        for i in p.vertex_facets[j]:
-            if i == exit_facet:
-                continue
-            ni = p.normals[i]
-            row = np.zeros(M * m)
-            row[j * m:(j + 1) * m] = ni @ model.B
-            A_le.append(row)
-            b_le.append(-float(ni @ drift) - margin)
-    lo = np.tile(pu.lo, M)
-    hi = np.tile(pu.hi, M)
-    t, z = maximin_lp(obj_rows, obj_rhs, np.array(A_le), np.array(b_le), lo, hi)
+        a_st, b_st, rows, rhs = _vertex_rows(model, p, j, exit_facet)
+        obj_rows[j, j * m:(j + 1) * m] = a_st
+        obj_rhs[j] = b_st + spread[j]
+        block = np.zeros((len(rows), M * m))
+        block[:, j * m:(j + 1) * m] = rows
+        A_le.append(block)
+        b_le.append(rhs - spread[j])
+    t, z = maximin_lp(obj_rows, obj_rhs, np.vstack(A_le), np.concatenate(b_le),
+                      np.tile(pu.lo, M), np.tile(pu.hi, M))
     if t is None or t <= 0:
         return None
-    proj = p.vertices @ n1
-    alpha = float(np.min(proj))
-    beta = float(np.max(proj))
-    bnd = ExitTimeBound(T0=(beta - alpha) / t, alpha=alpha, beta=beta, c1=t)
-    bnd.controls = {j: z[j * m:(j + 1) * m] for j in range(M)}
-    return bnd
+    return _crossing_bound(p, exit_facet, t, {j: z[j * m:(j + 1) * m] for j in range(M)})
 
 
 def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
@@ -524,17 +514,10 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
             margins[j] = float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c))
             exact.append(j)
             continue
-        v = p.vertices[j]
-        drift = model.A @ v + model.c
+        drift = model.A @ p.vertices[j] + model.c
         # most outward-pointing velocity still admissible for invariance
-        rows, rhs = [], []
-        for i in p.vertex_facets[j]:
-            if i == exit_facet:
-                continue
-            rows.append(p.normals[i] @ model.B)
-            rhs.append(-float(p.normals[i] @ drift))
-        status, u_best, _ = solve_lp(-(n1 @ model.B), np.array(rows),
-                                     np.array(rhs), pu.lo, pu.hi)
+        a_st, _, rows, rhs = _vertex_rows(model, p, j, exit_facet)
+        status, u_best, _ = solve_lp(-a_st, rows, rhs, pu.lo, pu.hi)
         w = drift + model.B @ u_best if status == "optimal" else drift
         outward = float(n1 @ w)
         nw = float(np.linalg.norm(w))
@@ -545,16 +528,10 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         if ang > theta_thre + 1e-12:
             return None
         # zero control at relaxed vertices; the remaining invariance rows
-        # must hold up to a tolerance commensurate with the threshold angle
+        # (n_i·drift = -rhs_i) must hold up to a tolerance commensurate with
+        # the threshold angle
         tol = np.sin(theta_thre) * max(float(np.linalg.norm(drift)), 0.05 * u_abs)
-        violated = False
-        for i in p.vertex_facets[j]:
-            if i == exit_facet:
-                continue
-            if float(p.normals[i] @ drift) > tol:
-                violated = True
-                break
-        if violated:
+        if np.any(-rhs > tol):
             return None
         controls[j] = np.zeros(pu.dim)
         margins[j] = float(n1 @ drift)

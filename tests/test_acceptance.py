@@ -96,6 +96,11 @@ def _vertex_system_holds(A, B, c, cert, tol=1e-9):
     return True
 
 
+def _edge_statuses(log):
+    return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
+            for s in log.snapshots]
+
+
 # ---------------------------------------------------------------- criteria
 
 def test_c01_omnidirectional_mission_succeeds(mecanum_run):
@@ -283,7 +288,10 @@ def test_c09_graph_kernels():
             assert path == best[1]
 
 
-def test_c10_underactuated_mission_succeeds(unicycle_run):
+def test_c10_underactuated_mission_succeeds(unicycle_run, tmp_path):
+    """The unicycle mission succeeds and matches the recorded oracles: the
+    sha256 of trajectory.csv and of the JSON list of every plan's edge
+    statuses."""
     log = unicycle_run
     scn = builtin_scenario("unicycle")
     assert log.success, f"mission status: {log.status}"
@@ -294,6 +302,14 @@ def test_c10_underactuated_mission_succeeds(unicycle_run):
     # the per-cell retry budget is never exhausted
     assert log.metrics["retry_max"] <= scn.retry_budget
     assert log.status != "failure:retry_budget"
+    _write_outputs(str(tmp_path), scn, log)
+    csv = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "e085b46d59e63ddb33a25b374e6f8f89eab5951dffe0a052d08b634af5217d49")
+    statuses = _edge_statuses(log)
+    assert len(statuses) == 53
+    assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
+        "7406e8999f68c592f6cd611b8a8586aa7f5c7aacaf19c150caf2405f36cc9f4b")
 
 
 def test_c11_terminal_phase_contracts(mecanum_run):
@@ -319,11 +335,7 @@ def test_c12_runs_are_deterministic(mecanum_run, mecanum_rerun, tmp_path):
     assert hashlib.sha256(csv).hexdigest() == (
         "986776d537205f89c03ecc031fac1ca0bc52abf2b54f1f6f2a5d3b827c2b0ead")
 
-    def edge_statuses(log):
-        return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
-                for s in log.snapshots]
-
-    statuses = edge_statuses(mecanum_run)
-    assert statuses == edge_statuses(mecanum_rerun)
+    statuses = _edge_statuses(mecanum_run)
+    assert statuses == _edge_statuses(mecanum_rerun)
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
         "57968aed56f5ab5a7a760b61595b54943cb3993d7dec469f49cf4a260f78569a")

@@ -317,20 +317,26 @@ def _random_predictive_instance(rng):
     return model, bounds, p, int(rng.integers(2 * n)), Box(lo=u_lo, hi=u_hi)
 
 
-def _robust_rows_hold(model, bounds, p, exit_facet, pu, controls, tol=1e-9):
-    """Worst-case robust vertex conditions in their |u| form."""
-    n1 = p.normals[exit_facet]
+def _robust_rows_hold(model, bounds, p, cert, pu, tol=1e-9):
+    """Robust vertex conditions of the carried controls in the U_max form
+    the robust exit-time LP proves: every in-bound model moves n·ẋ by at
+    most eps_A‖v‖ + eps_B·U_max + eps_c, U_max the largest vertex norm of
+    the input box."""
+    n1 = p.normals[cert.exit_facet]
+    u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** pu.dim))
     for j in range(p.n_vertices):
-        u = controls[j]
+        u = cert.controls[j]
         assert np.all(u >= pu.lo - tol) and np.all(u <= pu.hi + tol)
         v = p.vertices[j]
         vel = model.A @ v + model.B @ u + model.c
-        spread = (bounds.eps_B * float(np.sum(np.abs(u)))
-                  + bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c)
-        assert float(n1 @ vel) - spread >= DELTA_STRICT - tol
+        spread = (bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_B * u_max
+                  + bounds.eps_c)
+        assert float(n1 @ vel) - spread >= cert.bound.c1 - tol
         for i in p.vertex_facets[j]:
-            if i != exit_facet:
+            if i != cert.exit_facet:
                 assert float(p.normals[i] @ vel) + spread <= tol
+    assert cert.bound.c1 > 0.0
+    assert min(cert.margins.values()) >= cert.bound.c1 - 1e-9
 
 
 def test_batched_predictive_verdicts_match_tableau_reference():
@@ -341,7 +347,7 @@ def test_batched_predictive_verdicts_match_tableau_reference():
         for expanded in (False, True):
             S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, fct, pu,
                                                             expanded)
-            feasible, open_, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
+            feasible, open_ = reach._closed_form_verdicts(C, d, pick, boxed)
             ref = [_reference_patterns(model, bounds, p, j, fct, pu, expanded)
                    for j in range(p.n_vertices)]
             for j, k in np.ndindex(feasible.shape):
@@ -356,10 +362,11 @@ def test_batched_predictive_verdicts_match_tableau_reference():
                 refuted += not every_vertex
             else:
                 cert = predict_reachable(model, bounds, p, fct, pu)
-                assert (cert is not None) == every_vertex
+                bounded = robust_exit_time_bound(model, bounds, p, fct, pu) is not None
+                assert (cert is not None) == (every_vertex and bounded)
                 if cert is not None:
                     certified += 1
-                    _robust_rows_hold(model, bounds, p, fct, pu, cert.controls)
+                    _robust_rows_hold(model, bounds, p, cert, pu)
     assert certified > 10 and refuted > 10
     assert undecided <= systems // 100
 
@@ -393,7 +400,7 @@ def test_band_systems_are_left_to_the_tableau():
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, k],
                 lo=-d[m:2 * m, j, k], hi=d[:m, j, k])
             ref = linear_feasible(prob, maximize_margin=not expanded) is not None
-            feasible, open_, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
+            feasible, open_ = reach._closed_form_verdicts(C, shifted, pick, boxed)
             assert open_[j, k] or feasible[j, k] == ref
             band += 1
 
