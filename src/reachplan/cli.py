@@ -66,7 +66,7 @@ def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
             f.write(",".join(row + [str(cid)]) + "\n")
     for k, snap in enumerate(log.snapshots):
         with open(os.path.join(out_dir, f"graph_step_{k}.json"), "w") as f:
-            json.dump(snap, f, indent=1)
+            f.write(json.dumps(snap))
     tree_snapshot = log.metrics.get("partition")
     if tree_snapshot is not None:
         with open(os.path.join(out_dir, "partition.json"), "w") as f:

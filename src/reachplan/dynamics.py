@@ -6,6 +6,7 @@ small heading/velocity disturbances (underactuated, n = 3, m = 2).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +48,11 @@ class AffineModel:
 
     def xdot(self, x, u):
         return self.A @ np.asarray(x, float) + self.B @ np.asarray(u, float) + self.c
+
+    @functools.cached_property
+    def B_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of B."""
+        return np.linalg.pinv(self.B)
 
 
 @dataclass

@@ -76,6 +76,7 @@ class _Mission:
         self.models: dict = {}        # cell id -> identified AffineModel
         self.certs: dict = {}         # (src id, facet id) -> certificate or None
         self.pred_attempted: set = set()
+        self.model_dist: dict = {}    # (cell id, model cell id) -> distance
         self.retries = defaultdict(int)
         self.escape_count = 0
         self.log = MissionLog()
@@ -205,7 +206,7 @@ class _Mission:
         nd = float(np.linalg.norm(d))
         v_des = d / max(nd, 1e-9) * min(1.0, nd)
         m = self.last_model
-        u = np.linalg.pinv(m.B) @ (v_des - (m.A @ self.x + m.c))
+        u = m.B_pinv @ (v_des - (m.A @ self.x + m.c))
         return np.clip(u, self.pu.lo, self.pu.hi)
 
     # ---------------- certification ----------------
@@ -267,6 +268,16 @@ class _Mission:
             resolved += 1
         return resolved
 
+    def model_distance(self, cell: Box, model_cid: int, model: AffineModel) -> float:
+        """Distance from a model's linearization point to a cell's center,
+        memoised by (cell id, model cell id): exact, as ids are never reused."""
+        key = (cell.id, model_cid)
+        dist = self.model_dist.get(key)
+        if dist is None:
+            dist = self.model_dist[key] = float(
+                np.linalg.norm(model.linearization_point - cell.center))
+        return dist
+
     def predictive_pass(self) -> int:
         """Predictive certification on unidentified cells near identified ones."""
         if not self.models:
@@ -287,9 +298,7 @@ class _Mission:
             if h == 0 or cid in self.models:
                 continue
             cell = self.tree.leaves[cid]
-            src_cid, src = min(
-                id_models,
-                key=lambda im: float(np.linalg.norm(im[1].linearization_point - cell.center)))
+            src_cid, src = min(id_models, key=lambda im: self.model_distance(cell, *im))
             todo = [nb for nb in self.graph.out.get(cid, ())
                     if self.graph.edges[(cid, nb)].status == gr.UNCERTAIN
                     and (cid, nb, src_cid) not in self.pred_attempted]
@@ -298,24 +307,25 @@ class _Mission:
             bounds = cell_pair_bounds(self.scn.L_df, self.scn.L_g,
                                       src.linearization_point, cell)
             poly = box_to_polytope(cell)
-            for nb in todo:
+            edges = {nb: self.graph.edges[(cid, nb)] for nb in todo}
+            fct = {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
+            exits = list(dict.fromkeys(fct.values()))
+            refuted = dict(zip(exits, predict_unreachable(src, bounds, poly, exits, self.pu)))
+            # through a facet larger than the shared one, which neighbor is
+            # entered cannot be pinned down
+            pinned = [nb for nb, e in edges.items() if not refuted[fct[nb]] and
+                      self.facet_measure(cell, e.shared.axis) <= e.shared.measure() * (1 + 1e-9)]
+            certs = dict(zip(pinned, predict_reachable(
+                src, bounds, poly, [fct[nb] for nb in pinned], self.pu))) if pinned else {}
+            for nb, e in edges.items():
                 self.pred_attempted.add((cid, nb, src_cid))
-                e = self.graph.edges[(cid, nb)]
-                sf = e.shared
-                fct = facet_id(sf.axis, sf.direction)
-                if predict_unreachable(src, bounds, poly, fct, self.pu):
+                if refuted[fct[nb]]:
                     self.graph.mark_impossible(cid, nb)
                     resolved += 1
-                    continue
-                larger = self.facet_measure(cell, sf.axis) > sf.measure() * (1 + 1e-9)
-                if larger:
-                    continue
-                cert = predict_reachable(src, bounds, poly, fct, self.pu)
-                if cert is None:
-                    continue
-                e.cert = cert
-                self.graph.mark_certain(cid, nb, cert.bound.T0, "predictive")
-                resolved += 1
+                elif certs.get(nb) is not None:
+                    e.cert = certs[nb]
+                    self.graph.mark_certain(cid, nb, e.cert.bound.T0, "predictive")
+                    resolved += 1
         return resolved
 
     # ---------------- partition maintenance ----------------

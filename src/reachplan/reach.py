@@ -11,8 +11,9 @@ relaxations: a truncated-pyramid subpolytope for facets normal to the
 heading axis and a threshold-angle vertex relaxation for side facets.
 
 The robustified systems have one unknown per input (m ≤ 3 on the built-in
-plants) and are decided in closed form, for all vertices and sign
-patterns at once; the tableau simplex only settles borderline systems.
+plants) and are decided in closed form, for all vertices, exit facets and
+sign patterns of a cell at once; the tableau simplex only settles
+borderline systems.
 """
 from __future__ import annotations
 
@@ -168,49 +169,54 @@ def _pattern_tables(m: int, K: int):
 
 
 def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                 exit_facet: int, pu: Box, expanded: bool):
-    """Rows of the robustified system of every (vertex j, sign pattern k).
+                 exit_facets, pu: Box, expanded: bool):
+    """Rows of the robustified system of every (vertex j, exit facet f,
+    sign pattern k), for the F facets of ``exit_facets`` at once.
 
     expanded=False builds the worst-case (reachability-guaranteeing) rows;
     expanded=True builds the best-case rows whose infeasibility at a vertex
     refutes reachability for every in-bound model. The systems are
-    C u ≤ d with C (m, R + 1, M, P) by input component and d (R + 1, M, P),
-    where R = 2m + K. Rows 0..2m-1 bound u to the pattern's orthant of the
-    input box; the next K are the facet rows of each vertex, where the exit
-    facet and the padding of vertices with fewer facets are 0·u ≤ 1 (the
-    mask ``real`` (K, M) marks the invariance rows); the last row is the
-    strict row negated: a system is feasible iff some u meeting rows
-    0..R-1 has d[R] - C[:, R]·u ≥ DELTA_STRICT. ``boxed`` (P,) is False
-    for the patterns whose orthant misses the input box.
+    C u ≤ d with C (m, R + 1, M, F, P) by input component and
+    d (R + 1, M, F, P), where R = 2m + K. Rows 0..2m-1 bound u to the
+    pattern's orthant of the input box; the next K are the facet rows of
+    each vertex, where the exit facet and the padding of vertices with
+    fewer facets are 0·u ≤ 1 (the mask ``real`` (K, M, F) marks the
+    invariance rows); the last row is the strict row negated: a system is
+    feasible iff some u meeting rows 0..R-1 has d[R] - C[:, R]·u ≥
+    DELTA_STRICT. ``boxed`` (P,) is False for the patterns whose orthant
+    misses the input box.
     """
     # Products are broadcast sums and the mask is built in Python: integer
     # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
     # mission, and touching their code first here would raise its peak RSS.
     m = model.B.shape[1]
+    exits = list(exit_facets)
     # row k holds the k-th facet of every vertex, -1 past a vertex's last
     table = list(itertools.zip_longest(*p.vertex_facets, fillvalue=-1))
     idx = np.array(table)
-    real = np.array([[i >= 0 and i != exit_facet for i in row] for row in table])
+    real = np.array([[[i >= 0 and i != f for f in exits] for i in row] for row in table],
+                    dtype=bool)
     K, M = idx.shape
     S, cap_lo, cap_hi, box, pick = _pattern_tables(m, K)
     flip = -1.0 if expanded else 1.0
     w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
     drift = (p.normals[idx] * w).sum(axis=2)                         # (K, M)
-    drift_exit = (p.normals[exit_facet] * w).sum(axis=1)
+    drift_exit = (p.normals[exits][:, None] * w).sum(axis=2)         # (F, M)
     margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
     NB = (p.normals @ model.B).T
     dB = flip * bounds.eps_B * S.T
     lo = np.maximum(pu.lo, cap_lo)
     hi = np.minimum(pu.hi, cap_hi)
-    C = np.empty((m, 2 * m + K + 1, M, S.shape[0]))
+    C = np.empty((m, 2 * m + K + 1, M, len(exits), S.shape[0]))
     d = np.empty(C.shape[1:])
-    C[:, :2 * m] = box[:, :, None, None]
-    d[:m] = hi.T[:, None]
-    d[m:2 * m] = -lo.T[:, None]
-    C[:, 2 * m:-1] = np.where(real[:, :, None], NB[:, idx, None] + dB[:, None, None], 0.0)
-    d[2 * m:-1] = np.where(real, -drift - flip * margin, 1.0)[:, :, None]
-    C[:, -1] = (dB - NB[:, exit_facet, None])[:, None]
-    d[-1] = (drift_exit - flip * margin)[:, None]
+    C[:, :2 * m] = box[:, :, None, None, None]
+    d[:m] = hi.T[:, None, None]
+    d[m:2 * m] = -lo.T[:, None, None]
+    C[:, 2 * m:-1] = np.where(real[:, :, :, None],
+                              NB[:, idx, None, None] + dB[:, None, None, None], 0.0)
+    d[2 * m:-1] = np.where(real, (-drift - flip * margin)[:, :, None], 1.0)[..., None]
+    C[:, -1] = (dB[:, None] - NB[:, exits, None])[:, None]
+    d[-1] = (drift_exit - flip * margin).T[:, :, None]
     return S, C, d, real, pick, (lo <= hi).all(axis=1)
 
 
@@ -241,12 +247,12 @@ def _solve_square(A, r):
 
 
 def _closed_form_verdicts(C, d, pick, boxed):
-    """Decide every (vertex, pattern) system of m ≤ 3 inputs.
+    """Decide every (vertex, facet, pattern) system of m ≤ 3 inputs.
 
     The largest strict-row slack over the pattern's orthant of the input
     box intersected with the invariance half-spaces is attained at a
     vertex of that polytope, where m of its rows meet. Every such point is
-    enumerated. Returns the masks (M, P) of the systems decided feasible
+    enumerated. Returns the masks (M, F, P) of the systems decided feasible
     and of the undecided ones.
     """
     m = C.shape[0]
@@ -268,70 +274,79 @@ def _closed_form_verdicts(C, d, pick, boxed):
     return feasible, undecided
 
 
-def _robust_feasible(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                     exit_facet: int, pu: Box, expanded: bool) -> bool:
-    """True iff the robustified system of every vertex has a feasible sign
-    pattern: the worst-case system (expanded=False) or the best-case one.
+def _robust_verdicts(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                     exit_facets, pu: Box, expanded: bool) -> list:
+    """Per exit facet, True iff the robustified system of every vertex has
+    a feasible sign pattern: the worst-case system (expanded=False) or the
+    best-case one.
 
-    Systems of m ≤ 3 inputs are decided in closed form. A vertex without a
-    pattern decided feasible has its undecided patterns, and every pattern
-    whose orthant meets the input box when m > 3, solved by linear_feasible
-    over that orthant in pattern order.
+    Systems of m ≤ 3 inputs are decided in closed form, all facets in one
+    kernel call. Per facet, vertices are checked in order until one fails:
+    a vertex without a pattern decided feasible has its undecided patterns,
+    and every pattern whose orthant meets the input box when m > 3, solved
+    by linear_feasible over that orthant in pattern order.
     """
-    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facet, pu, expanded)
-    m, _, M, P = C.shape
+    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu, expanded)
+    m, _, M, F, P = C.shape
     if m <= 3:
         feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
     else:
-        feasible, undecided = np.zeros((M, P), bool), np.tile(boxed, (M, 1))
-    for j, row in enumerate(feasible.tolist()):
-        if True in row:
-            continue
-        rows = [2 * m + r for r, ok in enumerate(real[:, j].tolist()) if ok]
-        for k in np.flatnonzero(undecided[j]):
+        feasible, undecided = np.zeros((M, F, P), bool), np.tile(boxed, (M, F, 1))
+    decided = feasible.tolist()
+
+    def tableau_feasible(j, f):
+        rows = [2 * m + r for r, ok in enumerate(real[:, j, f].tolist()) if ok]
+        for k in np.flatnonzero(undecided[j, f]):
             prob = LinearFeasibilityProblem(
-                A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
-                A_ge_strict=-C[:, -1:, j, k].T, b_ge_strict=-d[-1:, j, k],
-                lo=-d[m:2 * m, j, k], hi=d[:m, j, k],
+                A_le=C[:, rows, j, f, k].T, b_le=d[rows, j, f, k],
+                A_ge_strict=-C[:, -1:, j, f, k].T, b_ge_strict=-d[-1:, j, f, k],
+                lo=-d[m:2 * m, j, f, k], hi=d[:m, j, f, k],
             )
             if linear_feasible(prob, maximize_margin=not expanded) is not None:
-                break
-        else:
-            return False
-    return True
+                return True
+        return False
+
+    return [all(True in decided[j][f] or tableau_feasible(j, f) for j in range(M))
+            for f in range(F)]
 
 
 def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                      exit_facet: int, pu: Box) -> Optional[ReachCertificate]:
-    """Certificate valid for every affine model within the deviation bounds.
+                      exit_facets, pu: Box) -> list:
+    """Per exit facet, a certificate valid for every affine model within
+    the deviation bounds, or None.
 
     Issued when the worst-case vertex systems are feasible and the robust
     exit-time LP has a positive outward speed. Its controls, margins and
     bound all come from that LP: the margins are each vertex's robust
     outward speed under those controls, each at least ``bound.c1``.
     """
-    if not _robust_feasible(model, bounds, p, exit_facet, pu, expanded=False):
-        return None
-    bound = robust_exit_time_bound(model, bounds, p, exit_facet, pu)
-    if bound is None:
-        return None
-    n1 = p.normals[exit_facet]
-    spread = _robust_spread(bounds, p, pu)
-    margins = {j: float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread[j]
-               for j, u in bound.controls.items()}
-    return ReachCertificate(exit_facet=exit_facet, controls=bound.controls,
-                            kind="predictive", margins=margins, polytope=p,
-                            exact_vertices=tuple(range(p.n_vertices)), bound=bound)
+    exits = list(exit_facets)
+    certs = []
+    for fct, holds in zip(exits, _robust_verdicts(model, bounds, p, exits, pu, expanded=False)):
+        bound = robust_exit_time_bound(model, bounds, p, fct, pu) if holds else None
+        if bound is None:
+            certs.append(None)
+            continue
+        n1 = p.normals[fct]
+        spread = _robust_spread(bounds, p, pu)
+        margins = {j: float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread[j]
+                   for j, u in bound.controls.items()}
+        certs.append(ReachCertificate(exit_facet=fct, controls=bound.controls,
+                                      kind="predictive", margins=margins, polytope=p,
+                                      exact_vertices=tuple(range(p.n_vertices)),
+                                      bound=bound))
+    return certs
 
 
 def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                        exit_facet: int, pu: Box) -> bool:
-    """True iff no affine model within the bounds can reach the facet.
+                        exit_facets, pu: Box) -> list:
+    """Per exit facet, True iff no affine model within the bounds can reach it.
 
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern.
     """
-    return not _robust_feasible(model, bounds, p, exit_facet, pu, expanded=True)
+    return [not ok for ok in _robust_verdicts(model, bounds, p, exit_facets, pu,
+                                              expanded=True)]
 
 
 # Containment tolerance of locate_simplex, and the band around it in which

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reachplan.cli import main
+from reachplan.cli import _write_outputs, main
+from reachplan.planner import run_mission
 from reachplan.scenario import Scenario, builtin_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,6 +96,18 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert summary["leaf_count"] <= 0.5 * summary["uniform_count"]
     assert (out / "partition.json").exists()
     assert (out / "graph_step_0.json").exists()
+
+
+def test_graph_snapshots_are_compact_and_round_trip(tmp_path):
+    """Each graph_step_<k>.json is one line and parses to snapshot k."""
+    scn = builtin_scenario("mecanum")
+    log = run_mission(scn)
+    _write_outputs(str(tmp_path), scn, log)
+    assert len(list(tmp_path.glob("graph_step_*.json"))) == len(log.snapshots) > 0
+    for k, snap in enumerate(log.snapshots):
+        text = (tmp_path / f"graph_step_{k}.json").read_text()
+        assert "\n" not in text
+        assert json.loads(text) == snap
 
 
 def test_run_bad_scenario_usage_error(capsys):

@@ -227,14 +227,14 @@ def test_predictive_implies_exact_and_shrinks_with_bounds():
         p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 1.5, 2)))
         fct = int(rng.integers(0, 4))
         bounds = DeviationBounds(0.05, 0.05, 0.05)
-        pred = predict_reachable(m, bounds, p, fct, pu)
+        pred, = predict_reachable(m, bounds, p, [fct], pu)
         if pred is not None:
             # robust certificate must be valid for the nominal model too
             exact = facet_reachable(m, p, fct, pu)
             assert exact is not None
             _assert_cert_sound(m, pred)
             agree_checked += 1
-        if predict_unreachable(m, bounds, p, fct, pu):
+        if predict_unreachable(m, bounds, p, [fct], pu)[0]:
             assert facet_reachable(m, p, fct, pu) is None
     assert agree_checked > 10
 
@@ -244,8 +244,8 @@ def test_predict_unreachable_obvious_case():
     p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
     bounds = DeviationBounds(0.01, 0.01, 0.01)
-    assert predict_unreachable(m, bounds, p, facet_id(0, +1), pu)
-    assert not predict_unreachable(m, bounds, p, facet_id(0, -1), pu)
+    facets = [facet_id(0, +1), facet_id(0, -1)]
+    assert predict_unreachable(m, bounds, p, facets, pu) == [True, False]
 
 
 def _reference_patterns(model, bounds, p, j, exit_facet, pu, expanded):
@@ -340,33 +340,43 @@ def _robust_rows_hold(model, bounds, p, cert, pu, tol=1e-9):
 
 
 def test_batched_predictive_verdicts_match_tableau_reference():
+    """One call per question decides every facet of the polytope; each
+    facet's systems and result equal its per-facet reference."""
     rng = np.random.default_rng(31)
     systems = undecided = certified = refuted = 0
     for _ in range(250):
-        model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        model, bounds, p, _, pu = _random_predictive_instance(rng)
+        facets = list(range(p.n_facets))
         for expanded in (False, True):
-            S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, fct, pu,
+            S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu,
                                                             expanded)
             feasible, open_ = reach._closed_form_verdicts(C, d, pick, boxed)
-            ref = [_reference_patterns(model, bounds, p, j, fct, pu, expanded)
-                   for j in range(p.n_vertices)]
-            for j, k in np.ndindex(feasible.shape):
-                systems += 1
-                if open_[j, k]:
-                    undecided += 1
-                else:
-                    assert feasible[j, k] == ref[j][k], (j, k, expanded)
-            every_vertex = all(any(r) for r in ref)
             if expanded:
-                assert predict_unreachable(model, bounds, p, fct, pu) == (not every_vertex)
-                refuted += not every_vertex
+                results = predict_unreachable(model, bounds, p, facets, pu)
             else:
-                cert = predict_reachable(model, bounds, p, fct, pu)
-                bounded = robust_exit_time_bound(model, bounds, p, fct, pu) is not None
-                assert (cert is not None) == (every_vertex and bounded)
-                if cert is not None:
-                    certified += 1
-                    _robust_rows_hold(model, bounds, p, cert, pu)
+                results = predict_reachable(model, bounds, p, facets, pu)
+            assert len(results) == len(facets)
+            for f, fct in enumerate(facets):
+                ref = [_reference_patterns(model, bounds, p, j, fct, pu, expanded)
+                       for j in range(p.n_vertices)]
+                for j, k in np.ndindex(feasible.shape[0], feasible.shape[2]):
+                    systems += 1
+                    if open_[j, f, k]:
+                        undecided += 1
+                    else:
+                        assert feasible[j, f, k] == ref[j][k], (j, fct, k, expanded)
+                every_vertex = all(any(r) for r in ref)
+                if expanded:
+                    assert results[f] == (not every_vertex)
+                    refuted += not every_vertex
+                else:
+                    cert = results[f]
+                    bounded = robust_exit_time_bound(model, bounds, p, fct, pu) is not None
+                    assert (cert is not None) == (every_vertex and bounded)
+                    if cert is not None:
+                        assert cert.exit_facet == fct
+                        certified += 1
+                        _robust_rows_hold(model, bounds, p, cert, pu)
     assert certified > 10 and refuted > 10
     assert undecided <= systems // 100
 
@@ -380,28 +390,28 @@ def test_band_systems_are_left_to_the_tableau():
     while band < 300:
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
         expanded = bool(rng.random() < 0.5)
-        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, fct, pu, expanded)
+        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu, expanded)
         m = C.shape[0]
         j, k = int(rng.integers(p.n_vertices)), int(rng.integers(S.shape[0]))
         if not boxed[k]:
             continue
-        rows = 2 * m + np.flatnonzero(real[:, j])
-        a = -C[:, -1, j, k]
-        status, u, _ = solve_lp(-a, C[:, rows, j, k].T, d[rows, j, k],
-                                -d[m:2 * m, j, k], d[:m, j, k])
+        rows = 2 * m + np.flatnonzero(real[:, j, 0])
+        a = -C[:, -1, j, 0, k]
+        status, u, _ = solve_lp(-a, C[:, rows, j, 0, k].T, d[rows, j, 0, k],
+                                -d[m:2 * m, j, 0, k], d[:m, j, 0, k])
         if status != "optimal":
             continue
-        best = float(a @ u) + d[-1, j, k]
+        best = float(a @ u) + d[-1, j, 0, k]
         for offset in (1e-8, -1e-8):
             shifted = d.copy()
-            shifted[-1, j, k] += DELTA_STRICT + offset - best
+            shifted[-1, j, 0, k] += DELTA_STRICT + offset - best
             prob = LinearFeasibilityProblem(
-                A_le=C[:, rows, j, k].T, b_le=d[rows, j, k],
-                A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, k],
-                lo=-d[m:2 * m, j, k], hi=d[:m, j, k])
+                A_le=C[:, rows, j, 0, k].T, b_le=d[rows, j, 0, k],
+                A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, 0, k],
+                lo=-d[m:2 * m, j, 0, k], hi=d[:m, j, 0, k])
             ref = linear_feasible(prob, maximize_margin=not expanded) is not None
             feasible, open_ = reach._closed_form_verdicts(C, shifted, pick, boxed)
-            assert open_[j, k] or feasible[j, k] == ref
+            assert open_[j, 0, k] or feasible[j, 0, k] == ref
             band += 1
 
 
@@ -418,10 +428,10 @@ def test_band_vertices_fall_back_to_linear_feasible(offset):
     ref = [any(_reference_patterns(model, zero, p, j, fct, pu, expanded=False))
            for j in range(4)]
     before = optim.STATS.lp_calls
-    cert = predict_reachable(model, zero, p, fct, pu)
+    cert, = predict_reachable(model, zero, p, [fct], pu)
     assert optim.STATS.lp_calls > before
     assert (cert is not None) == all(ref)
-    assert predict_unreachable(model, zero, p, fct, pu) == (not all(ref))
+    assert predict_unreachable(model, zero, p, [fct], pu) == [not all(ref)]
 
 
 def test_robust_exit_time_bound_degrades_with_uncertainty():
