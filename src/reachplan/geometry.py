@@ -116,9 +116,6 @@ class Polytope:
         x = np.asarray(x, dtype=float)
         return float(np.max(self.normals @ x - self.offsets))
 
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
     def validate(self, tol: float = CONTAINMENT_TOL) -> None:
         for j, v in enumerate(self.vertices):
             if np.any(self.normals @ v - self.offsets > tol):
@@ -163,62 +160,34 @@ def truncated_pyramid(b: Box, axis: int, direction: int, shrink: float) -> Polyt
 
     The exit facet (given by axis/direction) is kept; the opposite facet is
     scaled by ``shrink`` about its own center, and the side facets slant
-    accordingly. ``shrink=1`` reproduces the box. Vertex codes match the box
-    convention so the facet-id convention of :func:`box_to_polytope` carries
-    over and a Kuhn triangulation applies.
+    accordingly. ``shrink=1`` reproduces the box. It is the box's
+    :func:`box_to_polytope` with the opposite facet's vertices moved and
+    the side facets refitted, so vertex codes, the facet-id convention and
+    the incidence sets carry over and a Kuhn triangulation applies.
     """
     if not 0 < shrink <= 1:
         raise GeometryError("shrink ratio must lie in (0, 1]")
-    n = b.dim
+    p = box_to_polytope(b)
+    verts = p.vertices
     exit_bit = 1 if direction > 0 else 0
-    center = b.center
-    verts = np.empty((2 ** n, n))
-    for code in range(2 ** n):
-        v = b.vertex(code)
+    cross = [k for k in range(b.dim) if k != axis]
+    center = b.center[cross]
+    for code in range(p.n_vertices):
         if (code >> axis & 1) != exit_bit:
             # vertex on the opposite facet: pull cross-axes toward the center
-            for k in range(n):
-                if k != axis:
-                    v[k] = center[k] + shrink * (v[k] - center[k])
-        verts[code] = v
-
-    normals = np.zeros((2 * n, n))
-    offsets = np.zeros(2 * n)
-    # axis facets are unchanged planes
-    normals[facet_id(axis, -1), axis] = -1.0
-    offsets[facet_id(axis, -1)] = -b.lo[axis]
-    normals[facet_id(axis, +1), axis] = 1.0
-    offsets[facet_id(axis, +1)] = b.hi[axis]
-    facet_vertices = []
-    for fid in range(2 * n):
-        fax, d = facet_axis_dir(fid)
-        bit = 1 if d > 0 else 0
-        facet_vertices.append(tuple(j for j in range(2 ** n) if (j >> fax & 1) == bit))
+            verts[code, cross] = center + shrink * (verts[code, cross] - center)
     # side facets: fit the supporting hyperplane through the facet's vertices
     centroid = verts.mean(axis=0)
-    for fid in range(2 * n):
-        fax, d = facet_axis_dir(fid)
-        if fax == axis:
+    for fid in range(p.n_facets):
+        if fid // 2 == axis:
             continue
-        pts = verts[list(facet_vertices[fid])]
-        diffs = pts[1:] - pts[0]
-        _, _, vt = np.linalg.svd(diffs)
+        pts = verts[list(p.facet_vertices[fid])]
+        _, _, vt = np.linalg.svd(pts[1:] - pts[0])
         nrm = vt[-1]
         if nrm @ (pts[0] - centroid) < 0:
             nrm = -nrm
-        normals[fid] = nrm
-        offsets[fid] = nrm @ pts[0]
-    vertex_facets = [
-        tuple(i for i in range(2 * n) if j in facet_vertices[i]) for j in range(2 ** n)
-    ]
-    p = Polytope(
-        vertices=verts,
-        normals=normals,
-        offsets=offsets,
-        facet_vertices=facet_vertices,
-        vertex_facets=vertex_facets,
-        grid_codes=list(range(2 ** n)),
-    )
+        p.normals[fid] = nrm
+        p.offsets[fid] = nrm @ pts[0]
     p.validate(1e-7)
     return p
 

@@ -49,6 +49,10 @@ class Edge:
     certification rather than a refutation. ``failures`` counts
     executions that did not end in the target cell; the planner sets it
     to its limit when the certificate yields no controller.
+    ``pred_sources`` holds the ids of the identified cells whose models
+    were already tried for a predictive verdict on this edge (a tuple: an
+    empty set per edge would cost about 0.2 MB of peak memory on a
+    250-leaf partition).
     """
     src: int
     dst: int
@@ -60,6 +64,7 @@ class Edge:
     cert: Optional[ReachCertificate] = None
     soft: bool = False
     failures: int = 0
+    pred_sources: tuple = ()
 
 
 class ReachGraph:

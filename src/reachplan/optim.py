@@ -166,7 +166,7 @@ def solve_lp(c, A, b, lo, hi):
 class LinearFeasibilityProblem:
     """Mixed strict/non-strict linear rows over a box of controls.
 
-    Non-strict rows: a_kᵀu ≤ b_k. Strict rows: a_kᵀu ≥ b_k + delta_strict.
+    Non-strict rows: a_kᵀu ≤ b_k. Strict rows: a_kᵀu ≥ b_k + DELTA_STRICT.
     The box lo ≤ u ≤ hi must not be empty.
     """
 
@@ -176,7 +176,6 @@ class LinearFeasibilityProblem:
     b_ge_strict: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    delta_strict: float = DELTA_STRICT
 
 
 def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
@@ -206,7 +205,7 @@ def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
         c[n] = -1.0
         status, z, _ = solve_lp(
             c, A, b,
-            np.concatenate([lo, [p.delta_strict]]),
+            np.concatenate([lo, [DELTA_STRICT]]),
             np.concatenate([hi, [cap]]),
         )
         if status != "optimal":
@@ -214,7 +213,7 @@ def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
         return z[:n]
 
     A = np.vstack([A_le, -A_st])
-    b = np.concatenate([b_le, -(b_st + p.delta_strict)])
+    b = np.concatenate([b_le, -(b_st + DELTA_STRICT)])
     status, x, _ = solve_lp(np.zeros(n), A, b, lo, hi)
     if status != "optimal":
         return None
@@ -228,12 +227,12 @@ def feasibility_residual(p: LinearFeasibilityProblem, u) -> float:
     if p.A_le.size:
         res = max(res, float(np.max(p.A_le @ u - p.b_le)))
     if p.A_ge_strict.size:
-        res = max(res, float(np.max(p.b_ge_strict + p.delta_strict - p.A_ge_strict @ u)))
+        res = max(res, float(np.max(p.b_ge_strict + DELTA_STRICT - p.A_ge_strict @ u)))
     res = max(res, float(np.max(p.lo - u)), float(np.max(u - p.hi)))
     return res
 
 
-def maximin_lp(obj_rows, obj_rhs, A_le, b_le, lo, hi, t_lo=None, t_hi=None):
+def maximin_lp(obj_rows, obj_rhs, A_le, b_le, lo, hi):
     """max over z of min_k (obj_rows_k · z − obj_rhs_k) subject to
     A_le z ≤ b_le and box bounds, via the epigraph variable t.
 
@@ -246,10 +245,6 @@ def maximin_lp(obj_rows, obj_rhs, A_le, b_le, lo, hi, t_lo=None, t_hi=None):
     K = obj_rows.shape[0]
     scale = float(np.max(np.abs(obj_rhs))) if obj_rhs.size else 1.0
     scale += float(np.max(np.abs(obj_rows))) * float(np.max(np.abs(np.stack([lo, hi])))) * n
-    if t_lo is None:
-        t_lo = -scale - 1.0
-    if t_hi is None:
-        t_hi = scale + 1.0
     m_le = np.asarray(A_le, dtype=float).reshape(-1, n) if A_le is not None else np.zeros((0, n))
     r_le = np.asarray(b_le, dtype=float) if b_le is not None else np.zeros(0)
     A = np.zeros((K + m_le.shape[0], n + 1))
@@ -262,8 +257,8 @@ def maximin_lp(obj_rows, obj_rhs, A_le, b_le, lo, hi, t_lo=None, t_hi=None):
     c = np.zeros(n + 1)
     c[n] = -1.0
     status, z, _ = solve_lp(c, A, b,
-                            np.concatenate([lo, [t_lo]]),
-                            np.concatenate([hi, [t_hi]]))
+                            np.concatenate([lo, [-scale - 1.0]]),
+                            np.concatenate([hi, [scale + 1.0]]))
     if status != "optimal":
         return None, None
     return float(z[n]), z[:n]
@@ -279,7 +274,7 @@ class QPResult:
     max_violation: float
 
 
-def solve_qp(H, q, G, h, feas_tol: float = 1e-8) -> QPResult:
+def solve_qp(H, q, G, h) -> QPResult:
     """min ½ zᵀH z + qᵀz  s.t.  G z ≤ h, for strictly convex small QPs.
 
     Enumerates candidate active sets of size ≤ n in lexicographic order
@@ -318,7 +313,7 @@ def solve_qp(H, q, G, h, feas_tol: float = 1e-8) -> QPResult:
             if np.min(lam) < -lam_tol:
                 return None
         res = G @ z - h if K else np.zeros(0)
-        if K and np.max(res) > feas_tol:
+        if K and np.max(res) > 1e-8:
             return None
         lam_full = np.zeros(K)
         for idx, kk in enumerate(sub):

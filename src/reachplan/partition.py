@@ -58,7 +58,6 @@ class PartitionTree:
         self.nodes: dict[int, Box] = {}
         self.root = self._new_box(lo, hi, depth=0)
         self.leaves: dict[int, Box] = {self.root.id: self.root}
-        self.parent: dict[int, int] = {}
         self.children: dict[int, list[int]] = {}
         # (a, b) -> facet seen from leaf a, for every ordered adjacent pair;
         # the (lower id, higher id) entry is the one shared_facet computed
@@ -121,7 +120,6 @@ class PartitionTree:
         del self.leaves[cell.id]
         self.children[cell.id] = [c.id for c in children]
         for c in children:
-            self.parent[c.id] = cell.id
             self.leaves[c.id] = c
         former = [self.leaves[n] for n in sorted(self._unlink(cell.id))]
         for i, c in enumerate(children):

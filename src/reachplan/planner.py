@@ -24,9 +24,9 @@ from .geometry import (Box, GeometryError, box_to_polytope, facet_axis_dir,
                        facet_id)
 from .optim import STATS, SolverError, solve_lp
 from .partition import PartitionTree, adjacency, uniform_cell_count
-from .reach import (ReachCertificate, exit_time_bound, facet_reachable,
-                    predict_reachable, predict_unreachable,
-                    relaxed_facet_reachable, synthesize_controller)
+from .reach import (ReachCertificate, facet_reachable, predict_reachable,
+                    predict_unreachable, relaxed_facet_reachable,
+                    synthesize_controller)
 from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
@@ -75,7 +75,6 @@ class _Mission:
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
         self.certs: dict = {}         # (src id, facet id) -> certificate or None
-        self.pred_attempted: set = set()
         self.model_dist: dict = {}    # (cell id, model cell id) -> distance
         self.retries = defaultdict(int)
         self.escape_count = 0
@@ -128,8 +127,12 @@ class _Mission:
             return max(float(np.linalg.norm(model.xdot(self.x, np.zeros(self.pu.dim)))), 0.1)
         return 1.0
 
-    def facet_measure(self, cell: Box, axis: int) -> float:
-        return float(np.prod(np.delete(cell.sides, axis)))
+    def pinned(self, cell: Box, e: gr.Edge) -> bool:
+        """False when the cell's facet is larger than the one it shares
+        with the edge's target: which neighbour a crossing enters then
+        cannot be pinned down."""
+        sf = e.shared
+        return float(np.prod(np.delete(cell.sides, sf.axis))) <= sf.measure() * (1 + 1e-9)
 
     # ---------------- identification ----------------
 
@@ -232,8 +235,7 @@ class _Mission:
             e = self.graph.edges[(cell.id, nb)]
             if e.status != gr.UNCERTAIN:
                 continue
-            sf = e.shared
-            fct = facet_id(sf.axis, sf.direction)
+            fct = facet_id(e.shared.axis, e.shared.direction)
             cert = self.certify_cell_facet(cell, fct)
             if cert is None:
                 # the relaxed condition is only sufficient, so its failure on
@@ -249,22 +251,9 @@ class _Mission:
                 resolved += 1
                 continue
             e.cert = cert
-            larger = self.facet_measure(cell, sf.axis) > sf.measure() * (1 + 1e-9)
-            if larger:
-                continue  # which neighbor is entered cannot be pinned down
-            try:
-                tb = exit_time_bound(self.models[cell.id], cert.polytope,
-                                     cert.controls, fct,
-                                     vertex_subset=cert.exact_vertices or None)
-            except ValueError:
+            if cert.bound is None or not self.pinned(cell, e):
                 continue
-            # weight the edge by a typical crossing time: the closed loop is
-            # affine, so the center-of-cell outward speed is the mean of the
-            # certified vertex speeds, usually far above the worst vertex
-            js = cert.exact_vertices or list(cert.margins.keys())
-            c_mean = float(np.mean([cert.margins[j] for j in js]))
-            t_est = (tb.beta - tb.alpha) / c_mean if c_mean > 0 else tb.T0
-            self.graph.mark_certain(cell.id, nb, tb.T0, cert.kind, t_est=t_est)
+            self.graph.mark_certain(cell.id, nb, cert.bound.T0, cert.kind, t_est=cert.t_est)
             resolved += 1
         return resolved
 
@@ -301,7 +290,7 @@ class _Mission:
             src_cid, src = min(id_models, key=lambda im: self.model_distance(cell, *im))
             todo = [nb for nb in self.graph.out.get(cid, ())
                     if self.graph.edges[(cid, nb)].status == gr.UNCERTAIN
-                    and (cid, nb, src_cid) not in self.pred_attempted]
+                    and src_cid not in self.graph.edges[(cid, nb)].pred_sources]
             if not todo:
                 continue
             bounds = cell_pair_bounds(self.scn.L_df, self.scn.L_g,
@@ -311,20 +300,18 @@ class _Mission:
             fct = {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
             exits = list(dict.fromkeys(fct.values()))
             refuted = dict(zip(exits, predict_unreachable(src, bounds, poly, exits, self.pu)))
-            # through a facet larger than the shared one, which neighbor is
-            # entered cannot be pinned down
-            pinned = [nb for nb, e in edges.items() if not refuted[fct[nb]] and
-                      self.facet_measure(cell, e.shared.axis) <= e.shared.measure() * (1 + 1e-9)]
+            pinned = [nb for nb, e in edges.items()
+                      if not refuted[fct[nb]] and self.pinned(cell, e)]
             certs = dict(zip(pinned, predict_reachable(
                 src, bounds, poly, [fct[nb] for nb in pinned], self.pu))) if pinned else {}
             for nb, e in edges.items():
-                self.pred_attempted.add((cid, nb, src_cid))
+                e.pred_sources += (src_cid,)
                 if refuted[fct[nb]]:
                     self.graph.mark_impossible(cid, nb)
                     resolved += 1
                 elif certs.get(nb) is not None:
-                    e.cert = certs[nb]
-                    self.graph.mark_certain(cid, nb, e.cert.bound.T0, "predictive")
+                    e.cert = cert = certs[nb]
+                    self.graph.mark_certain(cid, nb, cert.bound.T0, cert.kind, t_est=cert.t_est)
                     resolved += 1
         return resolved
 

@@ -51,7 +51,31 @@ class ReachCertificate:
     polytope: Polytope                 # region the certificate is valid on
     relaxed_vertices: tuple = ()
     exact_vertices: tuple = ()
-    bound: Optional[ExitTimeBound] = None   # predictive: the robust exit-time bound
+    bound: Optional[ExitTimeBound] = None   # guaranteed crossing time, if any
+    t_est: Optional[float] = None           # typical crossing time (exact and relaxed)
+
+
+def _certificate(p: Polytope, exit_facet: int, kind: str, controls: dict, margins: dict,
+                 exact, relaxed=()) -> ReachCertificate:
+    """Exact or relaxed certificate with its crossing times.
+
+    The certified speeds are the margins of the exact vertices, or of every
+    vertex when none is exact. ``bound`` divides the polytope's extent
+    along the exit normal by the slowest of them and is None unless that
+    speed exceeds DELTA_STRICT / 2. ``t_est`` divides it by their mean, a
+    typical speed of the interpolated closed loop that is usually far
+    above the slowest one.
+    """
+    exact = tuple(exact)
+    speeds = [margins[j] for j in exact or margins]
+    c1 = min(speeds)
+    bound = t_est = None
+    if c1 > DELTA_STRICT / 2:
+        bound = _crossing_bound(p, exit_facet, c1)
+        t_est = (bound.beta - bound.alpha) / float(np.mean(speeds))
+    return ReachCertificate(exit_facet=exit_facet, controls=controls, kind=kind,
+                            margins=margins, polytope=p, relaxed_vertices=tuple(relaxed),
+                            exact_vertices=exact, bound=bound, t_est=t_est)
 
 
 def _vertex_rows(model: AffineModel, p: Polytope, j: int, exit_facet: int):
@@ -126,9 +150,7 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
             return None
         controls[j] = u
         margins[j] = float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c))
-    return ReachCertificate(exit_facet=exit_facet, controls=controls, kind="exact",
-                            margins=margins, polytope=p,
-                            exact_vertices=tuple(range(p.n_vertices)))
+    return _certificate(p, exit_facet, "exact", controls, margins, range(p.n_vertices))
 
 
 # Closed-form decision of the robustified vertex systems (m <= 3 inputs).
@@ -236,6 +258,8 @@ def _solve_square(A, r):
     elif m == 2:
         det = A[0][0] * A[1][1] - A[1][0] * A[0][1]
         num = (r[0] * A[1][1] - r[1] * A[1][0], A[0][0] * r[1] - A[0][1] * r[0])
+    elif m > 3:
+        raise ValueError(f"closed-form verdicts need m <= 3 inputs, not {m}")
     else:
         rows = [[A[k][i] for k in range(3)] for i in range(3)]
         c12, c20, c01 = (_cross(rows[1], rows[2]), _cross(rows[2], rows[0]),
@@ -280,18 +304,14 @@ def _robust_verdicts(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     a feasible sign pattern: the worst-case system (expanded=False) or the
     best-case one.
 
-    Systems of m ≤ 3 inputs are decided in closed form, all facets in one
-    kernel call. Per facet, vertices are checked in order until one fails:
-    a vertex without a pattern decided feasible has its undecided patterns,
-    and every pattern whose orthant meets the input box when m > 3, solved
-    by linear_feasible over that orthant in pattern order.
+    The systems (m ≤ 3 inputs) are decided in closed form, all facets in
+    one kernel call. Per facet, vertices are checked in order until one
+    fails: a vertex without a pattern decided feasible has its undecided
+    patterns solved by linear_feasible over that orthant in pattern order.
     """
     _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu, expanded)
-    m, _, M, F, P = C.shape
-    if m <= 3:
-        feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
-    else:
-        feasible, undecided = np.zeros((M, F, P), bool), np.tile(boxed, (M, F, 1))
+    m, _, M, F, _ = C.shape
+    feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
     decided = feasible.tolist()
 
     def tableau_feasible(j, f):
@@ -441,17 +461,12 @@ def _crossing_bound(p: Polytope, exit_facet: int, c1: float,
 
 
 def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
-                    exit_facet: int, vertex_subset=None) -> ExitTimeBound:
-    """Guaranteed crossing-time bound (beta - alpha) / c1 for a certificate.
-
-    c1 is the minimum certified outward speed, optionally restricted to a
-    vertex subset (used by relaxed certificates whose zeroed vertices carry
-    no outward-speed guarantee).
-    """
+                    exit_facet: int) -> ExitTimeBound:
+    """Guaranteed crossing-time bound (beta - alpha) / c1 for vertex
+    controls, c1 the minimum outward speed over the vertices."""
     n1 = p.normals[exit_facet]
-    js = range(p.n_vertices) if vertex_subset is None else vertex_subset
     c1 = min(float(n1 @ (model.A @ p.vertices[j] + model.B @ controls[j] + model.c))
-             for j in js)
+             for j in range(p.n_vertices))
     if c1 <= DELTA_STRICT / 2:
         raise ValueError(f"degenerate exit-time bound: c1 = {c1}")
     return _crossing_bound(p, exit_facet, c1)
@@ -498,9 +513,10 @@ def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
 
 
 def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
-                            pu: Box, theta_thre: float, shrink: float = 0.5,
-                            heading_axis: int = 2) -> Optional[ReachCertificate]:
-    """Underactuated relaxation for a 3-d cell with a heading axis.
+                            pu: Box, theta_thre: float,
+                            shrink: float = 0.5) -> Optional[ReachCertificate]:
+    """Underactuated relaxation for a cell whose last state axis is the
+    heading.
 
     Facets normal to the heading axis: certify on a truncated-pyramid
     subpolytope (opposite facet scaled by ``shrink``); the certificate is
@@ -509,7 +525,7 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     within ``theta_thre`` of the exit normal on both extremes.
     """
     axis, direction = facet_axis_dir(exit_facet)
-    if axis == heading_axis:
+    if axis == cube.dim - 1:
         sub = truncated_pyramid(cube, axis, direction, shrink)
         cert = facet_reachable(model, sub, exit_facet, pu)
         if cert is None:
@@ -551,11 +567,5 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         controls[j] = np.zeros(pu.dim)
         margins[j] = float(n1 @ drift)
         relaxed.append(j)
-    if not relaxed:
-        return ReachCertificate(exit_facet=exit_facet, controls=controls,
-                                kind="exact", margins=margins, polytope=p,
-                                exact_vertices=tuple(exact))
-    return ReachCertificate(exit_facet=exit_facet, controls=controls,
-                            kind="relaxed", margins=margins, polytope=p,
-                            relaxed_vertices=tuple(relaxed),
-                            exact_vertices=tuple(exact))
+    return _certificate(p, exit_facet, "relaxed" if relaxed else "exact", controls,
+                        margins, exact, relaxed)

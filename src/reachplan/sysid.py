@@ -21,10 +21,9 @@ from .geometry import Box
 class CellEscape(RuntimeError):
     """State left the cell during excitation; caller must replan."""
 
-    def __init__(self, state, facet):
+    def __init__(self, state):
         super().__init__("state exited the cell during identification")
         self.state = np.asarray(state, dtype=float)
-        self.facet = facet
 
 
 @dataclass
@@ -52,10 +51,10 @@ class ExcitationPlan:
 
 
 def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
-                    cell: Optional[Box] = None, substeps: int = 10) -> AffineModel:
+                    cell: Optional[Box] = None) -> AffineModel:
     """Run the excitation plan from x0 and fit an affine model.
 
-    Each input is held for one period, integrated with RK4 substeps, and
+    Each input is held for one period, integrated with 10 RK4 substeps, and
     the forward difference (x_next - x)/T serves as the derivative sample.
     Raises CellEscape if a cell is given and the state leaves it.
     """
@@ -66,11 +65,11 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     for u in plan.inputs:
         u = np.asarray(u, dtype=float)
         x_next = x
-        h = T / substeps
-        for _ in range(substeps):
+        h = T / 10
+        for _ in range(10):
             x_next = _rk4_step(lambda z: s.xdot(z, u), x_next, h)
         if cell is not None and not cell.contains(x_next, tol=1e-9):
-            raise CellEscape(x_next, None)
+            raise CellEscape(x_next)
         # the forward difference matches the derivative at the midpoint
         # state to second order, so regress against the midpoint
         rows_x.append(np.concatenate([0.5 * (x + x_next), u, [1.0]]))

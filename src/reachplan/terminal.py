@@ -1,14 +1,13 @@
 """Terminal controller inside the target cell: CLF-CBF quadratic program.
 
-A quadratic Lyapunov function drives the state toward the target point
-while one affine barrier per cell facet keeps it inside the cell. Each
+The Lyapunov function V = ½‖x − x*‖² drives the state toward the target
+point while one affine barrier per cell facet keeps it inside the cell. Each
 control step solves min ‖u‖² + δ² subject to the barrier rows (hard), the
 Lyapunov decrease row softened by the slack δ ≥ 0, and the input box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +18,10 @@ from .optim import LinearFeasibilityProblem, QPResult, SolverError, linear_feasi
 
 @dataclass
 class TerminalParams:
-    P: Optional[np.ndarray] = None   # Lyapunov weight; identity by default
     alpha: float = 1.0               # Lyapunov decrease rate
     kappa: float = 1.0               # barrier rate
     r_stop: float = 0.1              # convergence radius
     slack_weight: float = 1.0        # penalty on the Lyapunov slack
-
-    def weight(self, n: int) -> np.ndarray:
-        if self.P is None:
-            return np.eye(n)
-        P = np.asarray(self.P, dtype=float)
-        if P.shape != (n, n) or not np.allclose(P, P.T) or np.any(np.linalg.eigvalsh(P) <= 0):
-            raise ValueError("P must be symmetric positive definite")
-        return P
 
 
 @dataclass
@@ -59,7 +49,7 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     x = np.asarray(x, dtype=float)
     x_target = np.asarray(x_target, dtype=float)
     n, m = model.A.shape[0], model.B.shape[1]
-    P = params.weight(n)
+    P = np.eye(n)
     err = x - x_target
     V = 0.5 * float(err @ P @ err)
     gradV = P @ err

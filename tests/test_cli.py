@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, validation messages, output files."""
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -204,3 +205,33 @@ def test_degenerate_certificate_is_a_replan_not_a_crash(tmp_path):
                  "--quiet"]) == 2
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert any(ev["type"] == "degenerate_certificate" for ev in summary["events"])
+
+
+@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
+def test_every_numeric_field_runs_or_is_rejected(plant, tmp_path, capsys):
+    """Each numeric scenario field, set to 0, a tiny value, 1 and 1000 (on
+    every entry of a vector field) with max_iters 1: run exits 0, 1 (naming
+    a field) or 2 and never raises (4-7 s per plant on a 2-vCPU VM).
+
+    The tiny dt is 1e-4, not 1e-9: nothing bounds a run's step count, and
+    a rollout at dt 1e-9 needs about t_max / dt = 1e9 RK4 steps, so it does
+    not crash but does not finish in minutes either. max_iters 1000 is the
+    whole mission, which the acceptance tests run."""
+    path = tmp_path / "scenario.json"
+    base = builtin_scenario(plant).to_dict()
+    for f in dataclasses.fields(Scenario):
+        if f.type not in ("float", "int", "np.ndarray"):
+            continue
+        for v in (0, 1e-4 if f.name == "dt" else 1e-9, 1, 1000):
+            if f.name == "max_iters" and v == 1000:
+                continue
+            data = dict(base, max_iters=1)
+            data[f.name] = [v] * len(base[f.name]) if f.type == "np.ndarray" else v
+            path.write_text(json.dumps(data))
+            try:
+                code = main(["run", "--scenario", str(path), "--quiet"])
+            except Exception as e:
+                pytest.fail(f"{f.name} = {v} raised {e!r}")
+            assert code in (0, 1, 2), (f.name, v, code)
+            if code == 1:
+                assert "scenario." in capsys.readouterr().err, (f.name, v)

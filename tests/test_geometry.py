@@ -95,6 +95,69 @@ def test_truncated_pyramid_geometry():
         assert np.linalg.norm(p.normals[fid]) == pytest.approx(1.0)
 
 
+def _reference_truncated_pyramid(b, axis, direction, shrink):
+    """The stand-alone builder that truncated_pyramid replaced (it now
+    starts from box_to_polytope), kept as its oracle."""
+    n = b.dim
+    exit_bit = 1 if direction > 0 else 0
+    center = b.center
+    verts = np.empty((2 ** n, n))
+    for code in range(2 ** n):
+        v = b.vertex(code)
+        if (code >> axis & 1) != exit_bit:
+            for k in range(n):
+                if k != axis:
+                    v[k] = center[k] + shrink * (v[k] - center[k])
+        verts[code] = v
+    normals = np.zeros((2 * n, n))
+    offsets = np.zeros(2 * n)
+    normals[facet_id(axis, -1), axis] = -1.0
+    offsets[facet_id(axis, -1)] = -b.lo[axis]
+    normals[facet_id(axis, +1), axis] = 1.0
+    offsets[facet_id(axis, +1)] = b.hi[axis]
+    facet_vertices = []
+    for fid in range(2 * n):
+        fax, d = facet_axis_dir(fid)
+        bit = 1 if d > 0 else 0
+        facet_vertices.append(tuple(j for j in range(2 ** n) if (j >> fax & 1) == bit))
+    centroid = verts.mean(axis=0)
+    for fid in range(2 * n):
+        fax, d = facet_axis_dir(fid)
+        if fax == axis:
+            continue
+        pts = verts[list(facet_vertices[fid])]
+        _, _, vt = np.linalg.svd(pts[1:] - pts[0])
+        nrm = vt[-1]
+        if nrm @ (pts[0] - centroid) < 0:
+            nrm = -nrm
+        normals[fid] = nrm
+        offsets[fid] = nrm @ pts[0]
+    vertex_facets = [tuple(i for i in range(2 * n) if j in facet_vertices[i])
+                     for j in range(2 ** n)]
+    return verts, normals, offsets, facet_vertices, vertex_facets
+
+
+def test_truncated_pyramid_matches_reference_builder():
+    """Bit-for-bit the arrays and incidence of the stand-alone builder, on
+    random 2-d and 3-d boxes, every axis and direction, and shrink values
+    from slivers to the whole box."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.choice([2, 3]))
+        lo = rng.uniform(-10.0, 10.0, n)
+        b = Box(lo=lo, hi=lo + rng.uniform(1e-3, 5.0, n))
+        axis, direction = int(rng.integers(n)), int(rng.choice([-1, 1]))
+        shrink = float(rng.choice([rng.uniform(1e-3, 1.0), 1.0, 0.5]))
+        p = truncated_pyramid(b, axis, direction, shrink)
+        verts, normals, offsets, fv, vf = _reference_truncated_pyramid(b, axis, direction,
+                                                                       shrink)
+        assert np.array_equal(p.vertices, verts)
+        assert np.array_equal(p.normals, normals)
+        assert np.array_equal(p.offsets, offsets)
+        assert p.facet_vertices == fv and p.vertex_facets == vf
+        assert p.grid_codes == list(range(2 ** n))
+
+
 def test_truncated_pyramid_bad_shrink():
     b = Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 1.0])
     with pytest.raises(GeometryError):

@@ -30,7 +30,7 @@ def test_split_conserves_volume_and_counts():
     assert len(kids) == 4
     assert tree.leaf_count() == 4
     assert tree.total_leaf_volume() == pytest.approx(root_vol)
-    assert all(tree.parent[k.id] == tree.root.id for k in kids)
+    assert tree.children[tree.root.id] == [k.id for k in kids]
     # splitting a non-leaf fails
     with pytest.raises(GeometryError):
         tree.split(tree.root)

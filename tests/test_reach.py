@@ -498,3 +498,85 @@ def test_relaxed_threshold_angle_matters():
                                    theta_thre=np.deg2rad(10.0)) is not None
     assert relaxed_facet_reachable(m, cell, facet_id(0, +1), pu,
                                    theta_thre=0.0) is None
+
+
+def _reference_crossing_times(model, cert):
+    """The crossing times the planner computed from an exact or relaxed
+    certificate before certificates carried them (its certify_current and
+    exit_time_bound's vertex subset), kept as the oracle of cert.bound and
+    cert.t_est. Returns (bound, t_est), or (None, None) where it raised."""
+    p, fct = cert.polytope, cert.exit_facet
+    n1 = p.normals[fct]
+    js = cert.exact_vertices or range(p.n_vertices)
+    c1 = min(float(n1 @ (model.A @ p.vertices[j] + model.B @ cert.controls[j] + model.c))
+             for j in js)
+    if c1 <= DELTA_STRICT / 2:
+        return None, None
+    proj = p.vertices @ n1
+    alpha, beta = float(np.min(proj)), float(np.max(proj))
+    T0 = (beta - alpha) / c1
+    js = cert.exact_vertices or list(cert.margins.keys())
+    c_mean = float(np.mean([cert.margins[j] for j in js]))
+    t_est = (beta - alpha) / c_mean if c_mean > 0 else T0
+    return (T0, alpha, beta, c1), t_est
+
+
+def _spreading_model(cell, lateral, speed):
+    """A 3-d model without input authority whose drift is ``speed`` along
+    x and spreads from the cell center across y and z, so every vertex
+    breaks an invariance row and a +x certificate relaxes all of them."""
+    A = np.diag([0.0, lateral, lateral])
+    return _model(A, np.zeros((3, 2)), -A @ cell.center + [speed, 0.0, 0.0])
+
+
+def test_certificates_carry_the_planners_crossing_times():
+    """bound and t_est equal, bit for bit, what the planner used to compute
+    from the certificate, for exact certificates, truncated pyramids, side
+    facets with some or all vertices relaxed, and slow certificates."""
+    rng = np.random.default_rng(43)
+    kinds = {"exact": 0, "mixed": 0, "all_relaxed": 0, "pyramid": 0, "unbounded": 0}
+    pu = Box(lo=[-2.0, -2.0], hi=[2.0, 2.0])
+    theta = np.deg2rad(10.0)
+    cases = []
+    for _ in range(60):
+        m = _model(rng.uniform(-0.5, 0.5, (2, 2)), rng.uniform(-1, 1, (2, 2)) + np.eye(2),
+                   rng.uniform(-2, 2, 2))
+        lo = rng.uniform(-2, 0, 2)
+        p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, 2)))
+        cases += [(m, facet_reachable(m, p, f, pu)) for f in range(4)]
+    s = unicycle_system()
+    upu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
+    for _ in range(60):
+        th = rng.uniform(-np.pi, np.pi - np.pi / 4)
+        cell = _heading_cell(th, th + np.pi / 4, x_lo=rng.uniform(-5.0, 3.0, 2))
+        m = analytic_linearize(s, cell.center + rng.uniform(-0.3, 0.3, 3))
+        cases += [(m, relaxed_facet_reachable(m, cell, f, upu, theta)) for f in range(6)]
+        # unactuated drift: margins of relaxed vertices may be negative
+        m = _model(rng.uniform(-0.3, 0.3, (3, 3)), np.zeros((3, 2)), rng.uniform(-1, 1, 3))
+        cases += [(m, relaxed_facet_reachable(m, cell, f, upu, np.deg2rad(60.0)))
+                  for f in range(4)]
+        # a positive speed at most DELTA_STRICT / 2 gives no bound
+        for speed in (1.0, 0.3 * DELTA_STRICT):
+            spread = _spreading_model(cell, rng.uniform(0.01, 0.05), speed)
+            cases.append((spread, relaxed_facet_reachable(spread, cell, facet_id(0, +1),
+                                                          upu, theta)))
+    for m, cert in cases:
+        if cert is None:
+            continue
+        bound, t_est = _reference_crossing_times(m, cert)
+        if bound is None:
+            assert cert.bound is None and cert.t_est is None
+            kinds["unbounded"] += 1
+        else:
+            got = cert.bound
+            assert (got.T0, got.alpha, got.beta, got.c1) == bound
+            assert cert.t_est == t_est
+        if cert.relaxed_vertices and not cert.exact_vertices:
+            kinds["all_relaxed"] += 1
+        elif cert.relaxed_vertices:
+            kinds["mixed"] += 1
+        elif cert.kind == "relaxed":
+            kinds["pyramid"] += 1
+        else:
+            kinds["exact"] += 1
+    assert min(kinds.values()) >= 5, kinds

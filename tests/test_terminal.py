@@ -24,17 +24,6 @@ def test_barrier_values_oracle():
     assert barrier_values(cell, [2.0, 3.0])[1] == 0.0
 
 
-def test_terminal_params_weight_validation():
-    p = TerminalParams()
-    assert np.allclose(p.weight(3), np.eye(3))
-    p = TerminalParams(P=np.diag([2.0, 3.0]))
-    assert np.allclose(p.weight(2), np.diag([2.0, 3.0]))
-    with pytest.raises(ValueError):
-        TerminalParams(P=np.array([[1.0, 2.0], [0.0, 1.0]])).weight(2)
-    with pytest.raises(ValueError):
-        TerminalParams(P=np.diag([1.0, -1.0])).weight(2)
-
-
 def test_interior_closed_form():
     # single integrator far from every facet: only the Lyapunov row binds,
     # and the minimiser has the closed form of an equality-constrained QP
