@@ -22,7 +22,7 @@ from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
 from .geometry import (Box, GeometryError, box_to_polytope, facet_axis_dir,
                        facet_id)
-from .optim import STATS, SolverError, solve_lp
+from .optim import STATS, SolverError, maximin_lp
 from .partition import PartitionTree, adjacency, uniform_cell_count
 from .reach import (ReachCertificate, facet_reachable, predict_reachable,
                     predict_unreachable, relaxed_facet_reachable,
@@ -463,9 +463,9 @@ class _Mission:
                 rows = np.array([p.normals[i] @ model.B for i in others])
                 rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ self.x)
                                 - float(p.normals[i] @ drift) for i in others])
-                status, u, _ = solve_lp(-(n1 @ model.B), rows, rhs,
-                                        self.pu.lo, self.pu.hi)
-                if status != "optimal":
+                _, u = maximin_lp((n1 @ model.B)[None], [0.0], rows, rhs,
+                                  self.pu.lo, self.pu.hi)
+                if u is None:
                     break
                 traj = self.advance(lambda _x: u, cell, 10 * self.scn.dt,
                                     self.scn.record_stride)

@@ -1,14 +1,15 @@
 """Facet-reachability certification and affine controller synthesis.
 
-Given a local affine model on a polytope, certify (by per-vertex linear
-feasibility) that some piecewise-affine feedback drives every state out
-through a chosen exit facet without first crossing any other facet. When
-the cell's dynamics are unknown, the same inequalities are robustified by
-Lipschitz deviation bounds, either to guarantee reachability for every
-model within the bounds (predictive certificate) or to rule it out for
-all of them (predictive unreachability). Underactuated systems get two
-relaxations: a truncated-pyramid subpolytope for facets normal to the
-heading axis and a threshold-angle vertex relaxation for side facets.
+Given a local affine model on a polytope, certify (by one LP per vertex
+for its fastest admissible control) that some piecewise-affine feedback
+drives every state out through a chosen exit facet without first crossing
+any other facet. When the cell's dynamics are unknown, the same
+inequalities are robustified by Lipschitz deviation bounds, either to
+guarantee reachability for every model within the bounds (predictive
+certificate) or to rule it out for all of them (predictive
+unreachability). Underactuated systems get two relaxations: a
+truncated-pyramid subpolytope for facets normal to the heading axis and a
+threshold-angle vertex relaxation for side facets.
 
 The robustified systems have one unknown per input (m ≤ 3 on the built-in
 plants) and are decided in closed form, for all vertices, exit facets and
@@ -29,8 +30,7 @@ from .dynamics import AffineModel
 from .geometry import (Box, Polytope, Simplex, box_to_polytope, facet_axis_dir,
                        locate_simplex, triangulate, truncated_pyramid,
                        GeometryError)
-from .optim import (DELTA_STRICT, LinearFeasibilityProblem, linear_feasible,
-                    maximin_lp, solve_lp)
+from .optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible, maximin_lp
 
 
 @dataclass
@@ -99,57 +99,34 @@ def _vertex_rows(model: AffineModel, p: Polytope, j: int, exit_facet: int):
     return a_strict, b_strict, np.array(rows_le).reshape(-1, model.B.shape[1]), np.array(rhs_le)
 
 
-def _min_effort(u_star, a_st, b_st, A_le, b_le, pu: Box):
-    """Cheapest controls keeping at least half the achieved exit margin.
+def _fastest_control(model: AffineModel, p: Polytope, j: int, exit_facet: int, pu: Box):
+    """Vertex j's fastest admissible control and its outward speed.
 
-    Solves min Σ|u_k| over the same feasible set via the split u = w⁺ - w⁻,
-    which removes gratuitous control components that the margin-maximizing
-    solve leaves at arbitrary box vertices.
+    One LP maximizes n1ᵀ(A v_j + B u + c) over the input box and the
+    invariance rows of _vertex_rows; the speed is evaluated at the LP's
+    control. Returns (None, None) when no control in the box meets those
+    rows.
     """
-    m = u_star.size
-    margin = float(a_st @ u_star - b_st)
-    eye = np.eye(m)
-    rows = [np.hstack([-a_st, a_st])]
-    rhs = [-(b_st + 0.5 * margin)]
-    if len(A_le):
-        rows.append(np.hstack([A_le, -A_le]))
-        rhs.extend(np.asarray(b_le, dtype=float))
-    rows.append(np.hstack([eye, -eye]))
-    rhs.extend(np.asarray(pu.hi, dtype=float))
-    rows.append(np.hstack([-eye, eye]))
-    rhs.extend(-np.asarray(pu.lo, dtype=float))
-    big = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi])))) + 1.0
-    status, w, _ = solve_lp(np.ones(2 * m), np.vstack(rows), np.array(rhs),
-                            lo=np.zeros(2 * m), hi=np.full(2 * m, big))
-    if status != "optimal":
-        return u_star
-    return w[:m] - w[m:]
-
-
-def _solve_vertex(model, p, j, exit_facet, pu: Box, maximize_margin=True):
-    a_st, b_st, A_le, b_le = _vertex_rows(model, p, j, exit_facet)
-    prob = LinearFeasibilityProblem(
-        A_le=A_le, b_le=b_le,
-        A_ge_strict=a_st.reshape(1, -1), b_ge_strict=np.array([b_st]),
-        lo=pu.lo, hi=pu.hi,
-    )
-    u = linear_feasible(prob, maximize_margin=maximize_margin)
-    if u is not None and maximize_margin:
-        u = _min_effort(u, a_st, b_st, A_le, b_le, pu)
-    return u
+    a_st, b_st, rows, rhs = _vertex_rows(model, p, j, exit_facet)
+    _, u = maximin_lp(a_st[None], [b_st], rows, rhs, pu.lo, pu.hi)
+    if u is None:
+        return None, None
+    return u, float(p.normals[exit_facet] @ (model.A @ p.vertices[j] + model.B @ u + model.c))
 
 
 def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
-                    pu: Box, maximize_margin: bool = True) -> Optional[ReachCertificate]:
-    """Exact certificate for a known affine model, or None."""
+                    pu: Box) -> Optional[ReachCertificate]:
+    """Exact certificate for a known affine model, or None.
+
+    Every vertex takes its fastest admissible control, which must leave
+    through the exit facet at a speed of at least DELTA_STRICT.
+    """
     controls, margins = {}, {}
-    n1 = p.normals[exit_facet]
     for j in range(p.n_vertices):
-        u = _solve_vertex(model, p, j, exit_facet, pu, maximize_margin)
-        if u is None:
+        u, speed = _fastest_control(model, p, j, exit_facet, pu)
+        if u is None or speed < DELTA_STRICT:
             return None
-        controls[j] = u
-        margins[j] = float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c))
+        controls[j], margins[j] = u, speed
     return _certificate(p, exit_facet, "exact", controls, margins, range(p.n_vertices))
 
 
@@ -539,17 +516,14 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
-        u = _solve_vertex(model, p, j, exit_facet, pu)
-        if u is not None:
-            controls[j] = u
-            margins[j] = float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c))
+        u, speed = _fastest_control(model, p, j, exit_facet, pu)
+        if u is not None and speed >= DELTA_STRICT:
+            controls[j], margins[j] = u, speed
             exact.append(j)
             continue
         drift = model.A @ p.vertices[j] + model.c
         # most outward-pointing velocity still admissible for invariance
-        a_st, _, rows, rhs = _vertex_rows(model, p, j, exit_facet)
-        status, u_best, _ = solve_lp(-a_st, rows, rhs, pu.lo, pu.hi)
-        w = drift + model.B @ u_best if status == "optimal" else drift
+        w = drift if u is None else drift + model.B @ u
         outward = float(n1 @ w)
         nw = float(np.linalg.norm(w))
         if outward >= 0.0 or nw < 1e-15:
@@ -561,6 +535,7 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         # zero control at relaxed vertices; the remaining invariance rows
         # (n_i·drift = -rhs_i) must hold up to a tolerance commensurate with
         # the threshold angle
+        _, _, _, rhs = _vertex_rows(model, p, j, exit_facet)
         tol = np.sin(theta_thre) * max(float(np.linalg.norm(drift)), 0.05 * u_abs)
         if np.any(-rhs > tol):
             return None

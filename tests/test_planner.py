@@ -1,15 +1,18 @@
 """Scenario plumbing and mission log bookkeeping."""
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from reachplan import optim
 from reachplan.cli import _write_outputs
-from reachplan.dynamics import Trajectory
-from reachplan.geometry import facet_id
+from reachplan.dynamics import Trajectory, analytic_linearize
+from reachplan.geometry import box_to_polytope, facet_id
 from reachplan.partition import uniform_cell_count
-from reachplan.planner import MissionLog, _Mission, run_mission
+from reachplan.planner import MAX_EDGE_FAILURES, MissionLog, _Mission, run_mission
+from reachplan.reach import facet_reachable, relaxed_facet_reachable
 from reachplan.scenario import Scenario, builtin_scenario
 
 
@@ -111,9 +114,84 @@ def test_gain_margin_escape_enters_the_neighbour():
     assert ms.x[0] == pytest.approx(cell.lo[0], abs=1e-8)
 
 
+def _edge_across(ms, cell, axis, direction):
+    """The neighbour of ``cell`` across its facet (axis, direction)."""
+    return next(nb for nb in ms.graph.out[cell.id]
+                if (ms.graph.edges[(cell.id, nb)].shared.axis,
+                    ms.graph.edges[(cell.id, nb)].shared.direction) == (axis, direction))
+
+
+def test_unintended_exit_is_logged_and_charged_to_the_edge():
+    """An edge to the -y neighbour carrying a certificate for the -x facet:
+    the state leaves through -x, so the edge counts one failure and the log
+    names the intended and the actual cells and facets."""
+    ms = _Mission(builtin_scenario("mecanum"))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.current_cell()
+    nb = _edge_across(ms, cell, 1, -1)
+    actual_fct = facet_id(0, -1)
+    model = analytic_linearize(ms.sys, cell.center)
+    e = ms.graph.edges[(cell.id, nb)]
+    e.cert = facet_reachable(model, box_to_polytope(cell), actual_fct, ms.pu)
+    assert e.cert is not None
+    assert ms.execute_edge(cell, nb) == "moved"
+    assert e.failures == 1
+    entered = ms.tree.leaves[ms.cur_id]
+    assert entered.id != nb and entered.hi[0] == cell.lo[0]
+    assert ms.log.events[-1] == {"t": ms.t, "type": "unintended_exit", "cell": cell.id,
+                                 "intended": nb, "actual": entered.id,
+                                 "intended_facet": facet_id(1, -1),
+                                 "actual_facet": actual_fct}
+
+
+def test_degenerate_certificate_blocks_the_edge():
+    """A relaxed heading-facet certificate on a truncated pyramid whose
+    opposite facet is shrunk to 1e-9 has flat simplices that carry no
+    affine law: the edge is blocked and left out of planning, and the
+    certificate is dropped and logged."""
+    ms = _Mission(builtin_scenario("unicycle"))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.current_cell()
+    nb = _edge_across(ms, cell, 2, +1)
+    model = analytic_linearize(ms.sys, cell.center)
+    e = ms.graph.edges[(cell.id, nb)]
+    e.cert = relaxed_facet_reachable(model, cell, facet_id(2, +1), ms.pu,
+                                     ms.scn.theta_thre, shrink=1e-9)
+    assert e.cert is not None and e.cert.kind == "relaxed"
+    assert e.cert.polytope.contains(ms.x)
+    t0 = ms.t
+    assert ms.execute_edge(cell, nb) == "blocked"
+    assert e.cert is None and e.failures == MAX_EDGE_FAILURES
+    assert ms.log.events[-1] == {"t": t0, "type": "degenerate_certificate",
+                                 "cell": cell.id, "to": nb}
+    assert ms.t == t0 and not ms.log.traj_t
+
+
+@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
+def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
+    """The mission's reported lp_calls equals the number of solve_lp calls
+    it makes, wherever they come from: every LP goes through
+    linear_feasible or maximin_lp."""
+    calls = []
+    solve_lp = optim.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reachplan") and getattr(module, "solve_lp", None) is solve_lp:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    log = run_mission(builtin_scenario(plant))
+    assert log.success
+    assert log.metrics["lp_calls"] == len(calls) > 0
+
+
 def test_unicycle_runs_are_deterministic(tmp_path):
     """The built-in unicycle mission with a target 2.5 m from the start
-    (about 3 s a run) gives the same trajectory bytes and edge statuses
+    (about 0.2 s a run) gives the same trajectory bytes and edge statuses
     twice in one process, and both match their recorded sha256."""
     scn = builtin_scenario("unicycle")
     scn.x_target = np.array([-1.875, 0.625, -np.pi / 8])
@@ -125,7 +203,7 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
     assert csv[0] == csv[1]
     assert hashlib.sha256(csv[0]).hexdigest() == (
-        "7aca6aa7127c314a0ef326d032974e84a06f9798439ec580954dc558762941f9")
+        "f2196aaf216bf69a235b50755f1008bf8398410db64af136f0002fe9035ca6be")
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
@@ -134,4 +212,4 @@ def test_unicycle_runs_are_deterministic(tmp_path):
     statuses = edge_statuses(runs[0])
     assert statuses == edge_statuses(runs[1])
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
-        "a546915293cb3f6a2934b86f5c813f902622353d0c367df8a1d2e1f4f6f0ae5b")
+        "ffd8232aed5fa965a9a5120c0a33444bd9a07a78168fc937a9f32eb0097396a8")

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from reachplan import optim, reach
 from reachplan.deviation import DeviationBounds, deviation_bounds
@@ -580,3 +581,61 @@ def test_certificates_carry_the_planners_crossing_times():
         else:
             kinds["exact"] += 1
     assert min(kinds.values()) >= 5, kinds
+
+
+def _linprog_fastest_speed(model, p, j, exit_facet, pu):
+    """scipy's maximum of n1ᵀ(A v_j + B u + c) over the input box and the
+    vertex's invariance rows n_iᵀ(A v_j + B u + c) ≤ 0, or None."""
+    drift = model.A @ p.vertices[j] + model.c
+    n1 = p.normals[exit_facet]
+    inv = [i for i in p.vertex_facets[j] if i != exit_facet]
+    ref = linprog(-(n1 @ model.B), A_ub=np.array([p.normals[i] @ model.B for i in inv]),
+                  b_ub=np.array([-(p.normals[i] @ drift) for i in inv]),
+                  bounds=list(zip(pu.lo, pu.hi)), method="highs")
+    return float(n1 @ drift - ref.fun) if ref.status == 0 else None
+
+
+def test_vertex_controls_are_the_fastest_admissible():
+    """Every exact vertex of an exact or relaxed side-facet certificate
+    moves out at scipy's maximum outward speed, relaxed vertices have no
+    speed of DELTA_STRICT or more, and an exact certificate's slowest
+    margin is the zero-deviation robust exit-time LP's c1."""
+    rng = np.random.default_rng(47)
+    zero = DeviationBounds.zero()
+    counts = {"exact": 0, "exact_vertex": 0, "relaxed_vertex": 0}
+    pu = Box(lo=[-3.0, -3.0], hi=[3.0, 3.0])
+    for _ in range(100):
+        m = _model(rng.uniform(-0.5, 0.5, (2, 2)), rng.uniform(-1, 1, (2, 2)) + np.eye(2),
+                   rng.uniform(-2, 2, 2))
+        lo = rng.uniform(-2, 0, 2)
+        p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, 2)))
+        fct = int(rng.integers(0, 4))
+        cert = facet_reachable(m, p, fct, pu)
+        if cert is None:
+            continue
+        counts["exact"] += 1
+        for j in range(p.n_vertices):
+            assert cert.margins[j] == pytest.approx(
+                _linprog_fastest_speed(m, p, j, fct, pu), abs=1e-9)
+        rb = robust_exit_time_bound(m, zero, p, fct, pu)
+        assert min(cert.margins.values()) == pytest.approx(rb.c1, abs=1e-9)
+    s = unicycle_system()
+    upu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
+    for _ in range(30):
+        th = rng.uniform(-np.pi, np.pi - np.pi / 4)
+        cell = _heading_cell(th, th + np.pi / 4, x_lo=rng.uniform(-5.0, 3.0, 2))
+        m = analytic_linearize(s, cell.center + rng.uniform(-0.3, 0.3, 3))
+        p = box_to_polytope(cell)
+        for fct in range(4):
+            cert = relaxed_facet_reachable(m, cell, fct, upu, np.deg2rad(10.0))
+            if cert is None:
+                continue
+            for j in cert.exact_vertices:
+                counts["exact_vertex"] += 1
+                assert cert.margins[j] == pytest.approx(
+                    _linprog_fastest_speed(m, p, j, fct, upu), abs=1e-9)
+            for j in cert.relaxed_vertices:
+                counts["relaxed_vertex"] += 1
+                speed = _linprog_fastest_speed(m, p, j, fct, upu)
+                assert speed is None or speed < DELTA_STRICT + 1e-9
+    assert min(counts.values()) >= 20, counts
