@@ -132,17 +132,54 @@ def cmd_partition_demo(args) -> int:
     return 0
 
 
+def _model_array(data: dict, name: str, shape: tuple) -> np.ndarray:
+    """Field ``name`` of a certify model as a finite float array of
+    ``shape``, where (None,) stands for any non-empty vector."""
+    try:
+        v = np.asarray(data[name], dtype=float)
+    except KeyError:
+        raise ValueError(f"model.{name}: missing required field") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model.{name}: not a numeric array") from None
+    if v.ndim != len(shape) or 0 in v.shape or any(
+            k not in (None, size) for k, size in zip(shape, v.shape)):
+        want = "a non-empty vector" if None in shape else f"shape {shape}"
+        raise ValueError(f"model.{name}: needs {want}, not shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"model.{name}: must be finite")
+    return v
+
+
+def _load_certify_model(path: str):
+    """(model, cell, input box, exit facet) of a certify model file; raises
+    ``ValueError("model.<field>: ...")`` for the first unusable field."""
+    with open(path) as f:
+        data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError("model: not a JSON object")
+    c = _model_array(data, "c", (None,))
+    n, m = c.size, _model_array(data, "pu_lo", (None,)).size
+    a = {name: _model_array(data, name, shape) for name, shape in (
+        ("A", (n, n)), ("B", (n, m)), ("cell_lo", (n,)), ("cell_hi", (n,)),
+        ("pu_lo", (m,)), ("pu_hi", (m,)))}
+    for lo, hi in (("cell_lo", "cell_hi"), ("pu_lo", "pu_hi")):
+        if not (a[hi] > a[lo]).all():
+            raise ValueError(f"model.{hi}: must exceed {lo} componentwise")
+    point = (_model_array(data, "linearization_point", (n,))
+             if "linearization_point" in data else np.zeros(n))
+    fct = data.get("exit_facet")
+    if isinstance(fct, bool) or not isinstance(fct, (int, float)) \
+            or not 0 <= fct < 2 * n or fct != int(fct):
+        raise ValueError(f"model.exit_facet: needs an integer in [0, {2 * n})")
+    model = AffineModel(A=a["A"], B=a["B"], c=c, linearization_point=point)
+    return (model, Box(lo=a["cell_lo"], hi=a["cell_hi"]), Box(lo=a["pu_lo"], hi=a["pu_hi"]),
+            int(fct))
+
+
 def cmd_certify(args) -> int:
     try:
-        with open(args.model) as f:
-            data = json.load(f)
-        model = AffineModel(A=data["A"], B=data["B"], c=data["c"],
-                            linearization_point=data.get(
-                                "linearization_point", np.zeros(len(data["c"]))))
-        cell = Box(lo=data["cell_lo"], hi=data["cell_hi"])
-        pu = Box(lo=data["pu_lo"], hi=data["pu_hi"])
-        fct = int(data["exit_facet"])
-    except (KeyError, ValueError, FileNotFoundError, json.JSONDecodeError) as e:
+        model, cell, pu, fct = _load_certify_model(args.model)
+    except (ValueError, OSError) as e:      # a JSON syntax error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     cert = facet_reachable(model, box_to_polytope(cell), fct, pu)

@@ -142,10 +142,17 @@ def analytic_linearize(s: TrueSystem, x_e) -> AffineModel:
     return AffineModel(A=A, B=B, c=c, linearization_point=x_e)
 
 
+# excess over the input box below which a clamp is rounding, not reported
+CLAMP_TOL = 1e-9
+
+
 def clamp_to_box(u, pu: Box):
+    """u clamped to the box, and whether any component exceeded it by more
+    than CLAMP_TOL (PWA interpolation of box-corner controls overshoots by
+    about 1e-15)."""
     u = np.asarray(u, dtype=float)
     clamped = np.minimum(np.maximum(u, pu.lo), pu.hi)
-    return clamped, bool((clamped != u).any())
+    return clamped, bool((np.abs(clamped - u) > CLAMP_TOL).any())
 
 
 def _rk4_step(deriv, x, dt):

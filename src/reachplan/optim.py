@@ -178,10 +178,8 @@ class LinearFeasibilityProblem:
     hi: np.ndarray
 
 
-def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
-    """Feasible point or None. With maximize_margin, pick controls that
-    maximize the minimum strict-row slack (better closed-loop robustness).
-    """
+def linear_feasible(p: LinearFeasibilityProblem):
+    """Feasible point or None."""
     STATS.lp_calls += 1
     n = p.lo.size
     lo = np.asarray(p.lo, dtype=float)
@@ -190,28 +188,6 @@ def linear_feasible(p: LinearFeasibilityProblem, maximize_margin: bool = False):
     b_le = np.asarray(p.b_le, dtype=float)
     A_st = np.asarray(p.A_ge_strict, dtype=float).reshape(-1, n)
     b_st = np.asarray(p.b_ge_strict, dtype=float)
-
-    if maximize_margin and A_st.shape[0] > 0:
-        # epigraph: max t s.t. strict rows slack >= t >= delta_strict
-        cap = 1e6
-        A = np.zeros((A_le.shape[0] + A_st.shape[0], n + 1))
-        b = np.zeros(A.shape[0])
-        A[: A_le.shape[0], :n] = A_le
-        b[: A_le.shape[0]] = b_le
-        A[A_le.shape[0]:, :n] = -A_st
-        A[A_le.shape[0]:, n] = 1.0
-        b[A_le.shape[0]:] = -b_st
-        c = np.zeros(n + 1)
-        c[n] = -1.0
-        status, z, _ = solve_lp(
-            c, A, b,
-            np.concatenate([lo, [DELTA_STRICT]]),
-            np.concatenate([hi, [cap]]),
-        )
-        if status != "optimal":
-            return None
-        return z[:n]
-
     A = np.vstack([A_le, -A_st])
     b = np.concatenate([b_le, -(b_st + DELTA_STRICT)])
     status, x, _ = solve_lp(np.zeros(n), A, b, lo, hi)

@@ -383,15 +383,14 @@ class _Mission:
             self.log.event(self.t, "workspace_exit", cell=cell.id)
             return "failed"
         # keep the same feedback law running briefly so the crossing velocity
-        # carries the state clear of the shared facet before handing over
+        # carries the state clear of the shared facet before handing over;
+        # the traversal is judged by the cell entered at the crossing
         pen = self.advance(ctrl, entered, 20 * scn.dt, scn.record_stride)
         self.last_u = pen.u[-1]
-        if pen.exit_facet is not None:
-            deeper = self.locate_after_exit(pen.exit_facet, entered)
-            if deeper is None:
-                self.log.event(self.t, "workspace_exit", cell=entered.id)
-                return "failed"
-            entered = deeper
+        if pen.exit_facet is not None and self.locate_after_exit(pen.exit_facet,
+                                                                 entered) is None:
+            self.log.event(self.t, "workspace_exit", cell=entered.id)
+            return "failed"
         intended_fct = facet_id(e.shared.axis, e.shared.direction)
         if entered.id != nb or traj.exit_facet != intended_fct:
             e.failures += 1

@@ -3,18 +3,20 @@
 Given a local affine model on a polytope, certify (by one LP per vertex
 for its fastest admissible control) that some piecewise-affine feedback
 drives every state out through a chosen exit facet without first crossing
-any other facet. When the cell's dynamics are unknown, the same
-inequalities are robustified by Lipschitz deviation bounds, either to
-guarantee reachability for every model within the bounds (predictive
-certificate) or to rule it out for all of them (predictive
-unreachability). Underactuated systems get two relaxations: a
-truncated-pyramid subpolytope for facets normal to the heading axis and a
-threshold-angle vertex relaxation for side facets.
+any other facet: the reach-control vertex conditions of Habets, Collins
+and van Schuppen (IEEE TAC 2006). When the cell's dynamics are unknown,
+every row of those LPs is tightened by the Lipschitz deviation bounds, so
+that the same construction guarantees reachability for every model
+within the bounds (predictive certificate). Predictive unreachability
+instead relaxes the rows and refutes a facet for all of those models.
+Underactuated systems get two relaxations: a truncated-pyramid
+subpolytope for facets normal to the heading axis and a threshold-angle
+vertex relaxation for side facets.
 
-The robustified systems have one unknown per input (m ≤ 3 on the built-in
-plants) and are decided in closed form, for all vertices, exit facets and
-sign patterns of a cell at once; the tableau simplex only settles
-borderline systems.
+The relaxed refutation systems have one unknown per input (m ≤ 3 on the
+built-in plants) and are decided in closed form, for all vertices, exit
+facets and sign patterns of a cell at once; the tableau simplex only
+settles borderline systems.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ class ExitTimeBound:
     alpha: float
     beta: float
     c1: float
-    controls: Optional[dict] = None    # vertex index -> u_j, when the bound chose them
 
 
 @dataclass
@@ -52,12 +53,12 @@ class ReachCertificate:
     relaxed_vertices: tuple = ()
     exact_vertices: tuple = ()
     bound: Optional[ExitTimeBound] = None   # guaranteed crossing time, if any
-    t_est: Optional[float] = None           # typical crossing time (exact and relaxed)
+    t_est: Optional[float] = None           # typical crossing time
 
 
 def _certificate(p: Polytope, exit_facet: int, kind: str, controls: dict, margins: dict,
                  exact, relaxed=()) -> ReachCertificate:
-    """Exact or relaxed certificate with its crossing times.
+    """Certificate with its crossing times.
 
     The certified speeds are the margins of the exact vertices, or of every
     vertex when none is exact. ``bound`` divides the polytope's extent
@@ -99,19 +100,46 @@ def _vertex_rows(model: AffineModel, p: Polytope, j: int, exit_facet: int):
     return a_strict, b_strict, np.array(rows_le).reshape(-1, model.B.shape[1]), np.array(rhs_le)
 
 
-def _fastest_control(model: AffineModel, p: Polytope, j: int, exit_facet: int, pu: Box):
-    """Vertex j's fastest admissible control and its outward speed.
+def _fastest_control(model: AffineModel, p: Polytope, j: int, exit_facet: int, pu: Box,
+                     spread: float):
+    """Vertex j's fastest admissible control and its outward speed, with
+    every row tightened by ``spread``.
 
     One LP maximizes n1ᵀ(A v_j + B u + c) over the input box and the
-    invariance rows of _vertex_rows; the speed is evaluated at the LP's
-    control. Returns (None, None) when no control in the box meets those
-    rows.
+    invariance rows of _vertex_rows, each met with ``spread`` to spare; the
+    speed is evaluated at the LP's control, less ``spread``. Returns
+    (None, None) when no control in the box meets those rows.
     """
     a_st, b_st, rows, rhs = _vertex_rows(model, p, j, exit_facet)
-    _, u = maximin_lp(a_st[None], [b_st], rows, rhs, pu.lo, pu.hi)
+    _, u = maximin_lp(a_st[None], [b_st], rows, rhs - spread, pu.lo, pu.hi)
     if u is None:
         return None, None
-    return u, float(p.normals[exit_facet] @ (model.A @ p.vertices[j] + model.B @ u + model.c))
+    n1 = p.normals[exit_facet]
+    return u, float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread
+
+
+def _vertex_certificate(model: AffineModel, p: Polytope, exit_facet: int, pu: Box,
+                        spread, kind: str) -> Optional[ReachCertificate]:
+    """Certificate in which every vertex j takes _fastest_control with
+    spread[j] and leaves at a speed of at least DELTA_STRICT, or None.
+
+    A box-only screen first caps each speed by n1ᵀ(A v_j + c) − spread[j]
+    + Σ_k max(a_k lo_k, a_k hi_k), a = n1ᵀB, which no LP can exceed; if
+    it passes, the vertex LPs run in order until one is too slow.
+    """
+    n1 = p.normals[exit_facet]
+    a = n1 @ model.B
+    w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
+    top = (w * n1).sum(axis=1) + np.maximum(a * pu.lo, a * pu.hi).sum() - spread
+    if (top < DELTA_STRICT).any():
+        return None
+    controls, margins = {}, {}
+    for j in range(p.n_vertices):
+        u, speed = _fastest_control(model, p, j, exit_facet, pu, spread[j])
+        if u is None or speed < DELTA_STRICT:
+            return None
+        controls[j], margins[j] = u, speed
+    return _certificate(p, exit_facet, kind, controls, margins, range(p.n_vertices))
 
 
 def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
@@ -121,16 +149,10 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
     Every vertex takes its fastest admissible control, which must leave
     through the exit facet at a speed of at least DELTA_STRICT.
     """
-    controls, margins = {}, {}
-    for j in range(p.n_vertices):
-        u, speed = _fastest_control(model, p, j, exit_facet, pu)
-        if u is None or speed < DELTA_STRICT:
-            return None
-        controls[j], margins[j] = u, speed
-    return _certificate(p, exit_facet, "exact", controls, margins, range(p.n_vertices))
+    return _vertex_certificate(model, p, exit_facet, pu, [0.0] * p.n_vertices, "exact")
 
 
-# Closed-form decision of the robustified vertex systems (m <= 3 inputs).
+# Closed-form decision of the relaxed vertex systems (m <= 3 inputs).
 # A system is feasible when some candidate point violates no row by more
 # than _FEAS_TOL and has a strict-row slack above DELTA_STRICT + _BAND, and
 # infeasible when no candidate violating no row by more than _NEAR has a
@@ -168,15 +190,15 @@ def _pattern_tables(m: int, K: int):
 
 
 def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                 exit_facets, pu: Box, expanded: bool):
-    """Rows of the robustified system of every (vertex j, exit facet f,
-    sign pattern k), for the F facets of ``exit_facets`` at once.
+                 exit_facets, pu: Box):
+    """Rows of the relaxed system of every (vertex j, exit facet f, sign
+    pattern k), for the F facets of ``exit_facets`` at once.
 
-    expanded=False builds the worst-case (reachability-guaranteeing) rows;
-    expanded=True builds the best-case rows whose infeasibility at a vertex
-    refutes reachability for every in-bound model. The systems are
-    C u ≤ d with C (m, R + 1, M, F, P) by input component and
-    d (R + 1, M, F, P), where R = 2m + K. Rows 0..2m-1 bound u to the
+    These are the best-case rows: each is loosened by what some in-bound
+    model could gain, so infeasibility at a vertex refutes reachability
+    for every in-bound model. The systems are C u ≤ d with
+    C (m, R + 1, M, F, P) by input component and d (R + 1, M, F, P),
+    where R = 2m + K. Rows 0..2m-1 bound u to the
     pattern's orthant of the input box; the next K are the facet rows of
     each vertex, where the exit facet and the padding of vertices with
     fewer facets are 0·u ≤ 1 (the mask ``real`` (K, M, F) marks the
@@ -197,13 +219,12 @@ def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                     dtype=bool)
     K, M = idx.shape
     S, cap_lo, cap_hi, box, pick = _pattern_tables(m, K)
-    flip = -1.0 if expanded else 1.0
     w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
     drift = (p.normals[idx] * w).sum(axis=2)                         # (K, M)
     drift_exit = (p.normals[exits][:, None] * w).sum(axis=2)         # (F, M)
     margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
     NB = (p.normals @ model.B).T
-    dB = flip * bounds.eps_B * S.T
+    dB = -bounds.eps_B * S.T
     lo = np.maximum(pu.lo, cap_lo)
     hi = np.minimum(pu.hi, cap_hi)
     C = np.empty((m, 2 * m + K + 1, M, len(exits), S.shape[0]))
@@ -213,9 +234,9 @@ def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     d[m:2 * m] = -lo.T[:, None, None]
     C[:, 2 * m:-1] = np.where(real[:, :, :, None],
                               NB[:, idx, None, None] + dB[:, None, None, None], 0.0)
-    d[2 * m:-1] = np.where(real, (-drift - flip * margin)[:, :, None], 1.0)[..., None]
+    d[2 * m:-1] = np.where(real, (margin - drift)[:, :, None], 1.0)[..., None]
     C[:, -1] = (dB[:, None] - NB[:, exits, None])[:, None]
-    d[-1] = (drift_exit - flip * margin).T[:, :, None]
+    d[-1] = (drift_exit + margin).T[:, :, None]
     return S, C, d, real, pick, (lo <= hi).all(axis=1)
 
 
@@ -275,18 +296,18 @@ def _closed_form_verdicts(C, d, pick, boxed):
     return feasible, undecided
 
 
-def _robust_verdicts(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                     exit_facets, pu: Box, expanded: bool) -> list:
-    """Per exit facet, True iff the robustified system of every vertex has
-    a feasible sign pattern: the worst-case system (expanded=False) or the
-    best-case one.
+def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                        exit_facets, pu: Box) -> list:
+    """Per exit facet, True iff no affine model within the bounds can reach it.
 
-    The systems (m ≤ 3 inputs) are decided in closed form, all facets in
-    one kernel call. Per facet, vertices are checked in order until one
-    fails: a vertex without a pattern decided feasible has its undecided
+    Holds when some vertex is infeasible even for the outward-relaxed
+    (best-case) inequality system under every control sign pattern. The
+    systems (m ≤ 3 inputs) are decided in closed form, all facets in one
+    kernel call. Per facet, vertices are checked in order until one is
+    refuted: a vertex without a pattern decided feasible has its undecided
     patterns solved by linear_feasible over that orthant in pattern order.
     """
-    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu, expanded)
+    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu)
     m, _, M, F, _ = C.shape
     feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
     decided = feasible.tolist()
@@ -299,11 +320,11 @@ def _robust_verdicts(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                 A_ge_strict=-C[:, -1:, j, f, k].T, b_ge_strict=-d[-1:, j, f, k],
                 lo=-d[m:2 * m, j, f, k], hi=d[:m, j, f, k],
             )
-            if linear_feasible(prob, maximize_margin=not expanded) is not None:
+            if linear_feasible(prob) is not None:
                 return True
         return False
 
-    return [all(True in decided[j][f] or tableau_feasible(j, f) for j in range(M))
+    return [not all(True in decided[j][f] or tableau_feasible(j, f) for j in range(M))
             for f in range(F)]
 
 
@@ -312,38 +333,14 @@ def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     """Per exit facet, a certificate valid for every affine model within
     the deviation bounds, or None.
 
-    Issued when the worst-case vertex systems are feasible and the robust
-    exit-time LP has a positive outward speed. Its controls, margins and
-    bound all come from that LP: the margins are each vertex's robust
-    outward speed under those controls, each at least ``bound.c1``.
+    Built like an exact certificate, with every row of vertex j tightened
+    by _robust_spread's bound on how far an in-bound model can move it, so
+    its margins are robust outward speeds and its bound and t_est follow
+    from them.
     """
-    exits = list(exit_facets)
-    certs = []
-    for fct, holds in zip(exits, _robust_verdicts(model, bounds, p, exits, pu, expanded=False)):
-        bound = robust_exit_time_bound(model, bounds, p, fct, pu) if holds else None
-        if bound is None:
-            certs.append(None)
-            continue
-        n1 = p.normals[fct]
-        spread = _robust_spread(bounds, p, pu)
-        margins = {j: float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread[j]
-                   for j, u in bound.controls.items()}
-        certs.append(ReachCertificate(exit_facet=fct, controls=bound.controls,
-                                      kind="predictive", margins=margins, polytope=p,
-                                      exact_vertices=tuple(range(p.n_vertices)),
-                                      bound=bound))
-    return certs
-
-
-def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                        exit_facets, pu: Box) -> list:
-    """Per exit facet, True iff no affine model within the bounds can reach it.
-
-    Holds when some vertex is infeasible even for the outward-relaxed
-    (best-case) inequality system under every control sign pattern.
-    """
-    return [not ok for ok in _robust_verdicts(model, bounds, p, exit_facets, pu,
-                                              expanded=True)]
+    spread = _robust_spread(bounds, p, pu)
+    return [_vertex_certificate(model, p, fct, pu, spread, "predictive")
+            for fct in exit_facets]
 
 
 # Containment tolerance of locate_simplex, and the band around it in which
@@ -426,15 +423,13 @@ def synthesize_controller(p: Polytope, controls: dict) -> PWAController:
     return PWAController(simplices=tri, gains=gains)
 
 
-def _crossing_bound(p: Polytope, exit_facet: int, c1: float,
-                    controls: Optional[dict] = None) -> ExitTimeBound:
+def _crossing_bound(p: Polytope, exit_facet: int, c1: float) -> ExitTimeBound:
     """(beta - alpha) / c1, where alpha/beta span the exit-normal extent of
     the whole polytope."""
     proj = p.vertices @ p.normals[exit_facet]
     alpha = float(np.min(proj))
     beta = float(np.max(proj))
-    return ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1,
-                         controls=controls)
+    return ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1)
 
 
 def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
@@ -460,33 +455,10 @@ def _robust_spread(bounds: DeviationBounds, p: Polytope, pu: Box) -> list:
 
 def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
                            p: Polytope, exit_facet: int, pu: Box) -> Optional[ExitTimeBound]:
-    """Exit-time bound valid for every in-bound model, with its controls.
-
-    Maximizes the worst-vertex robust outward speed c1_rob over all vertex
-    controls by one epigraph LP; the eps_B·‖u‖ terms are upper-bounded by
-    eps_B·U_max (max vertex norm of the input box) to stay linear. Robust
-    invariance rows keep the chosen controls consistent with staying in
-    the polytope for every in-bound model. Returns None when c1_rob ≤ 0.
-    """
-    M = p.n_vertices
-    m = pu.dim
-    spread = _robust_spread(bounds, p, pu)
-    obj_rows = np.zeros((M, M * m))
-    obj_rhs = np.zeros(M)
-    A_le, b_le = [], []
-    for j in range(M):
-        a_st, b_st, rows, rhs = _vertex_rows(model, p, j, exit_facet)
-        obj_rows[j, j * m:(j + 1) * m] = a_st
-        obj_rhs[j] = b_st + spread[j]
-        block = np.zeros((len(rows), M * m))
-        block[:, j * m:(j + 1) * m] = rows
-        A_le.append(block)
-        b_le.append(rhs - spread[j])
-    t, z = maximin_lp(obj_rows, obj_rhs, np.vstack(A_le), np.concatenate(b_le),
-                      np.tile(pu.lo, M), np.tile(pu.hi, M))
-    if t is None or t <= 0:
-        return None
-    return _crossing_bound(p, exit_facet, t, {j: z[j * m:(j + 1) * m] for j in range(M)})
+    """Exit-time bound valid for every in-bound model: the bound of the
+    predictive certificate for ``exit_facet``, or None without one."""
+    cert, = predict_reachable(model, bounds, p, [exit_facet], pu)
+    return None if cert is None else cert.bound
 
 
 def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
@@ -504,11 +476,8 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     axis, direction = facet_axis_dir(exit_facet)
     if axis == cube.dim - 1:
         sub = truncated_pyramid(cube, axis, direction, shrink)
-        cert = facet_reachable(model, sub, exit_facet, pu)
-        if cert is None:
-            return None
-        cert.kind = "relaxed"
-        return cert
+        return _vertex_certificate(model, sub, exit_facet, pu, [0.0] * sub.n_vertices,
+                                   "relaxed")
 
     p = box_to_polytope(cube)
     n1 = p.normals[exit_facet]
@@ -516,7 +485,7 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
-        u, speed = _fastest_control(model, p, j, exit_facet, pu)
+        u, speed = _fastest_control(model, p, j, exit_facet, pu, 0.0)
         if u is not None and speed >= DELTA_STRICT:
             controls[j], margins[j] = u, speed
             exact.append(j)

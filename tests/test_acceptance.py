@@ -159,10 +159,18 @@ def test_c05_zero_bounds_reduce_to_exact():
         robust, = predict_reachable(m, zero, p, [fct], pu)
         assert (exact is None) == (robust is None)
         rb = robust_exit_time_bound(m, zero, p, fct, pu)
+        assert (rb is None) == (exact is None)
         if rb is None:
             continue
         bounded += 1
-        nominal = exit_time_bound(m, p, rb.controls, fct)
+        # zero bounds give exactly the exact certificate's controls,
+        # margins and crossing time
+        assert robust.controls.keys() == exact.controls.keys()
+        for j, u in exact.controls.items():
+            assert np.array_equal(robust.controls[j], u)
+        assert robust.margins == exact.margins
+        assert rb.T0 == robust.bound.T0 == exact.bound.T0
+        nominal = exit_time_bound(m, p, robust.controls, fct)
         assert rb.T0 == pytest.approx(nominal.T0, abs=1e-9)
     assert bounded > 50
 
@@ -328,9 +336,9 @@ def test_c12_runs_are_deterministic(mecanum_run, mecanum_rerun, tmp_path):
     csv = (d1 / "trajectory.csv").read_bytes()
     assert csv == (d2 / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "06c95304d9bd619773ea8e0b40195cf17e727389b5e41b8b5d2896240ffb6a13")
+        "6f7d9f74052dab4b2f92ed1122128b492df649ed02d824245adf4d9196cc4a72")
 
     statuses = _edge_statuses(mecanum_run)
     assert statuses == _edge_statuses(mecanum_rerun)
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
-        "b1cc3bb666c0edfe51a542de24428a0c5ae2e5bb789f468f8ee8d21fd4daa90c")
+        "ac7e3d0e48f82aceb3d13fb96b4c069f484080a9832dae58323713d8d4b19576")

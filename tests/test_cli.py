@@ -77,6 +77,30 @@ def test_certify_exit_codes(tmp_path, capsys):
     f3.write_text(json.dumps({"A": [[0.0]]}))
     assert main(["certify", "--model", str(f3)]) == 1
 
+    # unusable files exit 1 with a message naming the field, never with a
+    # traceback (NaN is written as a JSON NaN)
+    unusable = [
+        ("exit_facet", {"exit_facet": 99}),
+        ("exit_facet", {"exit_facet": -1}),
+        ("exit_facet", {"exit_facet": 1.5}),
+        ("exit_facet", {"exit_facet": True}),
+        ("B", {"B": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),   # 3 inputs, 2-d pu
+        ("cell_lo", {"cell_lo": [0.0, 0.0, 0.0], "cell_hi": [1.0, 1.0, 1.0]}),
+        ("c", {"c": [float("nan"), 0.0]}),
+        ("A", {"A": "identity"}),
+        ("cell_hi", {"cell_hi": [1.0, 0.0]}),
+        ("pu_hi", {"pu_hi": [-1.0, 1.0]}),
+        ("linearization_point", {"linearization_point": [0.0]}),
+    ]
+    f4 = tmp_path / "unusable.json"
+    for field, changes in unusable:
+        f4.write_text(json.dumps(dict(feasible, **changes)))
+        assert main(["certify", "--model", str(f4)]) == 1, field
+        assert f"error: model.{field}:" in capsys.readouterr().err
+    f4.write_text(json.dumps([feasible]))
+    assert main(["certify", "--model", str(f4)]) == 1
+    assert "error: model: not a JSON object" in capsys.readouterr().err
+
 
 def test_run_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reachplan.dynamics import (AffineModel, TrueSystem, analytic_linearize,
+from reachplan.dynamics import (CLAMP_TOL, AffineModel, TrueSystem, analytic_linearize,
                                 clamp_to_box, integrate, mecanum_system,
                                 unicycle_system)
 from reachplan.geometry import Box, facet_id
@@ -105,6 +105,16 @@ def test_clamp_to_box():
     assert clamped and np.allclose(u, [0.5, -1.0])
     u, clamped = clamp_to_box([0.1, 0.2], pu)
     assert not clamped
+
+
+def test_clamp_below_tolerance_is_applied_but_not_flagged():
+    """An excess of 1e-13 (interpolation rounding) is clamped silently; one
+    just above CLAMP_TOL is flagged."""
+    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    u, clamped = clamp_to_box([1.0 + 1e-13, -1.0 - 1e-13], pu)
+    assert not clamped and u.tolist() == [1.0, -1.0]
+    u, clamped = clamp_to_box([0.0, -1.0 - 2 * CLAMP_TOL], pu)
+    assert clamped and u.tolist() == [0.0, -1.0]
 
 
 def _constant_field(v):

@@ -72,24 +72,6 @@ def test_linear_feasible_residual_contract():
     assert n_feas > 30
 
 
-def test_maximize_margin_dominates_plain_feasibility():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = 2
-        A_st = rng.standard_normal((1, n))
-        b_st = rng.uniform(-1.0, 0.5, 1)
-        p = LinearFeasibilityProblem(A_le=np.zeros((0, n)), b_le=np.zeros(0),
-                                     A_ge_strict=A_st, b_ge_strict=b_st,
-                                     lo=np.full(n, -1.0), hi=np.full(n, 1.0))
-        u = linear_feasible(p, maximize_margin=True)
-        if u is None:
-            continue
-        got = float(A_st[0] @ u) - b_st[0]
-        # oracle: the maximum of a linear functional over a box
-        best = float(np.sum(np.abs(A_st))) - b_st[0]
-        assert got == pytest.approx(best, abs=1e-6)
-
-
 def test_maximin_lp_against_scipy_epigraph():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -145,6 +145,31 @@ def test_unintended_exit_is_logged_and_charged_to_the_edge():
                                  "actual_facet": actual_fct}
 
 
+def test_traversal_is_judged_by_the_cell_entered_at_the_crossing():
+    """A certificate for the -x facet on the edge to the -x neighbour, with
+    a 20 ms step so that the 20-step penetration rollout carries the state
+    through that 1 m neighbour into the next cell: the crossing entered the
+    intended cell, so the edge is traversed and charged no failure."""
+    scn = builtin_scenario("mecanum")
+    scn.dt = 0.02
+    ms = _Mission(scn)
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.current_cell()
+    nb = _edge_across(ms, cell, 0, -1)
+    model = analytic_linearize(ms.sys, cell.center)
+    e = ms.graph.edges[(cell.id, nb)]
+    e.cert = facet_reachable(model, box_to_polytope(cell), facet_id(0, -1), ms.pu)
+    assert e.cert is not None
+    assert ms.execute_edge(cell, nb) == "moved"
+    deeper = ms.tree.leaves[ms.cur_id]
+    assert deeper.id != nb and deeper.hi[0] == ms.tree.leaves[nb].lo[0]
+    assert e.failures == 0
+    event = ms.log.events[-1]
+    assert (event["type"], event["source"], event["target"]) == ("edge_traversed",
+                                                                 cell.id, nb)
+
+
 def test_degenerate_certificate_blocks_the_edge():
     """A relaxed heading-facet certificate on a truncated pyramid whose
     opposite facet is shrunk to 1e-9 has flat simplices that carry no

@@ -249,15 +249,15 @@ def test_predict_unreachable_obvious_case():
     assert predict_unreachable(m, bounds, p, facets, pu) == [True, False]
 
 
-def _reference_patterns(model, bounds, p, j, exit_facet, pu, expanded):
-    """Per-pattern tableau verdicts of one vertex's robustified system: the
-    loop the batched closed-form kernel replaces, kept as its oracle."""
+def _reference_patterns(model, bounds, p, j, exit_facet, pu):
+    """Per-pattern tableau verdicts of one vertex's relaxed (best-case)
+    system: the loop the batched closed-form kernel replaces, kept as its
+    oracle."""
     v = p.vertices[j]
     drift = model.A @ v + model.c
     margin = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_c
     n1 = p.normals[exit_facet]
     m = model.B.shape[1]
-    flip = -1.0 if expanded else 1.0
     inv_ids = [i for i in p.vertex_facets[j] if i != exit_facet]
     verdicts = []
     for pattern in itertools.product((1.0, -1.0), repeat=m):
@@ -267,16 +267,37 @@ def _reference_patterns(model, bounds, p, j, exit_facet, pu, expanded):
         if np.any(hi < lo):
             verdicts.append(False)      # the orthant misses the input box
             continue
-        A_le = [p.normals[i] @ model.B + flip * s * bounds.eps_B for i in inv_ids]
-        b_le = [-float(p.normals[i] @ drift) - flip * margin for i in inv_ids]
+        A_le = [p.normals[i] @ model.B - s * bounds.eps_B for i in inv_ids]
+        b_le = [-float(p.normals[i] @ drift) + margin for i in inv_ids]
         prob = LinearFeasibilityProblem(
             A_le=np.array(A_le).reshape(-1, m), b_le=np.array(b_le),
-            A_ge_strict=(n1 @ model.B - flip * s * bounds.eps_B).reshape(1, -1),
-            b_ge_strict=np.array([-float(n1 @ drift) + flip * margin]),
+            A_ge_strict=(n1 @ model.B + s * bounds.eps_B).reshape(1, -1),
+            b_ge_strict=np.array([-float(n1 @ drift) - margin]),
             lo=lo, hi=hi,
         )
-        verdicts.append(linear_feasible(prob, maximize_margin=not expanded) is not None)
+        verdicts.append(linear_feasible(prob) is not None)
     return verdicts
+
+
+def _reference_robust_speeds(model, bounds, p, exit_facet, pu):
+    """Per vertex, the fastest robust outward speed by a direct tableau
+    solve of max n1ᵀ(A v_j + B u + c) − s_j over the input box and the rows
+    n_iᵀ(A v_j + B u + c) + s_j ≤ 0, s_j = eps_A‖v_j‖ + eps_B·U_max + eps_c;
+    None where no control meets the rows."""
+    u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** pu.dim))
+    n1 = p.normals[exit_facet]
+    speeds = []
+    for j, v in enumerate(p.vertices):
+        spread = bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_B * u_max + bounds.eps_c
+        drift = model.A @ v + model.c
+        inv = [i for i in p.vertex_facets[j] if i != exit_facet]
+        status, u, _ = solve_lp(-(n1 @ model.B),
+                                np.array([p.normals[i] @ model.B for i in inv]),
+                                np.array([-float(p.normals[i] @ drift) - spread for i in inv]),
+                                pu.lo, pu.hi)
+        speeds.append(float(n1 @ (drift + model.B @ u)) - spread
+                      if status == "optimal" else None)
+    return speeds
 
 
 def _random_predictive_instance(rng):
@@ -320,7 +341,7 @@ def _random_predictive_instance(rng):
 
 def _robust_rows_hold(model, bounds, p, cert, pu, tol=1e-9):
     """Robust vertex conditions of the carried controls in the U_max form
-    the robust exit-time LP proves: every in-bound model moves n·ẋ by at
+    predictive certificates prove: every in-bound model moves n·ẋ by at
     most eps_A‖v‖ + eps_B·U_max + eps_c, U_max the largest vertex norm of
     the input box."""
     n1 = p.normals[cert.exit_facet]
@@ -341,45 +362,71 @@ def _robust_rows_hold(model, bounds, p, cert, pu, tol=1e-9):
 
 
 def test_batched_predictive_verdicts_match_tableau_reference():
-    """One call per question decides every facet of the polytope; each
-    facet's systems and result equal its per-facet reference."""
+    """One call per question decides every facet of the polytope: each
+    facet's refutation systems and verdict equal its per-pattern reference,
+    and it is certified exactly when every vertex's per-vertex tableau
+    reference reaches DELTA_STRICT, with those speeds as its margins."""
     rng = np.random.default_rng(31)
     systems = undecided = certified = refuted = 0
     for _ in range(250):
         model, bounds, p, _, pu = _random_predictive_instance(rng)
         facets = list(range(p.n_facets))
-        for expanded in (False, True):
-            S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu,
-                                                            expanded)
-            feasible, open_ = reach._closed_form_verdicts(C, d, pick, boxed)
-            if expanded:
-                results = predict_unreachable(model, bounds, p, facets, pu)
-            else:
-                results = predict_reachable(model, bounds, p, facets, pu)
-            assert len(results) == len(facets)
-            for f, fct in enumerate(facets):
-                ref = [_reference_patterns(model, bounds, p, j, fct, pu, expanded)
-                       for j in range(p.n_vertices)]
-                for j, k in np.ndindex(feasible.shape[0], feasible.shape[2]):
-                    systems += 1
-                    if open_[j, f, k]:
-                        undecided += 1
-                    else:
-                        assert feasible[j, f, k] == ref[j][k], (j, fct, k, expanded)
-                every_vertex = all(any(r) for r in ref)
-                if expanded:
-                    assert results[f] == (not every_vertex)
-                    refuted += not every_vertex
+        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu)
+        feasible, open_ = reach._closed_form_verdicts(C, d, pick, boxed)
+        refutations = predict_unreachable(model, bounds, p, facets, pu)
+        certs = predict_reachable(model, bounds, p, facets, pu)
+        assert len(refutations) == len(certs) == len(facets)
+        for f, fct in enumerate(facets):
+            ref = [_reference_patterns(model, bounds, p, j, fct, pu)
+                   for j in range(p.n_vertices)]
+            for j, k in np.ndindex(feasible.shape[0], feasible.shape[2]):
+                systems += 1
+                if open_[j, f, k]:
+                    undecided += 1
                 else:
-                    cert = results[f]
-                    bounded = robust_exit_time_bound(model, bounds, p, fct, pu) is not None
-                    assert (cert is not None) == (every_vertex and bounded)
-                    if cert is not None:
-                        assert cert.exit_facet == fct
-                        certified += 1
-                        _robust_rows_hold(model, bounds, p, cert, pu)
+                    assert feasible[j, f, k] == ref[j][k], (j, fct, k)
+            every_vertex = all(any(r) for r in ref)
+            assert refutations[f] == (not every_vertex)
+            refuted += not every_vertex
+            speeds = _reference_robust_speeds(model, bounds, p, fct, pu)
+            cert = certs[f]
+            assert (cert is not None) == all(v is not None and v >= DELTA_STRICT
+                                             for v in speeds)
+            if cert is not None:
+                assert cert.exit_facet == fct and cert.kind == "predictive"
+                certified += 1
+                _robust_rows_hold(model, bounds, p, cert, pu)
+                for j, v in enumerate(speeds):
+                    assert cert.margins[j] == pytest.approx(v, abs=1e-9)
+                assert cert.bound.c1 == min(cert.margins.values())
+                assert cert.t_est <= cert.bound.T0
     assert certified > 10 and refuted > 10
     assert undecided <= systems // 100
+
+
+def test_screen_refuses_only_what_the_vertex_lps_refuse():
+    """Exact and predictive certification with the box-only screen agree
+    with the unscreened per-vertex LPs: the screen never refuses a facet
+    they certify, and it saves every LP on the facets it refuses."""
+    rng = np.random.default_rng(53)
+    screened = certified = 0
+    for _ in range(500):
+        model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        for b in (DeviationBounds.zero(), bounds):
+            spread = reach._robust_spread(b, p, pu)
+            fastest = [reach._fastest_control(model, p, j, fct, pu, spread[j])
+                       for j in range(p.n_vertices)]
+            unscreened = all(u is not None and v >= DELTA_STRICT for u, v in fastest)
+            before = optim.STATS.lp_calls
+            cert, = predict_reachable(model, b, p, [fct], pu)
+            assert (cert is not None) == unscreened
+            if optim.STATS.lp_calls == before:
+                screened += 1
+            if cert is not None:
+                certified += 1
+                for j, (u, v) in enumerate(fastest):
+                    assert np.array_equal(cert.controls[j], u) and cert.margins[j] == v
+    assert screened > 200 and certified > 50
 
 
 def test_band_systems_are_left_to_the_tableau():
@@ -390,8 +437,7 @@ def test_band_systems_are_left_to_the_tableau():
     band = 0
     while band < 300:
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
-        expanded = bool(rng.random() < 0.5)
-        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu, expanded)
+        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu)
         m = C.shape[0]
         j, k = int(rng.integers(p.n_vertices)), int(rng.integers(S.shape[0]))
         if not boxed[k]:
@@ -410,7 +456,7 @@ def test_band_systems_are_left_to_the_tableau():
                 A_le=C[:, rows, j, 0, k].T, b_le=d[rows, j, 0, k],
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, 0, k],
                 lo=-d[m:2 * m, j, 0, k], hi=d[:m, j, 0, k])
-            ref = linear_feasible(prob, maximize_margin=not expanded) is not None
+            ref = linear_feasible(prob) is not None
             feasible, open_ = reach._closed_form_verdicts(C, shifted, pick, boxed)
             assert open_[j, 0, k] or feasible[j, 0, k] == ref
             band += 1
@@ -419,20 +465,20 @@ def test_band_systems_are_left_to_the_tableau():
 @pytest.mark.parametrize("offset", [1e-8, -1e-8])
 def test_band_vertices_fall_back_to_linear_feasible(offset):
     """Single integrator whose every vertex can push out through +x with a
-    best slack of DELTA_STRICT + offset: the verdicts come from the tableau
-    and equal the per-pattern reference."""
+    best slack of DELTA_STRICT + offset: the refutation comes from the
+    tableau and equals the per-pattern reference, and a certificate needs
+    a fastest speed of DELTA_STRICT at every vertex."""
     model = _model(np.zeros((2, 2)), np.eye(2), [DELTA_STRICT + offset - 1.0, 0.0])
     p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
     zero = DeviationBounds.zero()
     fct = facet_id(0, +1)
-    ref = [any(_reference_patterns(model, zero, p, j, fct, pu, expanded=False))
-           for j in range(4)]
+    ref = [any(_reference_patterns(model, zero, p, j, fct, pu)) for j in range(4)]
     before = optim.STATS.lp_calls
-    cert, = predict_reachable(model, zero, p, [fct], pu)
-    assert optim.STATS.lp_calls > before
-    assert (cert is not None) == all(ref)
     assert predict_unreachable(model, zero, p, [fct], pu) == [not all(ref)]
+    assert optim.STATS.lp_calls > before
+    cert, = predict_reachable(model, zero, p, [fct], pu)
+    assert (cert is not None) == (offset > 0)
 
 
 def test_robust_exit_time_bound_degrades_with_uncertainty():
@@ -599,7 +645,7 @@ def test_vertex_controls_are_the_fastest_admissible():
     """Every exact vertex of an exact or relaxed side-facet certificate
     moves out at scipy's maximum outward speed, relaxed vertices have no
     speed of DELTA_STRICT or more, and an exact certificate's slowest
-    margin is the zero-deviation robust exit-time LP's c1."""
+    margin is the zero-deviation robust exit-time bound's c1."""
     rng = np.random.default_rng(47)
     zero = DeviationBounds.zero()
     counts = {"exact": 0, "exact_vertex": 0, "relaxed_vertex": 0}
