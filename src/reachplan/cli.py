@@ -26,6 +26,7 @@ from .reach import facet_reachable
 from .scenario import Scenario, builtin_scenario
 
 SCHEMA_VERSION = 1
+MODEL_MAX = 1e50     # largest certify model value: products of four stay finite
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -133,8 +134,8 @@ def cmd_partition_demo(args) -> int:
 
 
 def _model_array(data: dict, name: str, shape: tuple) -> np.ndarray:
-    """Field ``name`` of a certify model as a finite float array of
-    ``shape``, where (None,) stands for any non-empty vector."""
+    """Field ``name`` of a certify model as a float array of ``shape``, where
+    (None,) stands for any non-empty vector, with magnitudes up to MODEL_MAX."""
     try:
         v = np.asarray(data[name], dtype=float)
     except KeyError:
@@ -145,8 +146,8 @@ def _model_array(data: dict, name: str, shape: tuple) -> np.ndarray:
             k not in (None, size) for k, size in zip(shape, v.shape)):
         want = "a non-empty vector" if None in shape else f"shape {shape}"
         raise ValueError(f"model.{name}: needs {want}, not shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"model.{name}: must be finite")
+    if not (np.abs(v) <= MODEL_MAX).all():
+        raise ValueError(f"model.{name}: must be finite and at most {MODEL_MAX:g} in magnitude")
     return v
 
 
@@ -159,6 +160,8 @@ def _load_certify_model(path: str):
         raise ValueError("model: not a JSON object")
     c = _model_array(data, "c", (None,))
     n, m = c.size, _model_array(data, "pu_lo", (None,)).size
+    if m > 3:
+        raise ValueError(f"model.pu_lo: at most 3 inputs are supported, not {m}")
     a = {name: _model_array(data, name, shape) for name, shape in (
         ("A", (n, n)), ("B", (n, m)), ("cell_lo", (n,)), ("cell_hi", (n,)),
         ("pu_lo", (m,)), ("pu_hi", (m,)))}

@@ -22,11 +22,11 @@ from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
 from .geometry import (Box, GeometryError, box_to_polytope, facet_axis_dir,
                        facet_id)
-from .optim import STATS, SolverError, maximin_lp
+from .optim import STATS, SolverError
 from .partition import PartitionTree, adjacency, uniform_cell_count
-from .reach import (ReachCertificate, facet_reachable, predict_reachable,
-                    predict_unreachable, relaxed_facet_reachable,
-                    synthesize_controller)
+from .reach import (ReachCertificate, facet_reachable, fastest_control,
+                    predict_reachable, predict_unreachable,
+                    relaxed_facet_reachable, synthesize_controller)
 from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
 from .terminal import TerminalParams, clf_cbf_control
@@ -429,8 +429,8 @@ class _Mission:
         """Last-resort crossing when every path out of the current cell has
         been refuted. Marks from failed (sufficient-only) relaxed
         certifications are not proofs, so pick the most promising of those
-        facets and push through it, re-solving a one-point feasibility LP
-        as the state moves; whatever facet the state actually leaves by is
+        facets and push through it, re-solving a one-point fastest-control
+        LP as the state moves; whatever facet the state actually leaves by is
         accepted, exactly as for an unintended exit."""
         model = self.models.get(cell.id)
         if model is None or self.escape_count >= 25:
@@ -462,8 +462,7 @@ class _Mission:
                 rows = np.array([p.normals[i] @ model.B for i in others])
                 rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ self.x)
                                 - float(p.normals[i] @ drift) for i in others])
-                _, u = maximin_lp((n1 @ model.B)[None], [0.0], rows, rhs,
-                                  self.pu.lo, self.pu.hi)
+                u = fastest_control(n1 @ model.B, rows, rhs, self.pu)
                 if u is None:
                     break
                 traj = self.advance(lambda _x: u, cell, 10 * self.scn.dt,

@@ -1,22 +1,22 @@
 """Facet-reachability certification and affine controller synthesis.
 
-Given a local affine model on a polytope, certify (by one LP per vertex
-for its fastest admissible control) that some piecewise-affine feedback
-drives every state out through a chosen exit facet without first crossing
-any other facet: the reach-control vertex conditions of Habets, Collins
-and van Schuppen (IEEE TAC 2006). When the cell's dynamics are unknown,
-every row of those LPs is tightened by the Lipschitz deviation bounds, so
-that the same construction guarantees reachability for every model
+Given a local affine model on a polytope, certify (by each vertex's
+fastest admissible control) that some piecewise-affine feedback drives
+every state out through a chosen exit facet without first crossing any
+other facet: the reach-control vertex conditions of Habets, Collins and
+van Schuppen (IEEE TAC 2006). When the cell's dynamics are unknown, every
+row of those vertex LPs is tightened by the Lipschitz deviation bounds,
+so that the same construction guarantees reachability for every model
 within the bounds (predictive certificate). Predictive unreachability
 instead relaxes the rows and refutes a facet for all of those models.
 Underactuated systems get two relaxations: a truncated-pyramid
 subpolytope for facets normal to the heading axis and a threshold-angle
 vertex relaxation for side facets.
 
-The relaxed refutation systems have one unknown per input (m ≤ 3 on the
-built-in plants) and are decided in closed form, for all vertices, exit
-facets and sign patterns of a cell at once; the tableau simplex only
-settles borderline systems.
+Every vertex LP has one unknown per input (m ≤ 3) and one closed-form
+kernel solves them, for all vertices (and a refutation's exit facets and
+sign patterns) at once; the tableau simplex only settles borderline
+refutations.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .dynamics import AffineModel
 from .geometry import (Box, Polytope, Simplex, box_to_polytope, facet_axis_dir,
                        locate_simplex, triangulate, truncated_pyramid,
                        GeometryError)
-from .optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible, maximin_lp
+from .optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible
 
 
 @dataclass
@@ -79,67 +79,22 @@ def _certificate(p: Polytope, exit_facet: int, kind: str, controls: dict, margin
                             exact_vertices=exact, bound=bound, t_est=t_est)
 
 
-def _vertex_rows(model: AffineModel, p: Polytope, j: int, exit_facet: int):
-    """Exact per-vertex rows: (strict exit row, non-strict invariance rows).
-
-    Strict: n1ᵀ(A v_j + B u + c) > 0. Non-strict: n_iᵀ(A v_j + B u + c) ≤ 0
-    for every facet of the vertex other than the exit facet.
-    """
-    v = p.vertices[j]
-    drift = model.A @ v + model.c
-    n1 = p.normals[exit_facet]
-    a_strict = n1 @ model.B
-    b_strict = -float(n1 @ drift)
-    rows_le, rhs_le = [], []
-    for i in p.vertex_facets[j]:
-        if i == exit_facet:
-            continue
-        ni = p.normals[i]
-        rows_le.append(ni @ model.B)
-        rhs_le.append(-float(ni @ drift))
-    return a_strict, b_strict, np.array(rows_le).reshape(-1, model.B.shape[1]), np.array(rhs_le)
+def _vertex_certificates(model: AffineModel, p: Polytope, exit_facets, pu: Box,
+                         spread, kind: str) -> list:
+    """Per exit facet, the certificate in which every vertex j takes its
+    fastest admissible control with spread[j] and leaves at a speed of at
+    least DELTA_STRICT, or None."""
+    u, speed, _ = _fastest_controls(model, p, exit_facets, pu, spread)
+    return [_certificate(p, fct, kind, dict(enumerate(u[:, f])),
+                         {j: _speed(model, p, fct, j, u[j, f]) - spread[j]
+                          for j in range(p.n_vertices)}, range(p.n_vertices))
+            if (speed[:, f] >= DELTA_STRICT).all() else None
+            for f, fct in enumerate(exit_facets)]
 
 
-def _fastest_control(model: AffineModel, p: Polytope, j: int, exit_facet: int, pu: Box,
-                     spread: float):
-    """Vertex j's fastest admissible control and its outward speed, with
-    every row tightened by ``spread``.
-
-    One LP maximizes n1ᵀ(A v_j + B u + c) over the input box and the
-    invariance rows of _vertex_rows, each met with ``spread`` to spare; the
-    speed is evaluated at the LP's control, less ``spread``. Returns
-    (None, None) when no control in the box meets those rows.
-    """
-    a_st, b_st, rows, rhs = _vertex_rows(model, p, j, exit_facet)
-    _, u = maximin_lp(a_st[None], [b_st], rows, rhs - spread, pu.lo, pu.hi)
-    if u is None:
-        return None, None
-    n1 = p.normals[exit_facet]
-    return u, float(n1 @ (model.A @ p.vertices[j] + model.B @ u + model.c)) - spread
-
-
-def _vertex_certificate(model: AffineModel, p: Polytope, exit_facet: int, pu: Box,
-                        spread, kind: str) -> Optional[ReachCertificate]:
-    """Certificate in which every vertex j takes _fastest_control with
-    spread[j] and leaves at a speed of at least DELTA_STRICT, or None.
-
-    A box-only screen first caps each speed by n1ᵀ(A v_j + c) − spread[j]
-    + Σ_k max(a_k lo_k, a_k hi_k), a = n1ᵀB, which no LP can exceed; if
-    it passes, the vertex LPs run in order until one is too slow.
-    """
-    n1 = p.normals[exit_facet]
-    a = n1 @ model.B
-    w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
-    top = (w * n1).sum(axis=1) + np.maximum(a * pu.lo, a * pu.hi).sum() - spread
-    if (top < DELTA_STRICT).any():
-        return None
-    controls, margins = {}, {}
-    for j in range(p.n_vertices):
-        u, speed = _fastest_control(model, p, j, exit_facet, pu, spread[j])
-        if u is None or speed < DELTA_STRICT:
-            return None
-        controls[j], margins[j] = u, speed
-    return _certificate(p, exit_facet, kind, controls, margins, range(p.n_vertices))
+def _speed(model: AffineModel, p: Polytope, exit_facet: int, j: int, u) -> float:
+    """n1ᵀ(A v_j + B u + c): vertex j's outward speed under control u."""
+    return float(p.normals[exit_facet] @ (model.A @ p.vertices[j] + model.B @ u + model.c))
 
 
 def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
@@ -149,19 +104,21 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
     Every vertex takes its fastest admissible control, which must leave
     through the exit facet at a speed of at least DELTA_STRICT.
     """
-    return _vertex_certificate(model, p, exit_facet, pu, [0.0] * p.n_vertices, "exact")
+    return _vertex_certificates(model, p, [exit_facet], pu, [0.0] * p.n_vertices, "exact")[0]
 
 
-# Closed-form decision of the relaxed vertex systems (m <= 3 inputs).
+# Closed-form kernel for the vertex systems (m <= 3 inputs).
 # A system is feasible when some candidate point violates no row by more
 # than _FEAS_TOL and has a strict-row slack above DELTA_STRICT + _BAND, and
 # infeasible when no candidate violating no row by more than _NEAR has a
-# slack of DELTA_STRICT - _NEAR or more. Systems in between go to the
-# tableau, whose own tolerances then decide the borderline cases.
+# slack of DELTA_STRICT - _NEAR or more. Refutations send the systems in
+# between to the tableau, whose own tolerances then decide the borderline
+# cases. Best corners within _TIE (relative) of the best slack are tied.
 _DET_TOL = 1e-12     # candidate rows this close to parallel define no point
 _FEAS_TOL = 1e-9
 _BAND = 1e-7
 _NEAR = 1e-6
+_TIE = 1e-9
 
 
 @functools.lru_cache(maxsize=16)
@@ -189,23 +146,16 @@ def _pattern_tables(m: int, K: int):
     return S, cap_lo, cap_hi, box, pick
 
 
-def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                 exit_facets, pu: Box):
-    """Rows of the relaxed system of every (vertex j, exit facet f, sign
-    pattern k), for the F facets of ``exit_facets`` at once.
-
-    These are the best-case rows: each is loosened by what some in-bound
-    model could gain, so infeasibility at a vertex refutes reachability
-    for every in-bound model. The systems are C u ≤ d with
-    C (m, R + 1, M, F, P) by input component and d (R + 1, M, F, P),
-    where R = 2m + K. Rows 0..2m-1 bound u to the
-    pattern's orthant of the input box; the next K are the facet rows of
-    each vertex, where the exit facet and the padding of vertices with
-    fewer facets are 0·u ≤ 1 (the mask ``real`` (K, M, F) marks the
-    invariance rows); the last row is the strict row negated: a system is
-    feasible iff some u meeting rows 0..R-1 has d[R] - C[:, R]·u ≥
-    DELTA_STRICT. ``boxed`` (P,) is False for the patterns whose orthant
-    misses the input box.
+def _vertex_systems(model: AffineModel, p: Polytope, exit_facets, lo, hi, margin, dB):
+    """(C, d, real, pick): the systems C u ≤ d of every (vertex j, exit
+    facet f, pattern k), with C (m, R + 1, M, F, P) by input component,
+    d (R + 1, M, F, P) and R = 2m + K; P patterns of lo, hi (P, m) and
+    dB (m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are each
+    vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j, where
+    the exit facet and the padding of vertices with fewer facets are
+    0·u ≤ 1 (``real`` (K, M, F) marks the invariance rows). The last row is
+    the strict row negated: its slack d[R] - C[:, R]·u is
+    n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # Products are broadcast sums and the mask is built in Python: integer
     # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
@@ -218,16 +168,12 @@ def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     real = np.array([[[i >= 0 and i != f for f in exits] for i in row] for row in table],
                     dtype=bool)
     K, M = idx.shape
-    S, cap_lo, cap_hi, box, pick = _pattern_tables(m, K)
+    _, _, _, box, pick = _pattern_tables(m, K)
     w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
     drift = (p.normals[idx] * w).sum(axis=2)                         # (K, M)
     drift_exit = (p.normals[exits][:, None] * w).sum(axis=2)         # (F, M)
-    margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
     NB = (p.normals @ model.B).T
-    dB = -bounds.eps_B * S.T
-    lo = np.maximum(pu.lo, cap_lo)
-    hi = np.minimum(pu.hi, cap_hi)
-    C = np.empty((m, 2 * m + K + 1, M, len(exits), S.shape[0]))
+    C = np.empty((m, 2 * m + K + 1, M, len(exits), lo.shape[0]))
     d = np.empty(C.shape[1:])
     C[:, :2 * m] = box[:, :, None, None, None]
     d[:m] = hi.T[:, None, None]
@@ -237,6 +183,21 @@ def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     d[2 * m:-1] = np.where(real, (margin - drift)[:, :, None], 1.0)[..., None]
     C[:, -1] = (dB[:, None] - NB[:, exits, None])[:, None]
     d[-1] = (drift_exit + margin).T[:, :, None]
+    return C, d, real, pick
+
+
+def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
+                 exit_facets, pu: Box):
+    """(S, C, d, real, pick, boxed): the _vertex_systems of every sign
+    pattern s_k, over its orthant of the input box (``boxed`` (P,) is False
+    where that is empty), with every row loosened by what an in-bound model
+    could gain: margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So
+    infeasibility at a vertex refutes every in-bound model."""
+    S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, max(map(len, p.vertex_facets)))
+    margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
+    lo = np.maximum(pu.lo, cap_lo)
+    hi = np.minimum(pu.hi, cap_hi)
+    C, d, real, pick = _vertex_systems(model, p, exit_facets, lo, hi, margin, -bounds.eps_B * S.T)
     return S, C, d, real, pick, (lo <= hi).all(axis=1)
 
 
@@ -268,32 +229,69 @@ def _solve_square(A, r):
     return [x * inv for x in num]
 
 
-def _closed_form_verdicts(C, d, pick, boxed):
-    """Decide every (vertex, facet, pattern) system of m ≤ 3 inputs.
+def _closed_form_verdicts(C, d, pick, boxed=True):
+    """Decide every system of m ≤ 3 inputs in the layout of
+    _vertex_systems and find its best corner.
 
-    The largest strict-row slack over the pattern's orthant of the input
-    box intersected with the invariance half-spaces is attained at a
-    vertex of that polytope, where m of its rows meet. Every such point is
-    enumerated. Returns the masks (M, F, P) of the systems decided feasible
-    and of the undecided ones.
+    The largest strict-row slack over a system's box and invariance rows
+    is attained where m of its rows meet (fixed-dimension LP after Megiddo,
+    JACM 1984, and Seidel, DCG 1991), and every such point is enumerated.
+    The best corner is the candidate within _FEAS_TOL of every row with the
+    largest slack. Tie rule: among the candidates within _TIE·max(1, |best|)
+    of that slack, take the lexicographically smallest u (least u_0, then
+    least u_1, ...). Returns (feasible, undecided, u, slack): the masks
+    (M, F, P) of the systems decided feasible and undecided, and each best
+    corner u (m, M, F, P) with its slack, NaN and -inf without a candidate.
     """
     m = C.shape[0]
-    U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, P)
+    U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, F, P)
     # box rows ±u_k ≤ d directly, the other rows by their coefficients
     viol = np.maximum(U[0] - d[0], -U[0] - d[m])
     for k in range(1, m):
         viol = np.maximum(viol, np.maximum(U[k] - d[k], -U[k] - d[m + k]))
-    res = C[0, 2 * m:, None] * U[0]                             # (K + 1, Q, M, P)
+    res = C[0, 2 * m:, None] * U[0]                             # (K + 1, Q, M, F, P)
     for k in range(1, m):
         res += C[k, 2 * m:, None] * U[k]
     res -= d[2 * m:, None]
     viol = np.maximum(viol, res[:-1].max(axis=0))
     slack = -res[-1]
-    feasible = (np.where(viol <= _FEAS_TOL, slack, -np.inf).max(axis=0)
-                > DELTA_STRICT + _BAND) & boxed
+    ok = viol <= _FEAS_TOL
+    best = np.where(ok, slack, -np.inf).max(axis=0)
+    feasible = (best > DELTA_STRICT + _BAND) & boxed
     near = np.where(viol <= _NEAR, slack, -np.inf).max(axis=0)
     undecided = (near >= DELTA_STRICT - _NEAR) & boxed & ~feasible
-    return feasible, undecided
+    tied = ok & (slack >= best - _TIE * np.maximum(1.0, np.abs(best)))
+    u = []
+    for k in range(m):
+        low = np.where(tied, U[k], np.inf).min(axis=0)
+        tied &= U[k] == low
+        u.append(low)
+    return (feasible, undecided, np.where(best > -np.inf, u, np.nan),
+            np.where(tied, slack, -np.inf).max(axis=0))
+
+
+def _fastest_controls(model: AffineModel, p: Polytope, exit_facets, pu: Box, spread):
+    """(u (M, F, m), speed (M, F), d[..., 0] of _vertex_systems) from one
+    kernel call: vertex j's control for exit facet f maximizes its speed
+    n_fᵀ(A v_j + B u + c) - spread[j] over the input box and its rows
+    n_iᵀ(A v_j + B u + c) + spread[j] ≤ 0; u NaN, speed -inf without one.
+    The speed is the kernel's slack, which _speed matches to rounding.
+    """
+    C, d, _, pick = _vertex_systems(model, p, exit_facets, pu.lo[None], pu.hi[None],
+                                    -np.asarray(spread, dtype=float), np.zeros((pu.dim, 1)))
+    _, _, u, speed = _closed_form_verdicts(C, d, pick)
+    return u[..., 0].transpose(1, 2, 0), speed[..., 0], d[..., 0]
+
+
+def fastest_control(a, rows, rhs, pu: Box):
+    """Control u in the input box with rows·u ≤ rhs and the largest aᵀu
+    (m ≤ 3 inputs), by the kernel and tie rule of _closed_form_verdicts,
+    or None when no control in the box meets the rows."""
+    _, _, _, box, pick = _pattern_tables(pu.dim, len(rhs))
+    C = np.hstack([box, rows.T, -a[:, None]])
+    d = np.concatenate([pu.hi, -pu.lo, rhs, [0.0]])
+    _, _, u, slack = _closed_form_verdicts(C[:, :, None, None, None], d[:, None, None, None], pick)
+    return u[:, 0, 0, 0] if slack[0, 0, 0] > -np.inf else None
 
 
 def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
@@ -309,7 +307,7 @@ def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope
     """
     _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu)
     m, _, M, F, _ = C.shape
-    feasible, undecided = _closed_form_verdicts(C, d, pick, boxed)
+    feasible, undecided, _, _ = _closed_form_verdicts(C, d, pick, boxed)
     decided = feasible.tolist()
 
     def tableau_feasible(j, f):
@@ -339,8 +337,7 @@ def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
     from them.
     """
     spread = _robust_spread(bounds, p, pu)
-    return [_vertex_certificate(model, p, fct, pu, spread, "predictive")
-            for fct in exit_facets]
+    return _vertex_certificates(model, p, exit_facets, pu, spread, "predictive")
 
 
 # Containment tolerance of locate_simplex, and the band around it in which
@@ -436,9 +433,7 @@ def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
                     exit_facet: int) -> ExitTimeBound:
     """Guaranteed crossing-time bound (beta - alpha) / c1 for vertex
     controls, c1 the minimum outward speed over the vertices."""
-    n1 = p.normals[exit_facet]
-    c1 = min(float(n1 @ (model.A @ p.vertices[j] + model.B @ controls[j] + model.c))
-             for j in range(p.n_vertices))
+    c1 = min(_speed(model, p, exit_facet, j, controls[j]) for j in range(p.n_vertices))
     if c1 <= DELTA_STRICT / 2:
         raise ValueError(f"degenerate exit-time bound: c1 = {c1}")
     return _crossing_bound(p, exit_facet, c1)
@@ -476,23 +471,23 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     axis, direction = facet_axis_dir(exit_facet)
     if axis == cube.dim - 1:
         sub = truncated_pyramid(cube, axis, direction, shrink)
-        return _vertex_certificate(model, sub, exit_facet, pu, [0.0] * sub.n_vertices,
-                                   "relaxed")
+        return _vertex_certificates(model, sub, [exit_facet], pu, [0.0] * sub.n_vertices,
+                                    "relaxed")[0]
 
     p = box_to_polytope(cube)
     n1 = p.normals[exit_facet]
+    u, speed, d = _fastest_controls(model, p, [exit_facet], pu, [0.0] * p.n_vertices)
     controls, margins = {}, {}
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
-        u, speed = _fastest_control(model, p, j, exit_facet, pu, 0.0)
-        if u is not None and speed >= DELTA_STRICT:
-            controls[j], margins[j] = u, speed
+        if speed[j, 0] >= DELTA_STRICT:
+            controls[j], margins[j] = u[j, 0], _speed(model, p, exit_facet, j, u[j, 0])
             exact.append(j)
             continue
         drift = model.A @ p.vertices[j] + model.c
         # most outward-pointing velocity still admissible for invariance
-        w = drift if u is None else drift + model.B @ u
+        w = drift + model.B @ u[j, 0] if speed[j, 0] > -np.inf else drift
         outward = float(n1 @ w)
         nw = float(np.linalg.norm(w))
         if outward >= 0.0 or nw < 1e-15:
@@ -502,11 +497,10 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         if ang > theta_thre + 1e-12:
             return None
         # zero control at relaxed vertices; the remaining invariance rows
-        # (n_i·drift = -rhs_i) must hold up to a tolerance commensurate with
+        # (n_i·drift = -d_i) must hold up to a tolerance commensurate with
         # the threshold angle
-        _, _, _, rhs = _vertex_rows(model, p, j, exit_facet)
         tol = np.sin(theta_thre) * max(float(np.linalg.norm(drift)), 0.05 * u_abs)
-        if np.any(-rhs > tol):
+        if np.any(-d[2 * pu.dim:-1, j, 0] > tol):
             return None
         controls[j] = np.zeros(pu.dim)
         margins[j] = float(n1 @ drift)

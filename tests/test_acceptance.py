@@ -308,7 +308,7 @@ def test_c10_underactuated_mission_succeeds(unicycle_run, tmp_path):
     _write_outputs(str(tmp_path), scn, log)
     csv = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "eebe8befdc231ce61cc99361daecb23526b8a23b1dcbaf5f3bef7a9126ffabfa")
+        "791ab847c0bcd0e1314a63ccea8e6a78bc4272e6ed7ed8e1f80c01dc283a90c2")
     statuses = _edge_statuses(log)
     assert len(statuses) == 4
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
@@ -336,7 +336,7 @@ def test_c12_runs_are_deterministic(mecanum_run, mecanum_rerun, tmp_path):
     csv = (d1 / "trajectory.csv").read_bytes()
     assert csv == (d2 / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "6f7d9f74052dab4b2f92ed1122128b492df649ed02d824245adf4d9196cc4a72")
+        "26215928137bf2dea08e23eeac49662d2ed5265cf6fc183e6bd84837e2280d86")
 
     statuses = _edge_statuses(mecanum_run)
     assert statuses == _edge_statuses(mecanum_rerun)

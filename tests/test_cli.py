@@ -91,6 +91,12 @@ def test_certify_exit_codes(tmp_path, capsys):
         ("cell_hi", {"cell_hi": [1.0, 0.0]}),
         ("pu_hi", {"pu_hi": [-1.0, 1.0]}),
         ("linearization_point", {"linearization_point": [0.0]}),
+        # the certificate kernel takes at most 3 inputs
+        ("pu_lo", {"B": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+                   "pu_lo": [-1.0] * 4, "pu_hi": [1.0] * 4}),
+        # huge finite values would overflow the kernel's products
+        ("pu_lo", {"pu_lo": [-1e308, -1.0], "pu_hi": [1e308, 1.0]}),
+        ("A", {"A": [[1e308, 0.0], [0.0, 1e308]]}),
     ]
     f4 = tmp_path / "unusable.json"
     for field, changes in unusable:

@@ -194,11 +194,36 @@ def test_degenerate_certificate_blocks_the_edge():
     assert ms.t == t0 and not ms.log.traj_t
 
 
+def test_forced_escape_pushes_through_a_soft_impossible_facet():
+    """A unicycle cell with an identified model whose every out-edge is a
+    soft impossible mark: forced_escape pushes through the +heading facet
+    first (the heading rate is directly actuated), logs the crossing as a
+    forced exploration and counts the escape, without a tableau LP."""
+    ms = _Mission(builtin_scenario("unicycle"))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.current_cell()
+    ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
+    for nb in ms.graph.out[cell.id]:
+        ms.graph.edges[(cell.id, nb)].soft = True
+        ms.graph.mark_impossible(cell.id, nb)
+    nb = _edge_across(ms, cell, 2, +1)
+    lp_calls = optim.STATS.lp_calls
+    assert ms.forced_escape(cell)
+    assert ms.escape_count == 1 and optim.STATS.lp_calls == lp_calls
+    entered = ms.tree.leaves[ms.cur_id]
+    assert entered.id != cell.id and entered.contains(ms.x)
+    assert ms.log.events[-1] == {"t": ms.t, "type": "forced_exploration", "cell": cell.id,
+                                 "intended": nb, "actual": entered.id,
+                                 "actual_facet": facet_id(2, +1)}
+    assert 0.0 < ms.t and ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
+
+
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
 def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
     """The mission's reported lp_calls equals the number of solve_lp calls
     it makes, wherever they come from: every LP goes through
-    linear_feasible or maximin_lp."""
+    linear_feasible."""
     calls = []
     solve_lp = optim.solve_lp
 
@@ -228,7 +253,7 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
     assert csv[0] == csv[1]
     assert hashlib.sha256(csv[0]).hexdigest() == (
-        "f2196aaf216bf69a235b50755f1008bf8398410db64af136f0002fe9035ca6be")
+        "a835e52b5371cf14a37091bb503e1e92ed8fb469195983791468c900c552b633")
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]

@@ -372,7 +372,7 @@ def test_batched_predictive_verdicts_match_tableau_reference():
         model, bounds, p, _, pu = _random_predictive_instance(rng)
         facets = list(range(p.n_facets))
         S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu)
-        feasible, open_ = reach._closed_form_verdicts(C, d, pick, boxed)
+        feasible, open_, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
         refutations = predict_unreachable(model, bounds, p, facets, pu)
         certs = predict_reachable(model, bounds, p, facets, pu)
         assert len(refutations) == len(certs) == len(facets)
@@ -404,31 +404,6 @@ def test_batched_predictive_verdicts_match_tableau_reference():
     assert undecided <= systems // 100
 
 
-def test_screen_refuses_only_what_the_vertex_lps_refuse():
-    """Exact and predictive certification with the box-only screen agree
-    with the unscreened per-vertex LPs: the screen never refuses a facet
-    they certify, and it saves every LP on the facets it refuses."""
-    rng = np.random.default_rng(53)
-    screened = certified = 0
-    for _ in range(500):
-        model, bounds, p, fct, pu = _random_predictive_instance(rng)
-        for b in (DeviationBounds.zero(), bounds):
-            spread = reach._robust_spread(b, p, pu)
-            fastest = [reach._fastest_control(model, p, j, fct, pu, spread[j])
-                       for j in range(p.n_vertices)]
-            unscreened = all(u is not None and v >= DELTA_STRICT for u, v in fastest)
-            before = optim.STATS.lp_calls
-            cert, = predict_reachable(model, b, p, [fct], pu)
-            assert (cert is not None) == unscreened
-            if optim.STATS.lp_calls == before:
-                screened += 1
-            if cert is not None:
-                certified += 1
-                for j, (u, v) in enumerate(fastest):
-                    assert np.array_equal(cert.controls[j], u) and cert.margins[j] == v
-    assert screened > 200 and certified > 50
-
-
 def test_band_systems_are_left_to_the_tableau():
     """Systems whose best slack is DELTA_STRICT +- 1e-8 get the verdict of
     linear_feasible, whose own tolerance accepts slacks a little below
@@ -457,7 +432,7 @@ def test_band_systems_are_left_to_the_tableau():
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, 0, k],
                 lo=-d[m:2 * m, j, 0, k], hi=d[:m, j, 0, k])
             ref = linear_feasible(prob) is not None
-            feasible, open_ = reach._closed_form_verdicts(C, shifted, pick, boxed)
+            feasible, open_, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
             assert open_[j, 0, k] or feasible[j, 0, k] == ref
             band += 1
 
@@ -629,23 +604,27 @@ def test_certificates_carry_the_planners_crossing_times():
     assert min(kinds.values()) >= 5, kinds
 
 
-def _linprog_fastest_speed(model, p, j, exit_facet, pu):
-    """scipy's maximum of n1ᵀ(A v_j + B u + c) over the input box and the
-    vertex's invariance rows n_iᵀ(A v_j + B u + c) ≤ 0, or None."""
+def _linprog_fastest_speed(model, p, j, exit_facet, pu, spread=0.0):
+    """scipy's maximum of n1ᵀ(A v_j + B u + c) - spread over the input box
+    and the vertex's invariance rows n_iᵀ(A v_j + B u + c) + spread ≤ 0,
+    or None."""
     drift = model.A @ p.vertices[j] + model.c
     n1 = p.normals[exit_facet]
     inv = [i for i in p.vertex_facets[j] if i != exit_facet]
     ref = linprog(-(n1 @ model.B), A_ub=np.array([p.normals[i] @ model.B for i in inv]),
-                  b_ub=np.array([-(p.normals[i] @ drift) for i in inv]),
+                  b_ub=np.array([-(p.normals[i] @ drift) - spread for i in inv]),
                   bounds=list(zip(pu.lo, pu.hi)), method="highs")
-    return float(n1 @ drift - ref.fun) if ref.status == 0 else None
+    return float(n1 @ drift - ref.fun) - spread if ref.status == 0 else None
 
 
 def test_vertex_controls_are_the_fastest_admissible():
     """Every exact vertex of an exact or relaxed side-facet certificate
     moves out at scipy's maximum outward speed, relaxed vertices have no
     speed of DELTA_STRICT or more, and an exact certificate's slowest
-    margin is the zero-deviation robust exit-time bound's c1."""
+    margin is the zero-deviation robust exit-time bound's c1. Predictive
+    certificates, with and without deviation, exist exactly when scipy's
+    robust speed of every vertex is DELTA_STRICT or more, and carry those
+    speeds as their margins."""
     rng = np.random.default_rng(47)
     zero = DeviationBounds.zero()
     counts = {"exact": 0, "exact_vertex": 0, "relaxed_vertex": 0}
@@ -685,3 +664,48 @@ def test_vertex_controls_are_the_fastest_admissible():
                 speed = _linprog_fastest_speed(m, p, j, fct, upu)
                 assert speed is None or speed < DELTA_STRICT + 1e-9
     assert min(counts.values()) >= 20, counts
+    rng = np.random.default_rng(53)
+    certified = 0
+    for _ in range(500):
+        model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        for b in (zero, bounds):
+            spread = reach._robust_spread(b, p, pu)
+            speeds = [_linprog_fastest_speed(model, p, j, fct, pu, spread[j])
+                      for j in range(p.n_vertices)]
+            cert, = predict_reachable(model, b, p, [fct], pu)
+            assert (cert is not None) == all(v is not None and v >= DELTA_STRICT
+                                             for v in speeds)
+            if cert is not None:
+                certified += 1
+                for j, v in enumerate(speeds):
+                    assert cert.margins[j] == pytest.approx(v, abs=1e-9)
+    assert certified > 50
+
+
+def test_degenerate_optimum_takes_the_lexicographically_smallest_control():
+    """Heading facet with n1ᵀB = (0, 1) and converging x/y drift: every
+    vertex's fastest controls form the segment u_1 = 10, lo_j ≤ u_0 ≤ hi_j,
+    and the certificate takes its lexicographically smallest point
+    (lo_j, 10). The segments differ from vertex to vertex, so the least
+    ‖u‖₁, the lexicographically largest point or the first corner of the
+    kernel's enumeration would each pick another control somewhere."""
+    cell = Box(lo=[0.0, 0.0, 0.0], hi=[1.0, 1.0, 0.5])
+    model = _model(np.diag([-10.0, -10.0, 0.0]), np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                   [8.0, 3.0, 0.0])
+    pu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
+    p = box_to_polytope(cell)
+    fct = facet_id(2, +1)
+    assert np.array_equal(p.normals[fct] @ model.B, [0.0, 1.0])
+    cert = facet_reachable(model, p, fct, pu)
+    assert cert is not None
+    nearer_top = 0
+    for j, v in enumerate(p.vertices):
+        drift = model.A @ v + model.c
+        # facet rows on u_0: x- and y- give u_0 ≥ -drift, x+ and y+ u_0 ≤ -drift
+        lo = max([pu.lo[0]] + [-drift[a] for a in (0, 1) if v[a] == cell.lo[a]])
+        hi = min([pu.hi[0]] + [-drift[a] for a in (0, 1) if v[a] == cell.hi[a]])
+        assert hi - lo >= 5.0
+        assert cert.controls[j] == pytest.approx([lo, pu.hi[1]], abs=1e-12)
+        assert cert.margins[j] == pytest.approx(pu.hi[1], abs=1e-12)
+        nearer_top += abs(hi) < abs(lo)
+    assert nearer_top > 0
