@@ -621,10 +621,7 @@ def test_vertex_controls_are_the_fastest_admissible():
     """Every exact vertex of an exact or relaxed side-facet certificate
     moves out at scipy's maximum outward speed, relaxed vertices have no
     speed of DELTA_STRICT or more, and an exact certificate's slowest
-    margin is the zero-deviation robust exit-time bound's c1. Predictive
-    certificates, with and without deviation, exist exactly when scipy's
-    robust speed of every vertex is DELTA_STRICT or more, and carry those
-    speeds as their margins."""
+    margin is the zero-deviation robust exit-time bound's c1."""
     rng = np.random.default_rng(47)
     zero = DeviationBounds.zero()
     counts = {"exact": 0, "exact_vertex": 0, "relaxed_vertex": 0}
@@ -664,22 +661,37 @@ def test_vertex_controls_are_the_fastest_admissible():
                 speed = _linprog_fastest_speed(m, p, j, fct, upu)
                 assert speed is None or speed < DELTA_STRICT + 1e-9
     assert min(counts.values()) >= 20, counts
+
+
+def test_screen_refuses_only_what_the_vertex_lps_refuse():
+    """Predictive certification, with zero and with random deviation
+    bounds, refuses a facet exactly when scipy's per-vertex LP finds some
+    vertex without a robust outward speed of DELTA_STRICT: the closed-form
+    kernel that replaced the box-only screen and the per-vertex tableau
+    LPs refuses nothing those LPs certify, runs no tableau LP, and carries
+    scipy's speeds as its margins with controls that satisfy the robust
+    vertex conditions."""
     rng = np.random.default_rng(53)
-    certified = 0
+    certified = refused = 0
     for _ in range(500):
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
-        for b in (zero, bounds):
+        for b in (DeviationBounds.zero(), bounds):
             spread = reach._robust_spread(b, p, pu)
             speeds = [_linprog_fastest_speed(model, p, j, fct, pu, spread[j])
                       for j in range(p.n_vertices)]
+            before = optim.STATS.lp_calls
             cert, = predict_reachable(model, b, p, [fct], pu)
+            assert optim.STATS.lp_calls == before
             assert (cert is not None) == all(v is not None and v >= DELTA_STRICT
                                              for v in speeds)
-            if cert is not None:
-                certified += 1
-                for j, v in enumerate(speeds):
-                    assert cert.margins[j] == pytest.approx(v, abs=1e-9)
-    assert certified > 50
+            if cert is None:
+                refused += 1
+                continue
+            certified += 1
+            _robust_rows_hold(model, b, p, cert, pu)
+            for j, v in enumerate(speeds):
+                assert cert.margins[j] == pytest.approx(v, abs=1e-9)
+    assert certified > 50 and refused > 200
 
 
 def test_degenerate_optimum_takes_the_lexicographically_smallest_control():
