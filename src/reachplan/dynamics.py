@@ -3,13 +3,20 @@
 Two benchmark systems are built in: a mecanum-wheel ground robot with
 terrain-dependent drift (fully actuated, n = m = 2) and a unicycle with
 small heading/velocity disturbances (underactuated, n = 3, m = 2).
+
+Rollouts run on Python floats: every RK4 stage evaluates the plant as
+scalar arithmetic on lists, and only the samples a ``Trajectory`` records
+become arrays. Each product and sum of ``f(x) + g(x) u`` is rounded on its
+own, so the trajectories do not depend on which BLAS kernel numpy loads
+(OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add).
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,16 +26,28 @@ from .geometry import Box, facet_id
 
 @dataclass
 class TrueSystem:
+    """Control-affine plant xdot = f(x) + g(x) u.
+
+    ``f`` maps a state sequence to n drift components and ``g`` to n rows
+    of m input gains; any sequences of floats will do (the built-in plants
+    return lists, ndarrays work too)."""
+
     n: int
     m: int
     f: Callable
     g: Callable
     df: Optional[Callable] = None  # Jacobian of the drift, when closed-form
 
-    def xdot(self, x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return self.f(x) + self.g(x) @ u
+    def rhs(self, x, u) -> list:
+        """f(x) + g(x) u as a list of floats, the rollouts' derivative.
+
+        For m <= 2, ``sum`` rounds like plain addition on every Python
+        version (3.12's compensated sum differs only from three terms on)."""
+        return [fi + sum(map(mul, row, u)) for fi, row in zip(self.f(x), self.g(x))]
+
+    def xdot(self, x, u) -> np.ndarray:
+        return np.array(self.rhs(np.asarray(x, dtype=float).tolist(),
+                                 np.asarray(u, dtype=float).tolist()))
 
 
 @dataclass
@@ -69,25 +88,16 @@ class Trajectory:
         return self.x[-1]
 
 
-def _floats(x) -> list:
-    """The state as Python floats, for scalar math in the plant models."""
-    return np.asarray(x, dtype=float).tolist()
-
-
 def mecanum_system() -> TrueSystem:
     def f(x):
-        x0, x1 = _floats(x)
-        return np.array([
-            -0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
-            -0.2 * math.sin(0.3 * x0 - 0.1 * x1) - 4.5,
-        ])
+        x0, x1 = x
+        return [-0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
+                -0.2 * math.sin(0.3 * x0 - 0.1 * x1) - 4.5]
 
     def g(x):
-        x0, x1 = _floats(x)
-        return np.array([
-            [1.0 + 0.02 * x0, 0.02 * x1],
-            [-0.02 * x0, 1.0 - 0.02 * x1],
-        ])
+        x0, x1 = x
+        return [[1.0 + 0.02 * x0, 0.02 * x1],
+                [-0.02 * x0, 1.0 - 0.02 * x1]]
 
     def df(x):
         c1 = np.cos(0.1 * x[0] - 0.2 * x[1])
@@ -105,14 +115,14 @@ def unicycle_system() -> TrueSystem:
         return 0.03 * np.cos(0.01 * x[0] + 0.02 * x[1])
 
     def f(x):
-        x0, x1, th = _floats(x)
+        x0, x1, th = x
         v = 0.03 * math.cos(0.01 * x0 + 0.02 * x1)
-        return np.array([math.cos(th) * v, math.sin(th) * v,
-                         0.03 * math.sin(-0.02 * x0 + 0.01 * x1)])
+        return [math.cos(th) * v, math.sin(th) * v,
+                0.03 * math.sin(-0.02 * x0 + 0.01 * x1)]
 
     def g(x):
-        th = float(x[2])
-        return np.array([[math.cos(th), 0.0], [math.sin(th), 0.0], [0.0, 1.0]])
+        th = x[2]
+        return [[math.cos(th), 0.0], [math.sin(th), 0.0], [0.0, 1.0]]
 
     def df(x):
         th = x[2]
@@ -137,8 +147,8 @@ def analytic_linearize(s: TrueSystem, x_e) -> AffineModel:
     if s.df is None:
         raise ValueError("system has no closed-form drift Jacobian")
     A = s.df(x_e)
-    B = s.g(x_e)
-    c = s.f(x_e) - A @ x_e
+    B = np.array(s.g(x_e), dtype=float)
+    c = np.array(s.f(x_e), dtype=float) - A @ x_e
     return AffineModel(A=A, B=B, c=c, linearization_point=x_e)
 
 
@@ -146,31 +156,41 @@ def analytic_linearize(s: TrueSystem, x_e) -> AffineModel:
 CLAMP_TOL = 1e-9
 
 
+def _clamp(u: list, lo: list, hi: list):
+    """u clamped to [lo, hi] componentwise, and whether any component
+    exceeded the box by more than CLAMP_TOL."""
+    clamped = [min(max(ui, l), h) for ui, l, h in zip(u, lo, hi)]
+    return clamped, any(abs(c - ui) > CLAMP_TOL for c, ui in zip(clamped, u))
+
+
 def clamp_to_box(u, pu: Box):
     """u clamped to the box, and whether any component exceeded it by more
     than CLAMP_TOL (PWA interpolation of box-corner controls overshoots by
     about 1e-15)."""
-    u = np.asarray(u, dtype=float)
-    clamped = np.minimum(np.maximum(u, pu.lo), pu.hi)
-    return clamped, bool((np.abs(clamped - u) > CLAMP_TOL).any())
+    clamped, flagged = _clamp(np.asarray(u, dtype=float).tolist(),
+                              pu.lo.tolist(), pu.hi.tolist())
+    return np.array(clamped), flagged
 
 
-def _rk4_step(deriv, x, dt):
+def _rk4_step(deriv, x: list, dt: float) -> list:
+    """One classical RK4 step of xdot = deriv(x) on a list of floats."""
+    half, sixth = 0.5 * dt, dt / 6.0
     k1 = deriv(x)
-    k2 = deriv(x + 0.5 * dt * k1)
-    k3 = deriv(x + 0.5 * dt * k2)
-    k4 = deriv(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = deriv([xi + half * ki for xi, ki in zip(x, k1)])
+    k3 = deriv([xi + half * ki for xi, ki in zip(x, k2)])
+    k4 = deriv([xi + dt * ki for xi, ki in zip(x, k3)])
+    return [xi + sixth * (a + 2 * b + 2 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
 
 
-def _exit_violation(x, cell: Box):
-    """Most-violated facet of the cell and its signed violation."""
+def _exit_violation(x: list, lo: list, hi: list):
+    """Most-violated facet of the cell [lo, hi] and its signed violation."""
     best_f, best_v = None, 0.0
-    for k, (xk, lo, hi) in enumerate(zip(x.tolist(), cell.lo.tolist(), cell.hi.tolist())):
-        if lo - xk > best_v:
-            best_v, best_f = lo - xk, facet_id(k, -1)
-        if xk - hi > best_v:
-            best_v, best_f = xk - hi, facet_id(k, +1)
+    for k, (xk, lk, hk) in enumerate(zip(x, lo, hi)):
+        if lk - xk > best_v:
+            best_v, best_f = lk - xk, facet_id(k, -1)
+        if xk - hk > best_v:
+            best_v, best_f = xk - hk, facet_id(k, +1)
     return best_f, best_v
 
 
@@ -188,29 +208,33 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
     """Fixed-step RK4 rollout with facet-crossing event detection.
 
     The control is held constant across each RK4 step (zero-order hold at
-    the step start). On the first step whose endpoint leaves the cell the
-    crossing time is bisected to 1e-9 and the trajectory truncated there.
+    the step start); ``ctrl`` is called with the state as a list of floats.
+    On the first step whose endpoint leaves the cell the crossing time is
+    bisected to 1e-9 and the trajectory truncated there.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if not cell.contains(x, tol=1e-7):
+    x0 = np.asarray(x0, dtype=float)
+    if not cell.contains(x0, tol=1e-7):
         raise ValueError("initial state outside the cell")
-    xdot = s.xdot
-    ts, xs, us = [0.0], [x.copy()], []
+    x = x0.tolist()
+    lo, hi = cell.lo.tolist(), cell.hi.tolist()
+    if pu is not None:
+        u_lo, u_hi = pu.lo.tolist(), pu.hi.tolist()
+    rhs = s.rhs
+    ts, xs, us = [0.0], [x], []
     clamps = 0
     t = 0.0
     n_steps = int(np.ceil(t_max / dt - 1e-12))
     for step in range(n_steps):
-        u = np.asarray(ctrl(x), dtype=float)
+        u = np.asarray(ctrl(x), dtype=float).tolist()
         if pu is not None:
-            u, was_clamped = clamp_to_box(u, pu)
-            if was_clamped:
-                clamps += 1
-        deriv = lambda z: xdot(z, u)
+            u, was_clamped = _clamp(u, u_lo, u_hi)
+            clamps += was_clamped
+        deriv = lambda z: rhs(z, u)
         h = min(dt, t_max - t)
         x_new = _rk4_step(deriv, x, h)
-        if not np.isfinite(x_new).all():
+        if not all(map(math.isfinite, x_new)):
             raise FloatingPointError("non-finite state during integration")
-        fct, vio = _exit_violation(x_new, cell)
+        fct, vio = _exit_violation(x_new, lo, hi)
         if fct is not None and vio > 1e-12:
             # bisect the crossing time within this step
             lo_t, hi_t = 0.0, h
@@ -218,14 +242,13 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
                 if hi_t - lo_t <= 1e-9:
                     break
                 mid = 0.5 * (lo_t + hi_t)
-                x_mid = _rk4_step(deriv, x, mid)
-                f_mid, v_mid = _exit_violation(x_mid, cell)
+                f_mid, v_mid = _exit_violation(_rk4_step(deriv, x, mid), lo, hi)
                 if f_mid is not None and v_mid > 1e-12:
                     hi_t = mid
                 else:
                     lo_t = mid
             x_cross = _rk4_step(deriv, x, hi_t)
-            f_cross, _ = _exit_violation(x_cross, cell)
+            f_cross, _ = _exit_violation(x_cross, lo, hi)
             t += hi_t
             ts.append(t)
             xs.append(x_cross)
@@ -237,6 +260,6 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
         t += h
         if (step + 1) % record_stride == 0 or step == n_steps - 1:
             ts.append(t)
-            xs.append(x.copy())
+            xs.append(x)
             us.append(u)
     return _trajectory(ts, xs, us, clamps)

@@ -7,7 +7,7 @@ inequalities reduce to 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 import math
 

@@ -12,11 +12,11 @@ time in the size of its neighbourhood, not in the number of leaves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, GeometryError, facet_id
+from .geometry import Box, GeometryError
 
 
 @dataclass

@@ -29,7 +29,7 @@ import numpy as np
 
 from .deviation import DeviationBounds
 from .dynamics import AffineModel
-from .geometry import (Box, Polytope, Simplex, box_to_polytope, facet_axis_dir,
+from .geometry import (Box, Polytope, box_to_polytope, facet_axis_dir,
                        locate_simplex, triangulate, truncated_pyramid,
                        GeometryError)
 from .optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible

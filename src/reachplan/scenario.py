@@ -17,6 +17,9 @@ from .partition import PartitionTree
 _POSITIVE = {"C_u", "dt", "ident_period", "shrink", "terminal_slack_weight",
              "record_stride"}
 _AT_MOST_ONE = {"p_prior", "shrink"}
+# RK4 steps of dt allowed in the longer of the terminal budget and one
+# simulated second, a bound on the length of any one rollout's loop
+MAX_ROLLOUT_STEPS = 10**7
 
 
 def _invalid(name: str, why: str) -> ValueError:
@@ -71,6 +74,10 @@ class Scenario:
             elif not isinstance(v, str):
                 raise _invalid(f.name, "not a string")
             setattr(self, f.name, v)
+        horizon = max(self.terminal_budget, 1.0)
+        if horizon / self.dt > MAX_ROLLOUT_STEPS:
+            raise _invalid("dt", f"{horizon:g} s (the terminal budget, at least 1 s) "
+                                 f"would take more than {MAX_ROLLOUT_STEPS:.0e} RK4 steps")
         try:
             ws = self.workspace()
         except GeometryError:

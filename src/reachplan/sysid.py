@@ -9,12 +9,12 @@ of each sample.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import AffineModel, TrueSystem, Trajectory, _rk4_step
+from .dynamics import AffineModel, TrueSystem, _rk4_step
 from .geometry import Box
 
 
@@ -58,22 +58,23 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     the forward difference (x_next - x)/T serves as the derivative sample.
     Raises CellEscape if a cell is given and the state leaves it.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float).tolist()
     T = plan.period
     rows_x = []
     rows_dx = []
     for u in plan.inputs:
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float).tolist()
+        deriv = lambda z: s.rhs(z, u)
         x_next = x
         h = T / 10
         for _ in range(10):
-            x_next = _rk4_step(lambda z: s.xdot(z, u), x_next, h)
+            x_next = _rk4_step(deriv, x_next, h)
         if cell is not None and not cell.contains(x_next, tol=1e-9):
             raise CellEscape(x_next)
         # the forward difference matches the derivative at the midpoint
         # state to second order, so regress against the midpoint
-        rows_x.append(np.concatenate([0.5 * (x + x_next), u, [1.0]]))
-        rows_dx.append((x_next - x) / T)
+        rows_x.append([0.5 * (a + b) for a, b in zip(x, x_next)] + u + [1.0])
+        rows_dx.append([(b - a) / T for a, b in zip(x, x_next)])
         x = x_next
 
     X = np.array(rows_x)            # (K, n+m+1)
@@ -87,5 +88,5 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     B = theta[:, n:n + m]
     c = theta[:, n + m]
     model = AffineModel(A=A, B=B, c=c, linearization_point=np.asarray(x0, float))
-    model.final_state = x
+    model.final_state = np.array(x)
     return model

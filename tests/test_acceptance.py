@@ -336,7 +336,7 @@ def test_c12_runs_are_deterministic(mecanum_run, mecanum_rerun, tmp_path):
     csv = (d1 / "trajectory.csv").read_bytes()
     assert csv == (d2 / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "26215928137bf2dea08e23eeac49662d2ed5265cf6fc183e6bd84837e2280d86")
+        "bd406626a64894b50334817977dfaded52f394129ecbe081be0d06beac1e4f0b")
 
     statuses = _edge_statuses(mecanum_run)
     assert statuses == _edge_statuses(mecanum_rerun)

@@ -171,6 +171,21 @@ def _assert_rejected(tmp_path, capsys, field, changes):
         Scenario.from_dict(data)
 
 
+def test_dt_beyond_the_step_budget_rejected(tmp_path, capsys):
+    """At dt 1e-9 one rollout would take about t_max / dt = 1e9 RK4 steps.
+    validate is asked first, so a missing bound fails the test instead of
+    starting a mission in run; a zero terminal budget still bounds one
+    simulated second. The smallest dt and the longest terminal budget of
+    the field sweep pass."""
+    for changes in ({"dt": 1e-9}, {"dt": 1e-9, "terminal_budget": 0.0},
+                    {"dt": 1e-7}):
+        _assert_rejected(tmp_path, capsys, "dt", changes)
+    for plant in ("mecanum", "unicycle"):
+        base = builtin_scenario(plant).to_dict()
+        for changes in ({"dt": 1e-4}, {"terminal_budget": 1000.0}):
+            Scenario.from_dict(dict(base, **changes))
+
+
 @pytest.mark.parametrize("field, changes", [
     ("record_stride", {"record_stride": 0}),    # division by zero in integrate
     ("max_iters", {"max_iters": 2.5}),          # a float given to range()
@@ -220,10 +235,12 @@ def test_every_numeric_field_runs_or_is_rejected(plant, tmp_path, capsys):
     every entry of a vector field) with max_iters 1: run exits 0, 1 (naming
     a field) or 2 and never raises (4-7 s per plant on a 2-vCPU VM).
 
-    The tiny dt is 1e-4, not 1e-9: nothing bounds a run's step count, and
-    a rollout at dt 1e-9 needs about t_max / dt = 1e9 RK4 steps, so it does
-    not crash but does not finish in minutes either. max_iters 1000 is the
-    whole mission, which the acceptance tests run."""
+    The tiny dt is 1e-4, not 1e-9: the parser rejects a dt at which the
+    terminal budget (at least one simulated second) takes more than
+    MAX_ROLLOUT_STEPS RK4 steps, which test_dt_beyond_the_step_budget_rejected
+    checks without starting a mission; 1e-4 passes that bound and still
+    runs in seconds. max_iters 1000 is the whole mission, which the
+    acceptance tests run."""
     path = tmp_path / "scenario.json"
     base = builtin_scenario(plant).to_dict()
     for f in dataclasses.fields(Scenario):

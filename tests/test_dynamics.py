@@ -1,5 +1,7 @@
 """True systems, analytic linearization, RK4 integration, crossing detection."""
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from reachplan.geometry import Box, facet_id
 
 def _fd_jacobian(f, x, h=1e-6):
     x = np.asarray(x, dtype=float)
-    n = f(x).size
+    n = len(f(x))
     J = np.zeros((n, x.size))
     for k in range(x.size):
         e = np.zeros(x.size)
         e[k] = h
-        J[:, k] = (f(x + e) - f(x - e)) / (2 * h)
+        J[:, k] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
     return J
 
 
@@ -51,7 +53,7 @@ def test_analytic_linearize_is_first_order(maker):
 
 def test_unicycle_control_structure():
     s = unicycle_system()
-    g = s.g([0.0, 0.0, np.pi / 3])
+    g = np.asarray(s.g([0.0, 0.0, np.pi / 3]))
     assert np.allclose(g[:, 0], [np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0])
     assert np.allclose(g[:, 1], [0.0, 0.0, 1.0])
 
@@ -78,25 +80,51 @@ def _unicycle_g_np(x):
     return np.array([[np.cos(x[2]), 0.0], [np.sin(x[2]), 0.0], [0.0, 1.0]])
 
 
+def _xdot_rounded(f, g, u):
+    """f + g u for m = 2 in Python floats: each product and sum rounded on
+    its own, with no fused multiply-add, whatever BLAS numpy loads."""
+    return [float(fi) + (float(row[0]) * u[0] + float(row[1]) * u[1])
+            for fi, row in zip(f, g)]
+
+
+def _xdot_exact(f, g, u):
+    """f + g u of the float inputs in exact rational arithmetic."""
+    return [Fraction(float(fi)) + sum(Fraction(float(gij)) * Fraction(uj)
+                                      for gij, uj in zip(row, u))
+            for fi, row in zip(f, g)]
+
+
 @pytest.mark.parametrize("maker, f_np, g_np", [
     (mecanum_system, _mecanum_f_np, _mecanum_g_np),
     (unicycle_system, _unicycle_f_np, _unicycle_g_np),
 ])
 def test_plant_matches_numpy_formulas_bit_for_bit(maker, f_np, g_np):
+    """f and g give the bits of their numpy formulas; xdot gives the bits of
+    the rounded scalar sum, and lies within 2 ulp of the exact sum (ulp of
+    its largest term: f and g u may cancel)."""
     s = maker()
     rng = np.random.default_rng(29)
     for _ in range(500):
         x = rng.uniform(-10, 10, s.n)
         u = rng.uniform(-3, 3, s.m)
-        for got, want in ((s.f(x), f_np(x)), (s.g(x), g_np(x)),
-                          (s.xdot(x, u), f_np(x) + g_np(x) @ u),
-                          (s.f(x.tolist()), f_np(x)), (s.g(x.tolist()), g_np(x)),
-                          (s.xdot(x.tolist(), u.tolist()), f_np(x) + g_np(x) @ u)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert (got == want).all()
+        for xs in (x, x.tolist()):
+            for got, want in ((s.f(xs), f_np(x)), (s.g(xs), g_np(x))):
+                got = np.asarray(got)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert (got == want).all()
+        f, g = f_np(x), g_np(x)
+        ref = _xdot_rounded(f, g, u.tolist())
+        exact = _xdot_exact(f, g, u.tolist())
+        for got in (s.xdot(x, u), s.xdot(x.tolist(), u.tolist()),
+                    np.array(s.rhs(x.tolist(), u.tolist()))):
+            assert got.dtype == np.float64 and got.shape == (s.n,)
+            assert got.tolist() == ref
+            for i in range(s.n):
+                scale = max([abs(f[i])] + [abs(gij * uj) for gij, uj in zip(g[i], u)])
+                assert abs(Fraction(got[i]) - exact[i]) <= 2 * Fraction(math.ulp(scale))
     # integer lists are states too
     ints = list(range(1, s.n + 1))
-    assert (s.f(ints) == f_np(np.asarray(ints, dtype=float))).all()
+    assert (np.asarray(s.f(ints)) == f_np(np.asarray(ints, dtype=float))).all()
 
 
 def test_clamp_to_box():
