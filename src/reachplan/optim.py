@@ -1,12 +1,12 @@
 """Dense small-scale LP and QP solvers used by certification and control.
 
 Linear programs are solved by a two-phase tableau simplex with Bland's
-rule (deterministic and cycle-free); a mission only needs it for
-borderline refutations and the terminal hard-row check, as certificate
-LPs go to the closed-form kernel in ``reach``. Strictly convex quadratic
+rule (deterministic and cycle-free). A mission solves none: every vertex
+LP goes to the closed-form kernel in ``reach``, and the tableau stays as
+the reference that kernel is tested against. Strictly convex quadratic
 programs are solved by enumerating candidate active sets and returning
-the first KKT-consistent point. Strict inequalities are margins of at
-least DELTA_STRICT.
+the first KKT-consistent point, or raising SolverError when none is
+feasible. Strict inequalities are margins of at least DELTA_STRICT.
 """
 from __future__ import annotations
 

@@ -15,8 +15,7 @@ vertex relaxation for side facets.
 
 Every vertex LP has one unknown per input (m ≤ 3) and one closed-form
 kernel solves them, for all vertices (and a refutation's exit facets and
-sign patterns) at once; the tableau simplex only settles borderline
-refutations.
+sign patterns) at once. No mission LP goes to the tableau simplex.
 """
 from __future__ import annotations
 
@@ -32,7 +31,7 @@ from .dynamics import AffineModel
 from .geometry import (Box, Polytope, box_to_polytope, facet_axis_dir,
                        locate_simplex, triangulate, truncated_pyramid,
                        GeometryError)
-from .optim import DELTA_STRICT, LinearFeasibilityProblem, linear_feasible
+from .optim import DELTA_STRICT
 
 
 @dataclass
@@ -108,15 +107,13 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
 
 
 # Closed-form kernel for the vertex systems (m <= 3 inputs).
-# A system is feasible when some candidate point violates no row by more
-# than _FEAS_TOL and has a strict-row slack above DELTA_STRICT + _BAND, and
-# infeasible when no candidate violating no row by more than _NEAR has a
-# slack of DELTA_STRICT - _NEAR or more. Refutations send the systems in
-# between to the tableau, whose own tolerances then decide the borderline
-# cases. Best corners within _TIE (relative) of the best slack are tied.
+# A best corner is a candidate point that violates no row by more than
+# _FEAS_TOL; corners within _TIE (relative) of the best slack are tied. A
+# system stays possible unless no candidate violating no row by more than
+# _NEAR has a slack of DELTA_STRICT - _NEAR or more, so borderline systems
+# count as possible and rounding can never refute a reachable facet.
 _DET_TOL = 1e-12     # candidate rows this close to parallel define no point
 _FEAS_TOL = 1e-9
-_BAND = 1e-7
 _NEAR = 1e-6
 _TIE = 1e-9
 
@@ -147,15 +144,14 @@ def _pattern_tables(m: int, K: int):
 
 
 def _vertex_systems(model: AffineModel, p: Polytope, exit_facets, lo, hi, margin, dB):
-    """(C, d, real, pick): the systems C u ≤ d of every (vertex j, exit
-    facet f, pattern k), with C (m, R + 1, M, F, P) by input component,
+    """(C, d, pick): the systems C u ≤ d of every (vertex j, exit facet f,
+    pattern k), with C (m, R + 1, M, F, P) by input component,
     d (R + 1, M, F, P) and R = 2m + K; P patterns of lo, hi (P, m) and
     dB (m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are each
     vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j, where
     the exit facet and the padding of vertices with fewer facets are
-    0·u ≤ 1 (``real`` (K, M, F) marks the invariance rows). The last row is
-    the strict row negated: its slack d[R] - C[:, R]·u is
-    n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
+    0·u ≤ 1. The last row is the strict row negated: its slack
+    d[R] - C[:, R]·u is n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # Products are broadcast sums and the mask is built in Python: integer
     # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
@@ -183,22 +179,22 @@ def _vertex_systems(model: AffineModel, p: Polytope, exit_facets, lo, hi, margin
     d[2 * m:-1] = np.where(real, (margin - drift)[:, :, None], 1.0)[..., None]
     C[:, -1] = (dB[:, None] - NB[:, exits, None])[:, None]
     d[-1] = (drift_exit + margin).T[:, :, None]
-    return C, d, real, pick
+    return C, d, pick
 
 
 def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
                  exit_facets, pu: Box):
-    """(S, C, d, real, pick, boxed): the _vertex_systems of every sign
-    pattern s_k, over its orthant of the input box (``boxed`` (P,) is False
-    where that is empty), with every row loosened by what an in-bound model
-    could gain: margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So
+    """(C, d, pick, boxed): the _vertex_systems of every sign pattern s_k,
+    over its orthant of the input box (``boxed`` (P,) is False where that
+    is empty), with every row loosened by what an in-bound model could
+    gain: margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So
     infeasibility at a vertex refutes every in-bound model."""
     S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, max(map(len, p.vertex_facets)))
     margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
     lo = np.maximum(pu.lo, cap_lo)
     hi = np.minimum(pu.hi, cap_hi)
-    C, d, real, pick = _vertex_systems(model, p, exit_facets, lo, hi, margin, -bounds.eps_B * S.T)
-    return S, C, d, real, pick, (lo <= hi).all(axis=1)
+    C, d, pick = _vertex_systems(model, p, exit_facets, lo, hi, margin, -bounds.eps_B * S.T)
+    return C, d, pick, (lo <= hi).all(axis=1)
 
 
 def _cross(x, y):
@@ -239,9 +235,11 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
     The best corner is the candidate within _FEAS_TOL of every row with the
     largest slack. Tie rule: among the candidates within _TIE·max(1, |best|)
     of that slack, take the lexicographically smallest u (least u_0, then
-    least u_1, ...). Returns (feasible, undecided, u, slack): the masks
-    (M, F, P) of the systems decided feasible and undecided, and each best
-    corner u (m, M, F, P) with its slack, NaN and -inf without a candidate.
+    least u_1, ...). Returns (possible, u, slack): the mask (M, F, P) of
+    the systems that some candidate within _NEAR of every row meets with a
+    slack of DELTA_STRICT - _NEAR or more (False where ``boxed`` is False), and
+    each best corner u (m, M, F, P) with its slack, NaN and -inf without a
+    candidate.
     """
     m = C.shape[0]
     U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, F, P)
@@ -257,16 +255,15 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
     slack = -res[-1]
     ok = viol <= _FEAS_TOL
     best = np.where(ok, slack, -np.inf).max(axis=0)
-    feasible = (best > DELTA_STRICT + _BAND) & boxed
     near = np.where(viol <= _NEAR, slack, -np.inf).max(axis=0)
-    undecided = (near >= DELTA_STRICT - _NEAR) & boxed & ~feasible
+    possible = (near >= DELTA_STRICT - _NEAR) & boxed
     tied = ok & (slack >= best - _TIE * np.maximum(1.0, np.abs(best)))
     u = []
     for k in range(m):
         low = np.where(tied, U[k], np.inf).min(axis=0)
         tied &= U[k] == low
         u.append(low)
-    return (feasible, undecided, np.where(best > -np.inf, u, np.nan),
+    return (possible, np.where(best > -np.inf, u, np.nan),
             np.where(tied, slack, -np.inf).max(axis=0))
 
 
@@ -277,9 +274,9 @@ def _fastest_controls(model: AffineModel, p: Polytope, exit_facets, pu: Box, spr
     n_iᵀ(A v_j + B u + c) + spread[j] ≤ 0; u NaN, speed -inf without one.
     The speed is the kernel's slack, which _speed matches to rounding.
     """
-    C, d, _, pick = _vertex_systems(model, p, exit_facets, pu.lo[None], pu.hi[None],
-                                    -np.asarray(spread, dtype=float), np.zeros((pu.dim, 1)))
-    _, _, u, speed = _closed_form_verdicts(C, d, pick)
+    C, d, pick = _vertex_systems(model, p, exit_facets, pu.lo[None], pu.hi[None],
+                                 -np.asarray(spread, dtype=float), np.zeros((pu.dim, 1)))
+    _, u, speed = _closed_form_verdicts(C, d, pick)
     return u[..., 0].transpose(1, 2, 0), speed[..., 0], d[..., 0]
 
 
@@ -290,7 +287,7 @@ def fastest_control(a, rows, rhs, pu: Box):
     _, _, _, box, pick = _pattern_tables(pu.dim, len(rhs))
     C = np.hstack([box, rows.T, -a[:, None]])
     d = np.concatenate([pu.hi, -pu.lo, rhs, [0.0]])
-    _, _, u, slack = _closed_form_verdicts(C[:, :, None, None, None], d[:, None, None, None], pick)
+    _, u, slack = _closed_form_verdicts(C[:, :, None, None, None], d[:, None, None, None], pick)
     return u[:, 0, 0, 0] if slack[0, 0, 0] > -np.inf else None
 
 
@@ -301,29 +298,12 @@ def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern. The
     systems (m ≤ 3 inputs) are decided in closed form, all facets in one
-    kernel call. Per facet, vertices are checked in order until one is
-    refuted: a vertex without a pattern decided feasible has its undecided
-    patterns solved by linear_feasible over that orthant in pattern order.
+    kernel call; a system the kernel cannot rule out counts as feasible,
+    so only certain infeasibility refutes.
     """
-    _, C, d, real, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu)
-    m, _, M, F, _ = C.shape
-    feasible, undecided, _, _ = _closed_form_verdicts(C, d, pick, boxed)
-    decided = feasible.tolist()
-
-    def tableau_feasible(j, f):
-        rows = [2 * m + r for r, ok in enumerate(real[:, j, f].tolist()) if ok]
-        for k in np.flatnonzero(undecided[j, f]):
-            prob = LinearFeasibilityProblem(
-                A_le=C[:, rows, j, f, k].T, b_le=d[rows, j, f, k],
-                A_ge_strict=-C[:, -1:, j, f, k].T, b_ge_strict=-d[-1:, j, f, k],
-                lo=-d[m:2 * m, j, f, k], hi=d[:m, j, f, k],
-            )
-            if linear_feasible(prob) is not None:
-                return True
-        return False
-
-    return [not all(True in decided[j][f] or tableau_feasible(j, f) for j in range(M))
-            for f in range(F)]
+    C, d, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu)
+    possible = _closed_form_verdicts(C, d, pick, boxed)[0].tolist()
+    return [not all(True in vertex[f] for vertex in possible) for f in range(len(possible[0]))]
 
 
 def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,

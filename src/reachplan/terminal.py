@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import AffineModel
 from .geometry import Box
-from .optim import LinearFeasibilityProblem, QPResult, SolverError, linear_feasible, solve_qp
+from .optim import QPResult, solve_qp
 
 
 @dataclass
@@ -46,13 +46,18 @@ def barrier_values(cell: Box, x) -> np.ndarray:
 
 def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
                     params: TerminalParams) -> TerminalStep:
+    """One CLF-CBF step at x.
+
+    The slack δ makes the Lyapunov row satisfiable, so the program is
+    infeasible only when the barrier rows cannot be met inside the input
+    box; solve_qp then raises SolverError.
+    """
     x = np.asarray(x, dtype=float)
     x_target = np.asarray(x_target, dtype=float)
     n, m = model.A.shape[0], model.B.shape[1]
-    P = np.eye(n)
     err = x - x_target
-    V = 0.5 * float(err @ P @ err)
-    gradV = P @ err
+    V = 0.5 * float(err @ err)
+    gradV = err
     drift = model.A @ x + model.c
 
     # rows over z = (u, delta): G z <= h
@@ -71,7 +76,6 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
         row[:m] = model.B[k]
         rows.append(row)
         rhs.append(params.kappa * h_vals[2 * k + 1] - drift[k])
-    n_hard = len(rows)
     for k in range(m):
         row = np.zeros(m + 1)
         row[k] = 1.0
@@ -87,16 +91,6 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     rhs.append(0.0)
     G = np.array(rows)
     h = np.array(rhs)
-
-    # the slack delta makes the Lyapunov row satisfiable, so the program is
-    # feasible iff the barrier rows are within the input box
-    hard = LinearFeasibilityProblem(
-        A_le=G[1:n_hard, :m], b_le=h[1:n_hard],
-        A_ge_strict=np.zeros((0, m)), b_ge_strict=np.zeros(0),
-        lo=pu.lo, hi=pu.hi,
-    )
-    if linear_feasible(hard) is None:
-        raise SolverError("barrier rows infeasible within the input box")
 
     H = 2.0 * np.eye(m + 1)
     H[m, m] = 2.0 * params.slack_weight

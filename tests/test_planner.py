@@ -221,9 +221,8 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
 
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
 def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
-    """The mission's reported lp_calls equals the number of solve_lp calls
-    it makes, wherever they come from: every LP goes through
-    linear_feasible."""
+    """A built-in mission solves no tableau LP: it makes no solve_lp call,
+    wherever from, and reports lp_calls 0."""
     calls = []
     solve_lp = optim.solve_lp
 
@@ -236,7 +235,7 @@ def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
             monkeypatch.setattr(module, "solve_lp", counted)
     log = run_mission(builtin_scenario(plant))
     assert log.success
-    assert log.metrics["lp_calls"] == len(calls) > 0
+    assert log.metrics["lp_calls"] == len(calls) == 0
 
 
 def test_unicycle_runs_are_deterministic(tmp_path):

@@ -363,28 +363,29 @@ def _robust_rows_hold(model, bounds, p, cert, pu, tol=1e-9):
 
 def test_batched_predictive_verdicts_match_tableau_reference():
     """One call per question decides every facet of the polytope: each
-    facet's refutation systems and verdict equal its per-pattern reference,
-    and it is certified exactly when every vertex's per-vertex tableau
-    reference reaches DELTA_STRICT, with those speeds as its margins."""
+    facet's verdict equals its per-pattern reference, every refutation
+    system the reference finds feasible is possible (at most 1 % of the
+    others are too), and a facet is certified exactly when every vertex's
+    per-vertex tableau reference reaches DELTA_STRICT, with those speeds as
+    its margins."""
     rng = np.random.default_rng(31)
-    systems = undecided = certified = refuted = 0
+    systems = lenient = certified = refuted = 0
     for _ in range(250):
         model, bounds, p, _, pu = _random_predictive_instance(rng)
         facets = list(range(p.n_facets))
-        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu)
-        feasible, open_, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
+        C, d, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu)
+        possible, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
         refutations = predict_unreachable(model, bounds, p, facets, pu)
         certs = predict_reachable(model, bounds, p, facets, pu)
         assert len(refutations) == len(certs) == len(facets)
         for f, fct in enumerate(facets):
             ref = [_reference_patterns(model, bounds, p, j, fct, pu)
                    for j in range(p.n_vertices)]
-            for j, k in np.ndindex(feasible.shape[0], feasible.shape[2]):
+            for j, k in np.ndindex(possible.shape[0], possible.shape[2]):
                 systems += 1
-                if open_[j, f, k]:
-                    undecided += 1
-                else:
-                    assert feasible[j, f, k] == ref[j][k], (j, fct, k)
+                if possible[j, f, k] != ref[j][k]:
+                    assert possible[j, f, k], (j, fct, k)
+                    lenient += 1
             every_vertex = all(any(r) for r in ref)
             assert refutations[f] == (not every_vertex)
             refuted += not every_vertex
@@ -401,23 +402,25 @@ def test_batched_predictive_verdicts_match_tableau_reference():
                 assert cert.bound.c1 == min(cert.margins.values())
                 assert cert.t_est <= cert.bound.T0
     assert certified > 10 and refuted > 10
-    assert undecided <= systems // 100
+    assert lenient <= systems // 100
 
 
 def test_band_systems_are_left_to_the_tableau():
-    """Systems whose best slack is DELTA_STRICT +- 1e-8 get the verdict of
-    linear_feasible, whose own tolerance accepts slacks a little below
-    DELTA_STRICT."""
+    """Systems whose best slack is DELTA_STRICT +- 1e-8 are possible
+    whenever linear_feasible, whose own tolerance accepts slacks a little
+    below DELTA_STRICT, finds them feasible: the kernel alone refutes
+    nothing the tableau would keep."""
     rng = np.random.default_rng(37)
-    band = 0
+    band = kept = 0
     while band < 300:
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
-        S, C, d, real, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu)
+        C, d, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu)
         m = C.shape[0]
-        j, k = int(rng.integers(p.n_vertices)), int(rng.integers(S.shape[0]))
+        j, k = int(rng.integers(p.n_vertices)), int(rng.integers(C.shape[-1]))
         if not boxed[k]:
             continue
-        rows = 2 * m + np.flatnonzero(real[:, j, 0])
+        # row 2m + r holds vertex j's r-th facet; the exit facet is padding
+        rows = [2 * m + r for r, i in enumerate(p.vertex_facets[j]) if i != fct]
         a = -C[:, -1, j, 0, k]
         status, u, _ = solve_lp(-a, C[:, rows, j, 0, k].T, d[rows, j, 0, k],
                                 -d[m:2 * m, j, 0, k], d[:m, j, 0, k])
@@ -431,18 +434,21 @@ def test_band_systems_are_left_to_the_tableau():
                 A_le=C[:, rows, j, 0, k].T, b_le=d[rows, j, 0, k],
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, 0, k],
                 lo=-d[m:2 * m, j, 0, k], hi=d[:m, j, 0, k])
-            ref = linear_feasible(prob) is not None
-            feasible, open_, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
-            assert open_[j, 0, k] or feasible[j, 0, k] == ref
+            if linear_feasible(prob) is not None:
+                possible, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
+                assert possible[j, 0, k]
+                kept += 1
             band += 1
+    assert kept > 100
 
 
 @pytest.mark.parametrize("offset", [1e-8, -1e-8])
 def test_band_vertices_fall_back_to_linear_feasible(offset):
     """Single integrator whose every vertex can push out through +x with a
-    best slack of DELTA_STRICT + offset: the refutation comes from the
-    tableau and equals the per-pattern reference, and a certificate needs
-    a fastest speed of DELTA_STRICT at every vertex."""
+    best slack of DELTA_STRICT + offset: the kernel alone, without a
+    tableau LP, gives the refutation verdict of the per-pattern reference,
+    and a certificate needs a fastest speed of DELTA_STRICT at every
+    vertex."""
     model = _model(np.zeros((2, 2)), np.eye(2), [DELTA_STRICT + offset - 1.0, 0.0])
     p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
@@ -451,7 +457,7 @@ def test_band_vertices_fall_back_to_linear_feasible(offset):
     ref = [any(_reference_patterns(model, zero, p, j, fct, pu)) for j in range(4)]
     before = optim.STATS.lp_calls
     assert predict_unreachable(model, zero, p, [fct], pu) == [not all(ref)]
-    assert optim.STATS.lp_calls > before
+    assert optim.STATS.lp_calls == before
     cert, = predict_reachable(model, zero, p, [fct], pu)
     assert (cert is not None) == (offset > 0)
 

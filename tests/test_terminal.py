@@ -4,6 +4,7 @@ import pytest
 
 from reachplan.dynamics import AffineModel
 from reachplan.geometry import Box
+from reachplan.optim import SolverError
 from reachplan.terminal import (TerminalParams, barrier_values,
                                 clf_cbf_control)
 
@@ -80,6 +81,19 @@ def test_drift_toward_facet_is_rejected():
     step = clf_cbf_control(m, x, np.array([0.2, 0.5]), cell, pu, params)
     # hdot = -(3 + u_x) must be >= -kappa h = -0.02
     assert 3.0 + step.u[0] <= 2.0 * 0.01 + 1e-7
+
+
+def test_unreachable_barrier_rows_raise_solver_error():
+    # the drift of test_drift_toward_facet_is_rejected with a unit input
+    # box: keeping x inside needs u_x <= -2.98, so no control meets the
+    # upper x barrier row and the QP itself reports the infeasibility
+    m = AffineModel(A=np.zeros((2, 2)), B=np.eye(2), c=np.array([3.0, 0.0]),
+                    linearization_point=np.zeros(2))
+    cell = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
+    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
+    params = TerminalParams(alpha=1.0, kappa=2.0, slack_weight=1e6)
+    with pytest.raises(SolverError):
+        clf_cbf_control(m, np.array([0.99, 0.5]), np.array([0.2, 0.5]), cell, pu, params)
 
 
 def test_closed_loop_convergence_and_invariance():
