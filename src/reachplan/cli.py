@@ -25,7 +25,7 @@ from .planner import run_mission
 from .reach import facet_reachable
 from .scenario import Scenario, builtin_scenario
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MODEL_MAX = 1e50     # largest certify model value: products of four stay finite
 
 
@@ -81,7 +81,8 @@ def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
         "leaf_count": log.metrics.get("leaf_count"),
         "uniform_count": log.metrics.get("uniform_count"),
         "reduction_ratio": log.metrics.get("reduction_ratio"),
-        "lp_calls": log.metrics.get("lp_calls"),
+        "kernel_calls": log.metrics.get("kernel_calls"),
+        "kernel_systems": log.metrics.get("kernel_systems"),
         "qp_calls": log.metrics.get("qp_calls"),
         "simulated_time": log.metrics.get("simulated_time"),
         "edge_status_tallies": [s["tally"] for s in log.snapshots],
@@ -110,7 +111,8 @@ def cmd_run(args) -> int:
               f"(uniform {log.metrics['uniform_count']}, "
               f"reduction {log.metrics['reduction_ratio']:.2%})")
         print(f"wall time: {log.metrics['wall_time_s']:.1f} s, "
-              f"LPs: {log.metrics['lp_calls']}, QPs: {log.metrics['qp_calls']}")
+              f"kernel: {log.metrics['kernel_calls']} calls, "
+              f"{log.metrics['kernel_systems']} systems, QPs: {log.metrics['qp_calls']}")
     return 0 if log.success else 2
 
 

@@ -28,17 +28,23 @@ class DeviationBounds:
         return DeviationBounds(0.0, 0.0, 0.0)
 
 
-def deviation_bounds(L_df: float, L_g: float, x1, x2) -> DeviationBounds:
-    """Parameter deviation between linearizations at x1 and x2."""
+def _deviations(L_df: float, L_g: float, x1, X2):
+    """(eps_A, eps_B, eps_c), each (N,), from x1 to every row of X2 (N, n).
+    Norms are one BLAS dot per row, as in np.linalg.norm."""
     if L_df < 0 or L_g < 0:
         raise ValueError("Lipschitz constants must be nonnegative")
     x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    d = float(np.linalg.norm(x2 - x1))
-    eps_A = L_df * d
-    eps_B = L_g * d
-    eps_c = 0.5 * L_df * d * d + L_df * d * float(np.linalg.norm(x2))
-    return DeviationBounds(eps_A, eps_B, eps_c)
+    X2 = np.asarray(X2, dtype=float)
+    diff = X2 - x1
+    d = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    norm2 = np.sqrt(np.matmul(X2[:, None, :], X2[:, :, None])[:, 0, 0])
+    return L_df * d, L_g * d, 0.5 * L_df * d * d + L_df * d * norm2
+
+
+def deviation_bounds(L_df: float, L_g: float, x1, x2) -> DeviationBounds:
+    """Parameter deviation between linearizations at x1 and x2."""
+    eps = _deviations(L_df, L_g, x1, np.asarray(x2, dtype=float)[None])
+    return DeviationBounds(*(float(e[0]) for e in eps))
 
 
 def cell_pair_bounds(L_df: float, L_g: float, source_point, target_cell: Box) -> DeviationBounds:
@@ -47,13 +53,5 @@ def cell_pair_bounds(L_df: float, L_g: float, source_point, target_cell: Box) ->
     Both the distance d and the norm term are convex in the target point,
     so the componentwise maxima occur at cell vertices.
     """
-    src = np.asarray(source_point, dtype=float)
-    best = DeviationBounds.zero()
-    ea = eb = ec = 0.0
-    for code in range(2 ** target_cell.dim):
-        v = target_cell.vertex(code)
-        b = deviation_bounds(L_df, L_g, src, v)
-        ea = max(ea, b.eps_A)
-        eb = max(eb, b.eps_B)
-        ec = max(ec, b.eps_c)
-    return DeviationBounds(ea, eb, ec)
+    eps = _deviations(L_df, L_g, source_point, target_cell.vertices())
+    return DeviationBounds(*(max(0.0, float(e.max())) for e in eps))

@@ -8,6 +8,7 @@ inequalities reduce to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from itertools import permutations
 import math
 
@@ -65,7 +66,17 @@ class Box:
         return v
 
     def vertices(self) -> np.ndarray:
-        return np.array([self.vertex(c) for c in range(2 ** self.dim)])
+        """All 2^n vertices, row ``code`` being vertex(code)."""
+        return np.where(_code_bits(self.dim), self.hi, self.lo)
+
+
+@functools.lru_cache(maxsize=8)
+def _code_bits(n: int) -> np.ndarray:
+    """(2^n, n) mask: bit k of each vertex code, read-only."""
+    bits = np.array([[code >> k & 1 for k in range(n)] for code in range(2 ** n)],
+                    dtype=bool).reshape(2 ** n, n)
+    bits.flags.writeable = False
+    return bits
 
 
 def facet_id(axis: int, direction: int) -> int:
@@ -128,31 +139,32 @@ class Polytope:
 
 def box_to_polytope(b: Box) -> Polytope:
     """Convert a box to its 2^n-vertex, 2n-facet polytope form."""
-    n = b.dim
-    verts = b.vertices()
-    normals = np.zeros((2 * n, n))
-    offsets = np.zeros(2 * n)
+    return boxes_to_polytopes([b])[0]
+
+
+def boxes_to_polytopes(boxes) -> list:
+    """box_to_polytope of every box (all of one dimension), from their
+    stacked bounds. No two of them share memory."""
+    n = boxes[0].dim
+    lo = np.array([b.lo for b in boxes])
+    hi = np.array([b.hi for b in boxes])
+    verts = np.where(_code_bits(n), hi[:, None], lo[:, None])          # (B, 2^n, n)
+    offsets = np.stack([-lo, hi], axis=2).reshape(len(boxes), 2 * n)
+    normals = np.zeros((len(boxes), 2 * n, n))
     for axis in range(n):
-        normals[facet_id(axis, -1), axis] = -1.0
-        offsets[facet_id(axis, -1)] = -b.lo[axis]
-        normals[facet_id(axis, +1), axis] = 1.0
-        offsets[facet_id(axis, +1)] = b.hi[axis]
+        normals[:, facet_id(axis, -1), axis] = -1.0
+        normals[:, facet_id(axis, +1), axis] = 1.0
     facet_vertices = []
     for fid in range(2 * n):
         axis, d = facet_axis_dir(fid)
         bit = 1 if d > 0 else 0
         facet_vertices.append(tuple(j for j in range(2 ** n) if (j >> axis & 1) == bit))
-    vertex_facets = []
-    for j in range(2 ** n):
-        vertex_facets.append(tuple(i for i in range(2 * n) if j in facet_vertices[i]))
-    return Polytope(
-        vertices=verts,
-        normals=normals,
-        offsets=offsets,
-        facet_vertices=facet_vertices,
-        vertex_facets=vertex_facets,
-        grid_codes=list(range(2 ** n)),
-    )
+    vertex_facets = [tuple(i for i in range(2 * n) if j in facet_vertices[i])
+                     for j in range(2 ** n)]
+    return [Polytope(vertices=verts[k], normals=normals[k], offsets=offsets[k],
+                     facet_vertices=list(facet_vertices), vertex_facets=list(vertex_facets),
+                     grid_codes=list(range(2 ** n)))
+            for k in range(len(boxes))]
 
 
 def truncated_pyramid(b: Box, axis: int, direction: int, shrink: float) -> Polytope:
@@ -246,4 +258,6 @@ def locate_simplex(tri: list, x, tol: float = 1e-9):
         lam = s.barycentric(x)
         if np.all(lam >= -tol):
             return idx, lam
-    raise GeometryError(f"point {x} lies outside the triangulated region")
+    # the message names no point: PWAController.locate catches this raise
+    # on every overshoot, and formatting the array would dominate its cost
+    raise GeometryError("point lies outside the triangulated region")

@@ -24,15 +24,18 @@ class SolverError(RuntimeError):
 
 
 class Stats:
-    """Global solver-call counters for run summaries."""
+    """Global solver-call counters for run summaries: tableau LPs, QPs, and
+    the calls of the closed-form vertex-system kernel in ``reach`` with the
+    systems they decided."""
 
     def __init__(self):
-        self.lp_calls = 0
-        self.qp_calls = 0
+        self.reset()
 
     def reset(self):
         self.lp_calls = 0
         self.qp_calls = 0
+        self.kernel_calls = 0
+        self.kernel_systems = 0
 
 
 STATS = Stats()

@@ -12,6 +12,7 @@ time in the size of its neighbourhood, not in the number of leaves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,9 @@ class SharedFacet:
     hi: np.ndarray
 
     def measure(self) -> float:
-        s = np.delete(self.hi - self.lo, self.axis)
-        return float(np.prod(s))
+        s = (self.hi - self.lo).tolist()
+        del s[self.axis]
+        return float(math.prod(s))
 
 
 class PartitionTree:

@@ -10,6 +10,7 @@ quadratic program takes over.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ import numpy as np
 from . import graph as gr
 from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
-from .geometry import (Box, GeometryError, box_to_polytope, facet_axis_dir,
-                       facet_id)
+from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes,
+                       facet_axis_dir, facet_id)
 from .optim import STATS, SolverError
 from .partition import PartitionTree, adjacency, uniform_cell_count
 from .reach import (ReachCertificate, facet_reachable, fastest_control,
@@ -75,7 +76,6 @@ class _Mission:
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
         self.certs: dict = {}         # (src id, facet id) -> certificate or None
-        self.model_dist: dict = {}    # (cell id, model cell id) -> distance
         self.retries = defaultdict(int)
         self.escape_count = 0
         self.log = MissionLog()
@@ -132,7 +132,9 @@ class _Mission:
         with the edge's target: which neighbour a crossing enters then
         cannot be pinned down."""
         sf = e.shared
-        return float(np.prod(np.delete(cell.sides, sf.axis))) <= sf.measure() * (1 + 1e-9)
+        sides = cell.sides.tolist()
+        del sides[sf.axis]
+        return math.prod(sides) <= sf.measure() * (1 + 1e-9)
 
     # ---------------- identification ----------------
 
@@ -257,18 +259,24 @@ class _Mission:
             resolved += 1
         return resolved
 
-    def model_distance(self, cell: Box, model_cid: int, model: AffineModel) -> float:
-        """Distance from a model's linearization point to a cell's center,
-        memoised by (cell id, model cell id): exact, as ids are never reused."""
-        key = (cell.id, model_cid)
-        dist = self.model_dist.get(key)
-        if dist is None:
-            dist = self.model_dist[key] = float(
-                np.linalg.norm(model.linearization_point - cell.center))
-        return dist
+    def nearest_models(self, cells: list) -> list:
+        """Per cell, the id of the identified cell whose linearization point
+        is nearest the cell's center (the first such in ``self.models``
+        order), from one stacked distance array. Each distance is one BLAS
+        dot, as in np.linalg.norm."""
+        ids = list(self.models)
+        points = np.array([self.models[cid].linearization_point for cid in ids])
+        centers = 0.5 * (np.array([c.lo for c in cells]) + np.array([c.hi for c in cells]))
+        diff = points[None] - centers[:, None]                          # (cells, models, n)
+        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0]).tolist()
+        return [ids[min(range(len(ids)), key=row.__getitem__)] for row in dist]
 
     def predictive_pass(self) -> int:
-        """Predictive certification on unidentified cells near identified ones."""
+        """Predictive certification on unidentified cells near identified
+        ones. The questions of every cell go to one refutation and at most
+        one certification call. Marking an edge touches only that edge, so
+        the cells are independent within a pass and are marked afterwards,
+        in cell order."""
         if not self.models:
             return 0
         hops = {cid: 0 for cid in self.models if cid in self.tree.leaves}
@@ -281,37 +289,51 @@ class _Mission:
                         hops[nb] = hops[cid] + 1
                         nxt.append(nb)
             frontier = nxt
-        resolved = 0
-        id_models = [(cid, m) for cid, m in self.models.items()]
-        for cid, h in sorted(hops.items()):
-            if h == 0 or cid in self.models:
+        cells = [self.tree.leaves[cid] for cid, h in sorted(hops.items())
+                 if h and cid not in self.models]
+        if not cells:
+            return 0
+        asks = []         # (cell, source id, pending edges, exit facet per edge)
+        questions = []    # (source model, deviation bounds) per ask
+        for cell, src_cid in zip(cells, self.nearest_models(cells)):
+            edges = {nb: e for nb in self.graph.out.get(cell.id, ())
+                     if (e := self.graph.edges[(cell.id, nb)]).status == gr.UNCERTAIN
+                     and src_cid not in e.pred_sources}
+            if not edges:
                 continue
-            cell = self.tree.leaves[cid]
-            src_cid, src = min(id_models, key=lambda im: self.model_distance(cell, *im))
-            todo = [nb for nb in self.graph.out.get(cid, ())
-                    if self.graph.edges[(cid, nb)].status == gr.UNCERTAIN
-                    and src_cid not in self.graph.edges[(cid, nb)].pred_sources]
-            if not todo:
-                continue
-            bounds = cell_pair_bounds(self.scn.L_df, self.scn.L_g,
-                                      src.linearization_point, cell)
-            poly = box_to_polytope(cell)
-            edges = {nb: self.graph.edges[(cid, nb)] for nb in todo}
+            src = self.models[src_cid]
             fct = {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
-            exits = list(dict.fromkeys(fct.values()))
-            refuted = dict(zip(exits, predict_unreachable(src, bounds, poly, exits, self.pu)))
-            pinned = [nb for nb, e in edges.items()
-                      if not refuted[fct[nb]] and self.pinned(cell, e)]
-            certs = dict(zip(pinned, predict_reachable(
-                src, bounds, poly, [fct[nb] for nb in pinned], self.pu))) if pinned else {}
+            asks.append((cell, src_cid, edges, fct))
+            questions.append((src, cell_pair_bounds(self.scn.L_df, self.scn.L_g,
+                                                    src.linearization_point, cell)))
+        if not asks:
+            return 0
+        polys = boxes_to_polytopes([cell for cell, *_ in asks])
+        exits = [list(dict.fromkeys(fct.values())) for *_, fct in asks]
+        refuted = [dict(zip(fs, r)) for fs, r in zip(exits, predict_unreachable(
+            [(src, bounds, poly, fs) for (src, bounds), poly, fs in zip(questions, polys, exits)],
+            self.pu))]
+        pinned = [[nb for nb, e in edges.items() if not ref[fct[nb]] and self.pinned(cell, e)]
+                  for (cell, _, edges, fct), ref in zip(asks, refuted)]
+        asked = [k for k, nbs in enumerate(pinned) if nbs]
+        certs = [{} for _ in asks]
+        if asked:
+            answers = predict_reachable(
+                [(*questions[k], polys[k], [asks[k][3][nb] for nb in pinned[k]]) for k in asked],
+                self.pu)
+            for k, found in zip(asked, answers):
+                certs[k] = dict(zip(pinned[k], found))
+        resolved = 0
+        for (cell, src_cid, edges, fct), ref, found in zip(asks, refuted, certs):
             for nb, e in edges.items():
                 e.pred_sources += (src_cid,)
-                if refuted[fct[nb]]:
-                    self.graph.mark_impossible(cid, nb)
+                if ref[fct[nb]]:
+                    self.graph.mark_impossible(cell.id, nb)
                     resolved += 1
-                elif certs.get(nb) is not None:
-                    e.cert = cert = certs[nb]
-                    self.graph.mark_certain(cid, nb, cert.bound.T0, cert.kind, t_est=cert.t_est)
+                elif found.get(nb) is not None:
+                    e.cert = cert = found[nb]
+                    self.graph.mark_certain(cell.id, nb, cert.bound.T0, cert.kind,
+                                            t_est=cert.t_est)
                     resolved += 1
         return resolved
 
@@ -659,7 +681,8 @@ def run_mission(scn: Scenario) -> MissionLog:
         "uniform_count": uniform,
         "reduction_ratio": 1.0 - leafs / uniform,
         "wall_time_s": time.perf_counter() - t_wall,
-        "lp_calls": STATS.lp_calls,
+        "kernel_calls": STATS.kernel_calls,
+        "kernel_systems": STATS.kernel_systems,
         "qp_calls": STATS.qp_calls,
         "simulated_time": ms.t,
         "retry_max": max(ms.retries.values(), default=0),

@@ -14,8 +14,13 @@ subpolytope for facets normal to the heading axis and a threshold-angle
 vertex relaxation for side facets.
 
 Every vertex LP has one unknown per input (m ≤ 3) and one closed-form
-kernel solves them, for all vertices (and a refutation's exit facets and
-sign patterns) at once. No mission LP goes to the tableau simplex.
+kernel solves them. The predictive functions take a list of questions
+(model, bounds, polytope, exit facets) and build the systems of all of
+them (every exit facet, vertex and sign pattern) over one question axis,
+so a planner pass costs one refutation and one certification call. The
+systems are built and decided in slices of at most KERNEL_SLICE. Exact
+and relaxed certification are the one-question case of the same builder.
+No mission LP goes to the tableau simplex.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from .dynamics import AffineModel
 from .geometry import (Box, Polytope, box_to_polytope, facet_axis_dir,
                        locate_simplex, triangulate, truncated_pyramid,
                        GeometryError)
-from .optim import DELTA_STRICT
+from .optim import DELTA_STRICT, STATS
 
 
 @dataclass
@@ -55,45 +60,76 @@ class ReachCertificate:
     t_est: Optional[float] = None           # typical crossing time
 
 
-def _certificate(p: Polytope, exit_facet: int, kind: str, controls: dict, margins: dict,
-                 exact, relaxed=()) -> ReachCertificate:
-    """Certificate with its crossing times.
-
-    The certified speeds are the margins of the exact vertices, or of every
-    vertex when none is exact. ``bound`` divides the polytope's extent
-    along the exit normal by the slowest of them and is None unless that
+def _crossing_times(V, normals, speeds) -> list:
+    """Per polytope with vertices V[e] (E, M, n) and exit normal normals[e]
+    (E, n), the (bound, t_est) of a certificate whose certified speeds are
+    speeds[e] (E, k): the margins of its exact vertices, or of every vertex
+    when none is exact. ``bound`` divides the polytope's extent along the
+    exit normal by the slowest of them and is (None, None) unless that
     speed exceeds DELTA_STRICT / 2. ``t_est`` divides it by their mean, a
-    typical speed of the interpolated closed loop that is usually far
-    above the slowest one.
-    """
-    exact = tuple(exact)
-    speeds = [margins[j] for j in exact or margins]
-    c1 = min(speeds)
-    bound = t_est = None
-    if c1 > DELTA_STRICT / 2:
-        bound = _crossing_bound(p, exit_facet, c1)
-        t_est = (bound.beta - bound.alpha) / float(np.mean(speeds))
-    return ReachCertificate(exit_facet=exit_facet, controls=controls, kind=kind,
-                            margins=margins, polytope=p, relaxed_vertices=tuple(relaxed),
-                            exact_vertices=exact, bound=bound, t_est=t_est)
+    typical speed of the interpolated closed loop that is usually far above
+    the slowest one. The extents are one gemv per polytope and the means
+    run over contiguous rows, as for one certificate alone."""
+    proj = np.matmul(V, normals[:, :, None])[..., 0]
+    speeds = np.ascontiguousarray(speeds)
+    out = []
+    for alpha, beta, c1, mean in zip(proj.min(axis=1).tolist(), proj.max(axis=1).tolist(),
+                                     speeds.min(axis=1).tolist(), speeds.mean(axis=1).tolist()):
+        if c1 > DELTA_STRICT / 2:
+            out.append((ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1),
+                        (beta - alpha) / mean))
+        else:
+            out.append((None, None))
+    return out
 
 
-def _vertex_certificates(model: AffineModel, p: Polytope, exit_facets, pu: Box,
-                         spread, kind: str) -> list:
-    """Per exit facet, the certificate in which every vertex j takes its
-    fastest admissible control with spread[j] and leaves at a speed of at
-    least DELTA_STRICT, or None."""
-    u, speed, _ = _fastest_controls(model, p, exit_facets, pu, spread)
-    return [_certificate(p, fct, kind, dict(enumerate(u[:, f])),
-                         {j: _speed(model, p, fct, j, u[j, f]) - spread[j]
-                          for j in range(p.n_vertices)}, range(p.n_vertices))
-            if (speed[:, f] >= DELTA_STRICT).all() else None
-            for f, fct in enumerate(exit_facets)]
+def _vertex_certificates(b: _Batch, pu: Box, spread, kind: str) -> list:
+    """Per entry of the batch, the certificate in which every vertex j
+    takes its fastest admissible control with spread[q, j] and leaves at a
+    speed of at least DELTA_STRICT, or None."""
+    u, speed = _fastest_controls(b, pu, spread)
+    out = [None] * len(b.fe)
+    ok = [e for e, fast in enumerate((speed >= DELTA_STRICT).all(axis=0).tolist()) if fast]
+    if ok:
+        qs = [b.qe[e] for e in ok]
+        uo = np.ascontiguousarray(u[:, ok])                          # (M, E', m)
+        margins = (_speeds(b, ok, uo) - spread[qs].T).T               # (E', M)
+        times = _crossing_times(b.V[qs], b.N[qs, [b.fe[e] for e in ok]], margins)
+        for i, (e, q, (bound, t_est)) in enumerate(zip(ok, qs, times)):
+            p = b.polys[q]
+            out[e] = ReachCertificate(
+                exit_facet=b.fe[e], controls=dict(enumerate(uo[:, i])), kind=kind,
+                margins=dict(enumerate(margins[i].tolist())), polytope=p,
+                exact_vertices=tuple(range(p.n_vertices)), bound=bound, t_est=t_est)
+    return out
 
 
-def _speed(model: AffineModel, p: Polytope, exit_facet: int, j: int, u) -> float:
-    """n1ᵀ(A v_j + B u + c): vertex j's outward speed under control u."""
-    return float(p.normals[exit_facet] @ (model.A @ p.vertices[j] + model.B @ u + model.c))
+def _speeds(b: _Batch, entries, u):
+    """n_fᵀ(A v_j + B u_j + c) (M, E') of the listed entries of the batch
+    under controls u (M, E', m), each on the BLAS calls of one question
+    alone: gemv for A v and B u, then a dot with the exit normal."""
+    qs = [b.qe[e] for e in entries]
+    models = [b.models[q] for q in qs]
+    w = (_matvecs([mo.A for mo in models], b.V[qs].transpose(1, 0, 2))
+         + _matvecs([mo.B for mo in models], u) + np.stack([mo.c for mo in models]))
+    normals = b.N[qs, [b.fe[e] for e in entries]]
+    return np.matmul(normals[:, None, :], w[..., None])[..., 0, 0]
+
+
+def _matvecs(mats, x):
+    """mats[e] @ x[j, e] for x (M, E, k), stacked as (M, E, n). Each product
+    runs on the gemv kernel numpy picks for mats[e] alone, which rounds
+    differently for row-major matrices (unit column stride) and the others
+    (identified models are column-major slices), so the two kinds go to
+    separate np.matmul calls."""
+    out = np.empty(x.shape[:2] + (mats[0].shape[0],))
+    for rowmajor in (True, False):
+        sel = [e for e, a in enumerate(mats) if (a.strides[1] == a.itemsize) == rowmajor]
+        if sel:
+            stack = (np.stack([mats[e] for e in sel]) if rowmajor
+                     else np.stack([mats[e].T for e in sel]).transpose(0, 2, 1))
+            out[:, sel] = np.matmul(stack, x[:, sel, :, None])[..., 0]
+    return out
 
 
 def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
@@ -103,7 +139,8 @@ def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
     Every vertex takes its fastest admissible control, which must leave
     through the exit facet at a speed of at least DELTA_STRICT.
     """
-    return _vertex_certificates(model, p, [exit_facet], pu, [0.0] * p.n_vertices, "exact")[0]
+    return _vertex_certificates(_Batch([model], [p], [[exit_facet]]), pu,
+                                np.zeros((1, p.n_vertices)), "exact")[0]
 
 
 # Closed-form kernel for the vertex systems (m <= 3 inputs).
@@ -116,6 +153,10 @@ _DET_TOL = 1e-12     # candidate rows this close to parallel define no point
 _FEAS_TOL = 1e-9
 _NEAR = 1e-6
 _TIE = 1e-9
+# Systems per kernel call: a larger batch is built and decided in slices,
+# which bounds the rows and the kernel's temporaries (about 100 candidate
+# points per system for m = 3) whatever the number of questions.
+KERNEL_SLICE = 256
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,58 +184,106 @@ def _pattern_tables(m: int, K: int):
     return S, cap_lo, cap_hi, box, pick
 
 
-def _vertex_systems(model: AffineModel, p: Polytope, exit_facets, lo, hi, margin, dB):
-    """(C, d, pick): the systems C u ≤ d of every (vertex j, exit facet f,
-    pattern k), with C (m, R + 1, M, F, P) by input component,
-    d (R + 1, M, F, P) and R = 2m + K; P patterns of lo, hi (P, m) and
-    dB (m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are each
-    vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j, where
-    the exit facet and the padding of vertices with fewer facets are
-    0·u ≤ 1. The last row is the strict row negated: its slack
-    d[R] - C[:, R]·u is n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
+class _Batch:
+    """Questions (models[q], polys[q], facets[q]) stacked on a question
+    axis. Entry e is exit facet fe[e] of question qe[e], in question order.
+    Every polytope must share the first one's vertex-facet table, so that
+    all vertices meet their facets in one pattern. Holds what the rows of
+    every entry share: V (Q, M, n), N (Q, I, n), w = A v_j + c (Q, M, n),
+    the facet drifts n_iᵀw_j of that table (Q, K, M) and N B (Q, I, m),
+    each question's products one stacked np.matmul item (gemm, as for one
+    question alone) or a broadcast sum over its own arrays."""
+
+    def __init__(self, models, polys, facets):
+        if any(p.vertex_facets != polys[0].vertex_facets for p in polys):
+            raise ValueError("the polytopes of one call must share one vertex-facet table")
+        self.models, self.polys = list(models), list(polys)
+        self.sizes = [len(fs) for fs in facets]
+        self.qe = [q for q, fs in enumerate(facets) for _ in fs]
+        self.fe = [f for fs in facets for f in fs]
+        # row k holds the k-th facet of every vertex, -1 past a vertex's last
+        self.table = list(itertools.zip_longest(*polys[0].vertex_facets, fillvalue=-1))
+        self.idx = np.array(self.table)
+        self.V = np.stack([p.vertices for p in polys])
+        self.N = np.stack([p.normals for p in polys])
+        self.w = (np.matmul(np.stack([mo.A for mo in models]), self.V.transpose(0, 2, 1))
+                  .transpose(0, 2, 1) + np.stack([mo.c for mo in models])[:, None])
+        self.drift = (self.N[:, self.idx] * self.w[:, None]).sum(axis=3)
+        self.NB = np.matmul(self.N, np.stack([mo.B for mo in models]))
+
+    def split(self, values) -> list:
+        """Per-entry values as one list per question."""
+        out, start = [], 0
+        for size in self.sizes:
+            out.append(values[start:start + size])
+            start += size
+        return out
+
+
+def _vertex_systems(b: _Batch, lo, hi, margin, dB, entries=slice(None)):
+    """(C, d, pick): the systems C u ≤ d of every (vertex j, entry e,
+    pattern k) of the batch's ``entries``, with C (m, R + 1, M, E, P) by
+    input component, d (R + 1, M, E, P) and R = 2m + K; P patterns of
+    lo, hi (P, m), margin (Q, M) and dB (Q, m, P). Rows 0..2m-1 bound u to
+    [lo_k, hi_k]. The next K are each vertex's facet rows
+    n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j, where the exit facet and the
+    padding of vertices with fewer facets are 0·u ≤ 1. The last row is the
+    strict row negated: its slack d[R] - C[:, R]·u is
+    n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # Products are broadcast sums and the mask is built in Python: integer
     # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
     # mission, and touching their code first here would raise its peak RSS.
-    m = model.B.shape[1]
-    exits = list(exit_facets)
-    # row k holds the k-th facet of every vertex, -1 past a vertex's last
-    table = list(itertools.zip_longest(*p.vertex_facets, fillvalue=-1))
-    idx = np.array(table)
-    real = np.array([[[i >= 0 and i != f for f in exits] for i in row] for row in table],
-                    dtype=bool)
+    m = b.NB.shape[2]
+    qe, fe = b.qe[entries], b.fe[entries]
+    real = np.array([[[i >= 0 and i != f for f in fe] for i in row] for row in b.table],
+                    dtype=bool)                                        # (K, M, E)
+    idx = b.idx
     K, M = idx.shape
     _, _, _, box, pick = _pattern_tables(m, K)
-    w = (model.A @ p.vertices.T).T + model.c                         # A v_j + c
-    drift = (p.normals[idx] * w).sum(axis=2)                         # (K, M)
-    drift_exit = (p.normals[exits][:, None] * w).sum(axis=2)         # (F, M)
-    NB = (p.normals @ model.B).T
-    C = np.empty((m, 2 * m + K + 1, M, len(exits), lo.shape[0]))
+    drift_exit = (b.N[qe, fe][:, None] * b.w[qe]).sum(axis=2)          # (E, M)
+    dBe = dB[qe].transpose(1, 0, 2)                                     # (m, E, P)
+    C = np.empty((m, 2 * m + K + 1, M, len(fe), lo.shape[0]))
     d = np.empty(C.shape[1:])
     C[:, :2 * m] = box[:, :, None, None, None]
     d[:m] = hi.T[:, None, None]
     d[m:2 * m] = -lo.T[:, None, None]
-    C[:, 2 * m:-1] = np.where(real[:, :, :, None],
-                              NB[:, idx, None, None] + dB[:, None, None, None], 0.0)
-    d[2 * m:-1] = np.where(real, (margin - drift)[:, :, None], 1.0)[..., None]
-    C[:, -1] = (dB[:, None] - NB[:, exits, None])[:, None]
-    d[-1] = (drift_exit + margin).T[:, :, None]
+    C[:, 2 * m:-1] = np.where(real[..., None], b.NB[qe][:, idx].transpose(3, 1, 2, 0)[..., None]
+                              + dBe[:, None, None], 0.0)
+    d[2 * m:-1] = np.where(real, (margin[qe][:, None] - b.drift[qe]).transpose(1, 2, 0),
+                           1.0)[..., None]
+    C[:, -1] = (dBe - b.NB[qe, fe].T[:, :, None])[:, None]
+    d[-1] = (drift_exit + margin[qe]).T[:, :, None]
     return C, d, pick
 
 
-def _robust_rows(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                 exit_facets, pu: Box):
-    """(C, d, pick, boxed): the _vertex_systems of every sign pattern s_k,
-    over its orthant of the input box (``boxed`` (P,) is False where that
-    is empty), with every row loosened by what an in-bound model could
-    gain: margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So
-    infeasibility at a vertex refutes every in-bound model."""
-    S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, max(map(len, p.vertex_facets)))
-    margin = bounds.eps_A * np.sqrt((p.vertices * p.vertices).sum(axis=1)) + bounds.eps_c
+def _decide(b: _Batch, rows, boxed=True):
+    """(possible, u, slack) of _closed_form_verdicts for every system of
+    _vertex_systems(b, *rows), built and decided a slice of whole entries
+    at a time: at most KERNEL_SLICE systems, or one entry's M·P when that
+    is more. So a batch never holds the rows of all its entries at once,
+    and as each system is decided on its own, slicing changes no result."""
+    step = max(1, KERNEL_SLICE // (b.V.shape[1] * rows[0].shape[0]))
+    parts = [_closed_form_verdicts(*_vertex_systems(b, *rows, slice(e, e + step)), boxed)
+             for e in range(0, len(b.fe), step)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(x, axis=-2) for x in zip(*parts))
+
+
+def _robust_rows(b: _Batch, bounds, pu: Box):
+    """(rows, boxed): the arguments (lo, hi, margin, dB) of _vertex_systems
+    for every sign pattern s_k, over its orthant of the input box
+    (``boxed`` (P,) is False where that is empty), with every row of
+    question q loosened by what a model within bounds[q] could gain:
+    margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So infeasibility at a
+    vertex refutes every in-bound model."""
+    S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, len(b.table))
+    eps = np.array([[e.eps_A, e.eps_B, e.eps_c] for e in bounds])
+    margin = eps[:, :1] * np.sqrt((b.V * b.V).sum(axis=2)) + eps[:, 2:]
     lo = np.maximum(pu.lo, cap_lo)
     hi = np.minimum(pu.hi, cap_hi)
-    C, d, pick = _vertex_systems(model, p, exit_facets, lo, hi, margin, -bounds.eps_B * S.T)
-    return C, d, pick, (lo <= hi).all(axis=1)
+    return (lo, hi, margin, -eps[:, 1, None, None] * S.T), (lo <= hi).all(axis=1)
 
 
 def _cross(x, y):
@@ -227,7 +316,7 @@ def _solve_square(A, r):
 
 def _closed_form_verdicts(C, d, pick, boxed=True):
     """Decide every system of m ≤ 3 inputs in the layout of
-    _vertex_systems and find its best corner.
+    _vertex_systems and find its best corner, in one kernel call.
 
     The largest strict-row slack over a system's box and invariance rows
     is attained where m of its rows meet (fixed-dimension LP after Megiddo,
@@ -235,19 +324,21 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
     The best corner is the candidate within _FEAS_TOL of every row with the
     largest slack. Tie rule: among the candidates within _TIE·max(1, |best|)
     of that slack, take the lexicographically smallest u (least u_0, then
-    least u_1, ...). Returns (possible, u, slack): the mask (M, F, P) of
+    least u_1, ...). Returns (possible, u, slack): the mask (M, E, P) of
     the systems that some candidate within _NEAR of every row meets with a
     slack of DELTA_STRICT - _NEAR or more (False where ``boxed`` is False), and
-    each best corner u (m, M, F, P) with its slack, NaN and -inf without a
+    each best corner u (m, M, E, P) with its slack, NaN and -inf without a
     candidate.
     """
+    STATS.kernel_calls += 1
+    STATS.kernel_systems += d[0].size
     m = C.shape[0]
-    U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, F, P)
+    U = _solve_square([C[k][pick] for k in range(m)], d[pick])   # m x (Q, M, E, P)
     # box rows ±u_k ≤ d directly, the other rows by their coefficients
     viol = np.maximum(U[0] - d[0], -U[0] - d[m])
     for k in range(1, m):
         viol = np.maximum(viol, np.maximum(U[k] - d[k], -U[k] - d[m + k]))
-    res = C[0, 2 * m:, None] * U[0]                             # (K + 1, Q, M, F, P)
+    res = C[0, 2 * m:, None] * U[0]                             # (K + 1, Q, M, E, P)
     for k in range(1, m):
         res += C[k, 2 * m:, None] * U[k]
     res -= d[2 * m:, None]
@@ -267,17 +358,16 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
             np.where(tied, slack, -np.inf).max(axis=0))
 
 
-def _fastest_controls(model: AffineModel, p: Polytope, exit_facets, pu: Box, spread):
-    """(u (M, F, m), speed (M, F), d[..., 0] of _vertex_systems) from one
-    kernel call: vertex j's control for exit facet f maximizes its speed
-    n_fᵀ(A v_j + B u + c) - spread[j] over the input box and its rows
-    n_iᵀ(A v_j + B u + c) + spread[j] ≤ 0; u NaN, speed -inf without one.
-    The speed is the kernel's slack, which _speed matches to rounding.
+def _fastest_controls(b: _Batch, pu: Box, spread):
+    """(u (M, E, m), speed (M, E)): vertex j's control for entry e
+    maximizes its speed n_fᵀ(A v_j + B u + c) - spread[q, j] over the input
+    box and its rows n_iᵀ(A v_j + B u + c) + spread[q, j] ≤ 0; u NaN, speed
+    -inf without one. The speed is the kernel's slack, which _speeds
+    matches to rounding.
     """
-    C, d, pick = _vertex_systems(model, p, exit_facets, pu.lo[None], pu.hi[None],
-                                 -np.asarray(spread, dtype=float), np.zeros((pu.dim, 1)))
-    _, u, speed = _closed_form_verdicts(C, d, pick)
-    return u[..., 0].transpose(1, 2, 0), speed[..., 0], d[..., 0]
+    _, u, speed = _decide(b, (pu.lo[None], pu.hi[None], -spread,
+                              np.zeros((len(b.polys), pu.dim, 1))))
+    return u[..., 0].transpose(1, 2, 0), speed[..., 0]
 
 
 def fastest_control(a, rows, rhs, pu: Box):
@@ -291,33 +381,48 @@ def fastest_control(a, rows, rhs, pu: Box):
     return u[:, 0, 0, 0] if slack[0, 0, 0] > -np.inf else None
 
 
-def predict_unreachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                        exit_facets, pu: Box) -> list:
-    """Per exit facet, True iff no affine model within the bounds can reach it.
+def _ask(questions, decide) -> list:
+    """Per question (model, bounds, polytope, exit facets), the list of
+    what decide(batch, bounds) returns for its exit facets, from one batch
+    of all questions; no kernel call when no facet is asked."""
+    if not any(len(q[3]) for q in questions):
+        return [[] for _ in questions]
+    models, bounds, polys, facets = zip(*questions)
+    b = _Batch(models, polys, facets)
+    return b.split(decide(b, bounds))
+
+
+def predict_unreachable(questions, pu: Box) -> list:
+    """Per question (model, bounds, polytope, exit facets), one list with
+    True for each exit facet that no affine model within the bounds can
+    reach.
 
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern. The
-    systems (m ≤ 3 inputs) are decided in closed form, all facets in one
-    kernel call; a system the kernel cannot rule out counts as feasible,
-    so only certain infeasibility refutes.
+    systems of every question (m ≤ 3 inputs) are decided in closed form,
+    slice by slice; a system the kernel cannot rule out counts as
+    feasible, so only certain infeasibility refutes. The polytopes must
+    share one vertex-facet table (boxes of one dimension do).
     """
-    C, d, pick, boxed = _robust_rows(model, bounds, p, exit_facets, pu)
-    possible = _closed_form_verdicts(C, d, pick, boxed)[0].tolist()
-    return [not all(True in vertex[f] for vertex in possible) for f in range(len(possible[0]))]
+    def refuted(b, bounds):
+        possible = _decide(b, *_robust_rows(b, bounds, pu))[0].tolist()
+        return [not all(True in vertex[e] for vertex in possible) for e in range(len(b.fe))]
+    return _ask(questions, refuted)
 
 
-def predict_reachable(model: AffineModel, bounds: DeviationBounds, p: Polytope,
-                      exit_facets, pu: Box) -> list:
-    """Per exit facet, a certificate valid for every affine model within
-    the deviation bounds, or None.
+def predict_reachable(questions, pu: Box) -> list:
+    """Per question (model, bounds, polytope, exit facets), one list with,
+    per exit facet, a certificate valid for every affine model within the
+    bounds, or None.
 
     Built like an exact certificate, with every row of vertex j tightened
     by _robust_spread's bound on how far an in-bound model can move it, so
     its margins are robust outward speeds and its bound and t_est follow
-    from them.
+    from them. All questions share one kernel pass; the polytopes must
+    share one vertex-facet table.
     """
-    spread = _robust_spread(bounds, p, pu)
-    return _vertex_certificates(model, p, exit_facets, pu, spread, "predictive")
+    return _ask(questions, lambda b, bounds: _vertex_certificates(
+        b, pu, _robust_spread(bounds, b.V, pu), "predictive"))
 
 
 # Containment tolerance of locate_simplex, and the band around it in which
@@ -400,39 +505,35 @@ def synthesize_controller(p: Polytope, controls: dict) -> PWAController:
     return PWAController(simplices=tri, gains=gains)
 
 
-def _crossing_bound(p: Polytope, exit_facet: int, c1: float) -> ExitTimeBound:
-    """(beta - alpha) / c1, where alpha/beta span the exit-normal extent of
-    the whole polytope."""
-    proj = p.vertices @ p.normals[exit_facet]
-    alpha = float(np.min(proj))
-    beta = float(np.max(proj))
-    return ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1)
-
-
 def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
                     exit_facet: int) -> ExitTimeBound:
     """Guaranteed crossing-time bound (beta - alpha) / c1 for vertex
     controls, c1 the minimum outward speed over the vertices."""
-    c1 = min(_speed(model, p, exit_facet, j, controls[j]) for j in range(p.n_vertices))
-    if c1 <= DELTA_STRICT / 2:
-        raise ValueError(f"degenerate exit-time bound: c1 = {c1}")
-    return _crossing_bound(p, exit_facet, c1)
+    u = np.array([controls[j] for j in range(p.n_vertices)], dtype=float)[:, None]
+    speeds = _speeds(_Batch([model], [p], [[exit_facet]]), [0], u).T
+    bound, _ = _crossing_times(p.vertices[None], p.normals[[exit_facet]], speeds)[0]
+    if bound is None:
+        raise ValueError(f"degenerate exit-time bound: c1 = {speeds.min()}")
+    return bound
 
 
-def _robust_spread(bounds: DeviationBounds, p: Polytope, pu: Box) -> list:
-    """Per vertex, eps_A·‖v_j‖ + eps_B·U_max + eps_c: how far an in-bound
+def _robust_spread(bounds, V, pu: Box):
+    """(Q, M): per question q and vertex j of V (Q, M, n),
+    eps_A·‖v_j‖ + eps_B·U_max + eps_c of bounds[q], how far an in-bound
     model can move n·(A v_j + B u + c) for a unit normal n and any u in the
-    input box, whose largest vertex norm is U_max."""
+    input box, whose largest vertex norm is U_max. ‖v_j‖ is one BLAS dot
+    per vertex, as in np.linalg.norm."""
     u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** pu.dim))
-    return [bounds.eps_A * float(np.linalg.norm(v)) + bounds.eps_B * u_max + bounds.eps_c
-            for v in p.vertices]
+    eps = np.array([[e.eps_A, e.eps_B, e.eps_c] for e in bounds])
+    norms = np.sqrt(np.matmul(V[..., None, :], V[..., None])[..., 0, 0])
+    return eps[:, :1] * norms + eps[:, 1:2] * u_max + eps[:, 2:]
 
 
 def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
                            p: Polytope, exit_facet: int, pu: Box) -> Optional[ExitTimeBound]:
     """Exit-time bound valid for every in-bound model: the bound of the
     predictive certificate for ``exit_facet``, or None without one."""
-    cert, = predict_reachable(model, bounds, p, [exit_facet], pu)
+    cert = predict_reachable([(model, bounds, p, [exit_facet])], pu)[0][0]
     return None if cert is None else cert.bound
 
 
@@ -451,18 +552,20 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     axis, direction = facet_axis_dir(exit_facet)
     if axis == cube.dim - 1:
         sub = truncated_pyramid(cube, axis, direction, shrink)
-        return _vertex_certificates(model, sub, [exit_facet], pu, [0.0] * sub.n_vertices,
-                                    "relaxed")[0]
+        return _vertex_certificates(_Batch([model], [sub], [[exit_facet]]), pu,
+                                    np.zeros((1, sub.n_vertices)), "relaxed")[0]
 
     p = box_to_polytope(cube)
     n1 = p.normals[exit_facet]
-    u, speed, d = _fastest_controls(model, p, [exit_facet], pu, [0.0] * p.n_vertices)
+    b = _Batch([model], [p], [[exit_facet]])
+    u, speed = _fastest_controls(b, pu, np.zeros((1, p.n_vertices)))
+    fastest = _speeds(b, [0], np.ascontiguousarray(u))[:, 0].tolist()
     controls, margins = {}, {}
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
         if speed[j, 0] >= DELTA_STRICT:
-            controls[j], margins[j] = u[j, 0], _speed(model, p, exit_facet, j, u[j, 0])
+            controls[j], margins[j] = u[j, 0], fastest[j]
             exact.append(j)
             continue
         drift = model.A @ p.vertices[j] + model.c
@@ -477,13 +580,18 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         if ang > theta_thre + 1e-12:
             return None
         # zero control at relaxed vertices; the remaining invariance rows
-        # (n_i·drift = -d_i) must hold up to a tolerance commensurate with
-        # the threshold angle
+        # (n_i·drift) must hold up to a tolerance commensurate with the
+        # threshold angle
         tol = np.sin(theta_thre) * max(float(np.linalg.norm(drift)), 0.05 * u_abs)
-        if np.any(-d[2 * pu.dim:-1, j, 0] > tol):
+        if any(b.drift[0, k, j] > tol for k, i in enumerate(p.vertex_facets[j])
+               if i != exit_facet):
             return None
         controls[j] = np.zeros(pu.dim)
         margins[j] = float(n1 @ drift)
         relaxed.append(j)
-    return _certificate(p, exit_facet, "relaxed" if relaxed else "exact", controls,
-                        margins, exact, relaxed)
+    (bound, t_est), = _crossing_times(p.vertices[None], p.normals[[exit_facet]],
+                                      np.array([[margins[j] for j in exact or margins]]))
+    return ReachCertificate(exit_facet=exit_facet, controls=controls,
+                            kind="relaxed" if relaxed else "exact", margins=margins, polytope=p,
+                            relaxed_vertices=tuple(relaxed), exact_vertices=tuple(exact),
+                            bound=bound, t_est=t_est)

@@ -122,7 +122,7 @@ def test_c03_robust_certificates_sound_under_perturbation():
     for _ in range(1000):
         m, p, pu, fct = _random_instance(rng)
         bounds = DeviationBounds(*rng.uniform(0.0, 0.08, 3))
-        cert, = predict_reachable(m, bounds, p, [fct], pu)
+        cert, = predict_reachable([(m, bounds, p, [fct])], pu)[0]
         if cert is None:
             continue
         certified += 1
@@ -138,7 +138,7 @@ def test_c04_refutations_sound_under_perturbation():
     for _ in range(1000):
         m, p, pu, fct = _random_instance(rng, drift_scale=4.0, pu_half=1.0)
         bounds = DeviationBounds(*rng.uniform(0.0, 0.08, 3))
-        if not predict_unreachable(m, bounds, p, [fct], pu)[0]:
+        if not predict_unreachable([(m, bounds, p, [fct])], pu)[0][0]:
             continue
         refuted += 1
         for k in range(100):
@@ -156,7 +156,7 @@ def test_c05_zero_bounds_reduce_to_exact():
     for _ in range(500):
         m, p, pu, fct = _random_instance(rng, drift_scale=2.0)
         exact = facet_reachable(m, p, fct, pu)
-        robust, = predict_reachable(m, zero, p, [fct], pu)
+        robust, = predict_reachable([(m, zero, p, [fct])], pu)[0]
         assert (exact is None) == (robust is None)
         rb = robust_exit_time_bound(m, zero, p, fct, pu)
         assert (rb is None) == (exact is None)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from reachplan import optim
+from reachplan import optim, planner
 from reachplan.cli import _write_outputs
 from reachplan.dynamics import Trajectory, analytic_linearize
 from reachplan.geometry import box_to_polytope, facet_id
@@ -220,9 +220,10 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
 
 
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
-def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
+def test_builtin_mission_solves_no_tableau_lp(plant, monkeypatch):
     """A built-in mission solves no tableau LP: it makes no solve_lp call,
-    wherever from, and reports lp_calls 0."""
+    wherever from, and STATS.lp_calls reads 0. Its vertex systems go to
+    the kernel, whose calls and systems the log reports."""
     calls = []
     solve_lp = optim.solve_lp
 
@@ -235,7 +236,42 @@ def test_lp_counter_counts_every_tableau_solve(plant, monkeypatch):
             monkeypatch.setattr(module, "solve_lp", counted)
     log = run_mission(builtin_scenario(plant))
     assert log.success
-    assert log.metrics["lp_calls"] == len(calls) == 0
+    assert optim.STATS.lp_calls == len(calls) == 0
+    assert 0 < log.metrics["kernel_calls"] < log.metrics["kernel_systems"]
+
+
+def test_predictive_pass_asks_each_question_kind_once(monkeypatch):
+    """Every predictive pass of the built-in mecanum mission makes at most
+    one predict_unreachable and one predict_reachable call, each carrying
+    the questions of all its cells, and some pass asks several cells."""
+    calls = []
+
+    def counted(kind, fn):
+        def wrapped(questions, pu):
+            calls.append((kind, len(questions)))
+            return fn(questions, pu)
+        return wrapped
+
+    monkeypatch.setattr(planner, "predict_unreachable",
+                        counted("refute", planner.predict_unreachable))
+    monkeypatch.setattr(planner, "predict_reachable",
+                        counted("certify", planner.predict_reachable))
+    passes = []
+    predictive_pass = planner._Mission.predictive_pass
+
+    def recorded(self):
+        calls.clear()
+        resolved = predictive_pass(self)
+        passes.append(list(calls))
+        return resolved
+
+    monkeypatch.setattr(planner._Mission, "predictive_pass", recorded)
+    assert run_mission(builtin_scenario("mecanum")).success
+    assert passes
+    for made in passes:
+        kinds = [kind for kind, _ in made]
+        assert kinds in ([], ["refute"], ["refute", "certify"])
+    assert max(n for made in passes for _, n in made) > 1
 
 
 def test_unicycle_runs_are_deterministic(tmp_path):

@@ -228,14 +228,14 @@ def test_predictive_implies_exact_and_shrinks_with_bounds():
         p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 1.5, 2)))
         fct = int(rng.integers(0, 4))
         bounds = DeviationBounds(0.05, 0.05, 0.05)
-        pred, = predict_reachable(m, bounds, p, [fct], pu)
+        pred, = predict_reachable([(m, bounds, p, [fct])], pu)[0]
         if pred is not None:
             # robust certificate must be valid for the nominal model too
             exact = facet_reachable(m, p, fct, pu)
             assert exact is not None
             _assert_cert_sound(m, pred)
             agree_checked += 1
-        if predict_unreachable(m, bounds, p, [fct], pu)[0]:
+        if predict_unreachable([(m, bounds, p, [fct])], pu)[0][0]:
             assert facet_reachable(m, p, fct, pu) is None
     assert agree_checked > 10
 
@@ -246,7 +246,7 @@ def test_predict_unreachable_obvious_case():
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
     bounds = DeviationBounds(0.01, 0.01, 0.01)
     facets = [facet_id(0, +1), facet_id(0, -1)]
-    assert predict_unreachable(m, bounds, p, facets, pu) == [True, False]
+    assert predict_unreachable([(m, bounds, p, facets)], pu)[0] == [True, False]
 
 
 def _reference_patterns(model, bounds, p, j, exit_facet, pu):
@@ -373,10 +373,12 @@ def test_batched_predictive_verdicts_match_tableau_reference():
     for _ in range(250):
         model, bounds, p, _, pu = _random_predictive_instance(rng)
         facets = list(range(p.n_facets))
-        C, d, pick, boxed = reach._robust_rows(model, bounds, p, facets, pu)
+        batch = reach._Batch([model], [p], [facets])
+        rows, boxed = reach._robust_rows(batch, [bounds], pu)
+        C, d, pick = reach._vertex_systems(batch, *rows)
         possible, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
-        refutations = predict_unreachable(model, bounds, p, facets, pu)
-        certs = predict_reachable(model, bounds, p, facets, pu)
+        refutations = predict_unreachable([(model, bounds, p, facets)], pu)[0]
+        certs = predict_reachable([(model, bounds, p, facets)], pu)[0]
         assert len(refutations) == len(certs) == len(facets)
         for f, fct in enumerate(facets):
             ref = [_reference_patterns(model, bounds, p, j, fct, pu)
@@ -405,7 +407,7 @@ def test_batched_predictive_verdicts_match_tableau_reference():
     assert lenient <= systems // 100
 
 
-def test_band_systems_are_left_to_the_tableau():
+def test_kernel_keeps_every_system_the_tableau_keeps():
     """Systems whose best slack is DELTA_STRICT +- 1e-8 are possible
     whenever linear_feasible, whose own tolerance accepts slacks a little
     below DELTA_STRICT, finds them feasible: the kernel alone refutes
@@ -414,7 +416,9 @@ def test_band_systems_are_left_to_the_tableau():
     band = kept = 0
     while band < 300:
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
-        C, d, pick, boxed = reach._robust_rows(model, bounds, p, [fct], pu)
+        batch = reach._Batch([model], [p], [[fct]])
+        rows, boxed = reach._robust_rows(batch, [bounds], pu)
+        C, d, pick = reach._vertex_systems(batch, *rows)
         m = C.shape[0]
         j, k = int(rng.integers(p.n_vertices)), int(rng.integers(C.shape[-1]))
         if not boxed[k]:
@@ -442,8 +446,64 @@ def test_band_systems_are_left_to_the_tableau():
     assert kept > 100
 
 
+def _batch_question(rng, n, m, pu):
+    """A random question (model, bounds, polytope, exit facets) on n states
+    and m inputs: a box or (n = 3) a truncated pyramid, zero or random
+    bounds, a random facet list, and a row-major model or a column-major
+    one sliced from a parameter matrix as identify_affine builds it."""
+    if rng.random() < 0.5:
+        theta = rng.uniform(-1.0, 1.0, (n + m + 1, n)).T
+        model = AffineModel(A=0.5 * theta[:, :n], B=theta[:, n:n + m],
+                            c=2.0 * theta[:, n + m], linearization_point=np.zeros(n))
+    else:
+        model = _model(rng.uniform(-0.5, 0.5, (n, n)), rng.uniform(-1.0, 1.0, (n, m)),
+                       rng.uniform(-2.0, 2.0, n))
+    lo = rng.uniform(-2.0, 0.0, n)
+    cell = Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, n))
+    if n == 3 and rng.random() < 0.3:
+        p = truncated_pyramid(cell, int(rng.integers(3)), int(rng.choice([-1, 1])), 0.5)
+    else:
+        p = box_to_polytope(cell)
+    bounds = (DeviationBounds.zero() if rng.random() < 0.25
+              else DeviationBounds(*rng.uniform(0.0, 0.1, 3)))
+    facets = [int(f) for f in rng.permutation(2 * n)[:int(rng.integers(0, 2 * n + 1))]]
+    return model, bounds, p, facets
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 2), (3, 3)])
+def test_batched_questions_match_one_question_calls(n, m):
+    """One predict_unreachable and one predict_reachable call over 300
+    random questions, decided in more than one kernel slice, return exactly
+    the verdicts and the certificates (controls, margins, bound and t_est)
+    of one call per question."""
+    rng = np.random.default_rng(59 + 10 * n + m)
+    pu = Box(lo=rng.uniform(-3.0, -0.5, m), hi=rng.uniform(0.5, 3.0, m))
+    questions = [_batch_question(rng, n, m, pu) for _ in range(300)]
+    calls = optim.STATS.kernel_calls
+    refuted = predict_unreachable(questions, pu)
+    assert optim.STATS.kernel_calls - calls > 1
+    certs = predict_reachable(questions, pu)
+    assert len(refuted) == len(certs) == len(questions)
+    found = 0
+    for q, r, cs in zip(questions, refuted, certs):
+        assert r == predict_unreachable([q], pu)[0]
+        alone = predict_reachable([q], pu)[0]
+        assert len(r) == len(cs) == len(alone) == len(q[3])
+        for got, want in zip(cs, alone):
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            found += 1
+            assert (got.exit_facet, got.kind, got.margins) == (want.exit_facet, want.kind,
+                                                               want.margins)
+            assert got.controls.keys() == want.controls.keys()
+            assert all(np.array_equal(got.controls[j], want.controls[j]) for j in got.controls)
+            assert (got.bound, got.t_est) == (want.bound, want.t_est)
+    assert found > 20 and sum(map(sum, refuted)) > 20
+
+
 @pytest.mark.parametrize("offset", [1e-8, -1e-8])
-def test_band_vertices_fall_back_to_linear_feasible(offset):
+def test_band_vertices_need_no_tableau_lp(offset):
     """Single integrator whose every vertex can push out through +x with a
     best slack of DELTA_STRICT + offset: the kernel alone, without a
     tableau LP, gives the refutation verdict of the per-pattern reference,
@@ -456,9 +516,9 @@ def test_band_vertices_fall_back_to_linear_feasible(offset):
     fct = facet_id(0, +1)
     ref = [any(_reference_patterns(model, zero, p, j, fct, pu)) for j in range(4)]
     before = optim.STATS.lp_calls
-    assert predict_unreachable(model, zero, p, [fct], pu) == [not all(ref)]
+    assert predict_unreachable([(model, zero, p, [fct])], pu)[0] == [not all(ref)]
     assert optim.STATS.lp_calls == before
-    cert, = predict_reachable(model, zero, p, [fct], pu)
+    cert, = predict_reachable([(model, zero, p, [fct])], pu)[0]
     assert (cert is not None) == (offset > 0)
 
 
@@ -669,7 +729,7 @@ def test_vertex_controls_are_the_fastest_admissible():
     assert min(counts.values()) >= 20, counts
 
 
-def test_screen_refuses_only_what_the_vertex_lps_refuse():
+def test_predictive_certificates_refuse_only_what_the_vertex_lps_refuse():
     """Predictive certification, with zero and with random deviation
     bounds, refuses a facet exactly when scipy's per-vertex LP finds some
     vertex without a robust outward speed of DELTA_STRICT: the closed-form
@@ -682,11 +742,11 @@ def test_screen_refuses_only_what_the_vertex_lps_refuse():
     for _ in range(500):
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
         for b in (DeviationBounds.zero(), bounds):
-            spread = reach._robust_spread(b, p, pu)
+            spread = reach._robust_spread([b], p.vertices[None], pu)[0]
             speeds = [_linprog_fastest_speed(model, p, j, fct, pu, spread[j])
                       for j in range(p.n_vertices)]
             before = optim.STATS.lp_calls
-            cert, = predict_reachable(model, b, p, [fct], pu)
+            cert, = predict_reachable([(model, b, p, [fct])], pu)[0]
             assert optim.STATS.lp_calls == before
             assert (cert is not None) == all(v is not None and v >= DELTA_STRICT
                                              for v in speeds)
