@@ -204,13 +204,16 @@ def _trajectory(ts, xs, us, clamps: int, exit_facet=None, exit_time=None) -> Tra
 
 
 def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
-              pu: Optional[Box] = None, record_stride: int = 1) -> Trajectory:
+              pu: Optional[Box] = None, record_stride: int = 1,
+              stop: Optional[Callable] = None) -> Trajectory:
     """Fixed-step RK4 rollout with facet-crossing event detection.
 
     The control is held constant across each RK4 step (zero-order hold at
     the step start); ``ctrl`` is called with the state as a list of floats.
     On the first step whose endpoint leaves the cell the crossing time is
-    bisected to 1e-9 and the trajectory truncated there.
+    bisected to 1e-9 and the trajectory truncated there. ``stop``, when
+    given, is called with the state of every recorded sample after the
+    start, and the rollout ends at the first for which it returns True.
     """
     x0 = np.asarray(x0, dtype=float)
     if not cell.contains(x0, tol=1e-7):
@@ -262,4 +265,6 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
             ts.append(t)
             xs.append(x)
             us.append(u)
+            if stop is not None and stop(x):
+                break
     return _trajectory(ts, xs, us, clamps)

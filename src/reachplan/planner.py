@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import sub
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,6 +35,9 @@ from .terminal import TerminalParams, clf_cbf_control
 
 # an edge that failed this often is left out of planning
 MAX_EDGE_FAILURES = 3
+# RK4 steps per ingress control update, and the most updates per ingress
+INGRESS_CHUNK = 5
+MAX_INGRESS_CHUNKS = 4000
 
 
 @dataclass
@@ -111,12 +115,14 @@ class _Mission:
         self.cur_id = entered.id
         return entered
 
-    def advance(self, ctrl, cell: Box, t_max: float, stride: int) -> Trajectory:
-        """Roll the plant out under ``ctrl`` until it leaves ``cell`` or
-        ``t_max`` passes, log the samples against the cell and move the
-        mission clock and state to the rollout's end."""
+    def advance(self, ctrl, cell: Box, t_max: float, stride: int,
+                stop=None) -> Trajectory:
+        """Roll the plant out under ``ctrl`` until it leaves ``cell``,
+        ``t_max`` passes or ``stop`` holds at a recorded sample, log the
+        samples against the cell and move the mission clock and state to
+        the rollout's end."""
         traj = integrate(self.sys, ctrl, self.x, cell, self.scn.dt, t_max,
-                         pu=self.pu, record_stride=stride)
+                         pu=self.pu, record_stride=stride, stop=stop)
         self.log.append_traj(traj, self.t, cell.id)
         self.t += traj.t[-1]
         self.x = traj.final_state
@@ -140,32 +146,48 @@ class _Mission:
 
     def gain_margin(self, cell: Box, need: float) -> bool:
         """Push the state toward the cell interior until every facet is at
-        least ``need`` away. Returns False if the cell was escaped."""
-        scn = self.scn
-        steps = 0
+        least ``need`` away. One rollout recomputes the ingress control
+        every INGRESS_CHUNK steps and stops at the first chunk end where
+        the margin is reached. Returns False if the cell was escaped."""
+        lo, hi = cell.lo.tolist(), cell.hi.tolist()
+
+        def margin(x) -> float:
+            return min(min(map(sub, x, lo)), min(map(sub, hi, x)))
+
+        prev = margin(self.x.tolist())
+        if prev >= need:
+            return True
+        law = self._ingress_law(cell)
         hold = False
-        prev_margin = self._interior_margin(cell)
-        while prev_margin < need and steps < 4000:
-            if hold:
+        u = None
+
+        def ctrl(x):
+            nonlocal u
+            if u is None:
                 # the control that carried us across the entry facet tends to
                 # keep pointing into this cell, so hold it to penetrate
-                u = self.last_u
-            else:
-                u = self._ingress_control(cell)
-            traj = self.advance(lambda _x: u, cell, 5 * scn.dt, 5)
-            steps += 1
-            margin = self._interior_margin(cell)
-            if margin <= prev_margin + 1e-12:
+                u = self.last_u if hold else law(x)
+            return u
+
+        def chunk_end(x) -> bool:
+            nonlocal prev, hold, u
+            now = margin(x)
+            if now >= need:
+                return True
+            if now <= prev + 1e-12:
                 # no progress with the current candidate, switch strategy
                 hold = not hold if self.last_u is not None else False
-            prev_margin = margin
-            if traj.exit_facet is not None:
-                self.retries[cell.id] += 1
-                self.locate_after_exit(traj.exit_facet, cell)
-                self.log.event(self.t, "ingress_escape", cell=cell.id,
-                               facet=int(traj.exit_facet))
-                return False
-        return True
+            prev, u = now, None
+            return False
+
+        traj = self.advance(ctrl, cell, MAX_INGRESS_CHUNKS * INGRESS_CHUNK * self.scn.dt,
+                            INGRESS_CHUNK, stop=chunk_end)
+        if traj.exit_facet is None:
+            return True
+        self.retries[cell.id] += 1
+        self.locate_after_exit(traj.exit_facet, cell)
+        self.log.event(self.t, "ingress_escape", cell=cell.id, facet=int(traj.exit_facet))
+        return False
 
     def ingress_and_identify(self, cell: Box) -> bool:
         """Move away from the entry facet if needed, then identify the cell.
@@ -199,20 +221,23 @@ class _Mission:
                        point=model.linearization_point.tolist())
         return True
 
-    def _interior_margin(self, cell: Box) -> float:
-        return float(min(np.min(self.x - cell.lo), np.min(cell.hi - self.x)))
-
-    def _ingress_control(self, cell: Box) -> np.ndarray:
-        """Cancel the (previously modeled) drift and creep toward the cell
-        center so identification can run away from the entry facet."""
+    def _ingress_law(self, cell: Box):
+        """The ingress control as a function of the state (a list): cancel
+        the (previously modeled) drift and creep toward the cell center so
+        identification can run away from the entry facet."""
         if self.last_model is None:
-            return np.zeros(self.pu.dim)
-        d = cell.center - self.x
-        nd = float(np.linalg.norm(d))
-        v_des = d / max(nd, 1e-9) * min(1.0, nd)
+            return lambda x: np.zeros(self.pu.dim)
         m = self.last_model
-        u = m.B_pinv @ (v_des - (m.A @ self.x + m.c))
-        return np.clip(u, self.pu.lo, self.pu.hi)
+
+        def law(x):
+            x = np.array(x)
+            d = cell.center - x
+            nd = float(np.linalg.norm(d))
+            v_des = d / max(nd, 1e-9) * min(1.0, nd)
+            u = m.B_pinv @ (v_des - (m.A @ x + m.c))
+            return np.clip(u, self.pu.lo, self.pu.hi)
+
+        return law
 
     # ---------------- certification ----------------
 

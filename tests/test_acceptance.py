@@ -308,7 +308,7 @@ def test_c10_underactuated_mission_succeeds(unicycle_run, tmp_path):
     _write_outputs(str(tmp_path), scn, log)
     csv = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "791ab847c0bcd0e1314a63ccea8e6a78bc4272e6ed7ed8e1f80c01dc283a90c2")
+        "2e82a34df338472097bc74e6c8c234085d1bcd1cf280b0ad6165c0252cea4a6c")
     statuses = _edge_statuses(log)
     assert len(statuses) == 4
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (

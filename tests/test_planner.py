@@ -288,7 +288,7 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
     assert csv[0] == csv[1]
     assert hashlib.sha256(csv[0]).hexdigest() == (
-        "a835e52b5371cf14a37091bb503e1e92ed8fb469195983791468c900c552b633")
+        "7603a883df512f04fb953819d1397e816be6ae600ae600c658581454a45664f0")
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
