@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from operator import sub
+from operator import mul, sub
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -35,8 +35,13 @@ from .terminal import TerminalParams, clf_cbf_control
 
 # an edge that failed this often is left out of planning
 MAX_EDGE_FAILURES = 3
-# RK4 steps per ingress control update, and the most updates per ingress
+# RK4 steps that each ingress control is held: the ingress law's time
+# constant tau is their duration
 INGRESS_CHUNK = 5
+# the ingress before identification ends after this many tau, and the cell
+# is identified from the margin reached
+INGRESS_BUDGET = 4
+# the most ingress control updates before the terminal phase
 MAX_INGRESS_CHUNKS = 4000
 
 
@@ -144,11 +149,12 @@ class _Mission:
 
     # ---------------- identification ----------------
 
-    def gain_margin(self, cell: Box, need: float) -> bool:
+    def gain_margin(self, cell: Box, need: float, chunks: int = MAX_INGRESS_CHUNKS) -> bool:
         """Push the state toward the cell interior until every facet is at
-        least ``need`` away. One rollout recomputes the ingress control
-        every INGRESS_CHUNK steps and stops at the first chunk end where
-        the margin is reached. Returns False if the cell was escaped."""
+        least ``need`` away or ``chunks`` control updates have passed. One
+        rollout recomputes the ingress control every INGRESS_CHUNK steps
+        and stops at the first chunk end where the margin is reached.
+        Returns False if the cell was escaped."""
         lo, hi = cell.lo.tolist(), cell.hi.tolist()
 
         def margin(x) -> float:
@@ -180,7 +186,7 @@ class _Mission:
             prev, u = now, None
             return False
 
-        traj = self.advance(ctrl, cell, MAX_INGRESS_CHUNKS * INGRESS_CHUNK * self.scn.dt,
+        traj = self.advance(ctrl, cell, chunks * INGRESS_CHUNK * self.scn.dt,
                             INGRESS_CHUNK, stop=chunk_end)
         if traj.exit_facet is None:
             return True
@@ -189,23 +195,30 @@ class _Mission:
         self.log.event(self.t, "ingress_escape", cell=cell.id, facet=int(traj.exit_facet))
         return False
 
-    def ingress_and_identify(self, cell: Box) -> bool:
-        """Move away from the entry facet if needed, then identify the cell.
-        Returns False when the state escaped the cell (caller replans)."""
-        scn = self.scn
-        plan = ExcitationPlan.default(self.pu, self.sys.m, period=scn.ident_period,
-                                      n=self.sys.n)
+    def ingress_need(self, cell: Box, plan: ExcitationPlan) -> float:
+        """Margin to gain before identifying ``cell``: three plan durations
+        of travel at the speed seen during identification, at most a
+        quarter of the cell's shortest side."""
         if self.last_model is not None:
             m = self.last_model
-            # speed actually seen during identification: drift plus the
-            # excitation amplitude through the input matrix
+            # drift plus the excitation amplitude through the input matrix
             speed = float(np.linalg.norm(m.A @ self.x + m.c)
                           + plan.amplitude * np.linalg.norm(m.B, 2))
         else:
             speed = self.speed_estimate(self.last_model)
         need = 3.0 * len(plan.inputs) * plan.period * speed
-        need = min(need, 0.25 * float(np.min(cell.sides)))
-        if not self.gain_margin(cell, need):
+        return min(need, 0.25 * float(np.min(cell.sides)))
+
+    def ingress_and_identify(self, cell: Box) -> bool:
+        """Move away from the entry facet if needed, then identify the cell.
+        Returns False when the state escaped the cell (caller replans)."""
+        plan = ExcitationPlan.default(self.pu, self.sys.m, period=self.scn.ident_period,
+                                      n=self.sys.n)
+        need = self.ingress_need(cell, plan)
+        # where the plant barely beats its drift the margin comes slowly;
+        # identification then starts from what the budget reached, and an
+        # escape during it is a CellEscape like any other
+        if not self.gain_margin(cell, need, INGRESS_BUDGET):
             return False
         try:
             model = identify_affine(self.sys, self.x, plan, cell=cell)
@@ -222,20 +235,27 @@ class _Mission:
         return True
 
     def _ingress_law(self, cell: Box):
-        """The ingress control as a function of the state (a list): cancel
-        the (previously modeled) drift and creep toward the cell center so
-        identification can run away from the entry facet."""
+        """The ingress control as a function of the state (a list of
+        floats): cancel the modeled drift and aim at the cell center with
+        velocity d / tau, clipped to the input box. d is the offset to the
+        center and tau the INGRESS_CHUNK steps that each control is held:
+        on the model, one held control carries the state to the center,
+        and no shorter tau keeps the held control from overshooting it."""
         if self.last_model is None:
-            return lambda x: np.zeros(self.pu.dim)
+            zero = [0.0] * self.pu.dim
+            return lambda x: zero
         m = self.last_model
+        A, c, B_pinv = m.A.tolist(), m.c.tolist(), m.B_pinv.tolist()
+        center = cell.center.tolist()
+        u_lo, u_hi = self.pu.lo.tolist(), self.pu.hi.tolist()
+        rate = 1.0 / (INGRESS_CHUNK * self.scn.dt)
 
         def law(x):
-            x = np.array(x)
-            d = cell.center - x
-            nd = float(np.linalg.norm(d))
-            v_des = d / max(nd, 1e-9) * min(1.0, nd)
-            u = m.B_pinv @ (v_des - (m.A @ x + m.c))
-            return np.clip(u, self.pu.lo, self.pu.hi)
+            # desired velocity minus the modeled drift
+            dv = [rate * (ci - xi) - (sum(map(mul, row, x)) + cj)
+                  for ci, xi, row, cj in zip(center, x, A, c)]
+            return [min(max(sum(map(mul, row, dv)), lo), hi)
+                    for row, lo, hi in zip(B_pinv, u_lo, u_hi)]
 
         return law
 

@@ -308,7 +308,7 @@ def test_c10_underactuated_mission_succeeds(unicycle_run, tmp_path):
     _write_outputs(str(tmp_path), scn, log)
     csv = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "2e82a34df338472097bc74e6c8c234085d1bcd1cf280b0ad6165c0252cea4a6c")
+        "6a18c5cc94d0530d54c3e94df6ecba015a4888f21bc165a20484de78f46c9ef9")
     statuses = _edge_statuses(log)
     assert len(statuses) == 4
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (

@@ -14,6 +14,7 @@ from reachplan.partition import uniform_cell_count
 from reachplan.planner import MAX_EDGE_FAILURES, MissionLog, _Mission, run_mission
 from reachplan.reach import facet_reachable, relaxed_facet_reachable
 from reachplan.scenario import Scenario, builtin_scenario
+from reachplan.sysid import ExcitationPlan
 
 
 def test_builtin_mecanum_parameters():
@@ -288,7 +289,7 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         csv.append((tmp_path / str(k) / "trajectory.csv").read_bytes())
     assert csv[0] == csv[1]
     assert hashlib.sha256(csv[0]).hexdigest() == (
-        "7603a883df512f04fb953819d1397e816be6ae600ae600c658581454a45664f0")
+        "fd7e26ac828027b8ac2ea3b99371c912a576ff330f2c39c1389639b43789a97b")
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
@@ -298,3 +299,59 @@ def test_unicycle_runs_are_deterministic(tmp_path):
     assert statuses == edge_statuses(runs[1])
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
         "ffd8232aed5fa965a9a5120c0a33444bd9a07a78168fc937a9f32eb0097396a8")
+
+
+def _mecanum_cell(side, x_init):
+    """A built-in mecanum mission on a grid of ``side`` whose current cell,
+    the one holding ``x_init``, is identified analytically."""
+    scn = builtin_scenario("mecanum")
+    scn.h_min = np.array([side, side])
+    scn.x_init = np.array(x_init)
+    ms = _Mission(scn)
+    ms.refine()
+    cell = ms.current_cell()
+    assert cell.sides.tolist() == [side, side]
+    ms.last_model = analytic_linearize(ms.sys, cell.center)
+    plan = ExcitationPlan.default(ms.pu, 2, period=scn.ident_period, n=2)
+    return ms, cell, plan
+
+
+def _margin(ms, cell, x=None):
+    x = ms.x if x is None else x
+    return float(min(np.min(x - cell.lo), np.min(cell.hi - x)))
+
+
+@pytest.mark.parametrize("side, x_init", [(0.25, [1.875, 2.625]), (1.0, [1.5, 2.5])])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_ingress_reaches_the_margin_within_its_budget(side, x_init, axis):
+    """From the middle of an entry facet that the drift carries the state
+    away from, the ingress law reaches the margin identification needs
+    within INGRESS_BUDGET control updates of tau = INGRESS_CHUNK steps."""
+    ms, cell, plan = _mecanum_cell(side, x_init)
+    ms.x = cell.center.copy()
+    ms.x[axis] = cell.hi[axis]
+    need = ms.ingress_need(cell, plan)
+    # the quarter-side cap binds in the small cell, the travel rule in the large
+    assert need == 0.25 * side if side < 1 else 0.1 < need < 0.25 * side
+    assert ms.gain_margin(cell, need, planner.INGRESS_BUDGET)
+    assert _margin(ms, cell) >= need
+    tau = planner.INGRESS_CHUNK * ms.scn.dt
+    assert 0.0 < ms.t <= planner.INGRESS_BUDGET * tau + 1e-12
+
+
+def test_budgeted_ingress_identifies_from_the_margin_reached():
+    """3 cm above the low y facet of the cell [1.75, 2] x [2.5, 2.75], a
+    saturated u_2 = 5 beats the drift of about -4.6 by some 0.04 m/s: the
+    budget runs out with the margin short of the need, and the cell is
+    identified from the state reached."""
+    ms, cell, plan = _mecanum_cell(0.25, [1.875, 2.625])
+    assert cell.lo.tolist() == [1.75, 2.5]
+    ms.x = np.array([cell.hi[0], cell.lo[1] + 0.03])
+    need = ms.ingress_need(cell, plan)
+    assert ms.ingress_and_identify(cell)
+    reached = ms.log.traj_x[-1]
+    tau = planner.INGRESS_CHUNK * ms.scn.dt
+    assert ms.log.traj_t[-1] == pytest.approx(planner.INGRESS_BUDGET * tau, abs=1e-12)
+    assert 0.03 < _margin(ms, cell, reached) < need
+    assert ms.models[cell.id].linearization_point.tolist() == reached.tolist()
+    assert ms.log.events[-1]["type"] == "identified"
