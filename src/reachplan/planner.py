@@ -672,7 +672,10 @@ def run_mission(scn: Scenario) -> MissionLog:
                     if (e_nxt is None or e_nxt.status != gr.CERTAIN
                             or e_nxt.cert is None):
                         break
-                    if ms.execute_edge(here, path[k + 1]) != "moved":
+                    outcome = ms.execute_edge(here, path[k + 1])
+                    if outcome == "failed":
+                        log.status = "failure:workspace_exit"
+                    if outcome != "moved":
                         break
                     k += 1
                 break

@@ -301,6 +301,39 @@ def test_unicycle_runs_are_deterministic(tmp_path):
         "ffd8232aed5fa965a9a5120c0a33444bd9a07a78168fc937a9f32eb0097396a8")
 
 
+def test_prefix_edge_exit_ends_the_mission_with_one_event(monkeypatch):
+    """An edge of the certified prefix that leaves the workspace ends the
+    mission at once, with one workspace_exit event, even when the state
+    rests exactly on the workspace boundary, where ws.contains holds. The
+    exit is staged: the first prefix edge puts the state on the boundary,
+    logs the exit and fails, as execute_edge does on a real exit."""
+    execute_edge = planner._Mission.execute_edge
+    refine = planner._Mission.refine
+    calls = []     # per planning iteration, the outcomes so far
+
+    def staged(self, cell, nb, force=False):
+        if calls[-1] and calls[-1][-1] == "moved":
+            self.x = self.ws.hi.copy()
+            self.log.event(self.t, "workspace_exit", cell=cell.id)
+            outcome = "failed"
+        else:
+            outcome = execute_edge(self, cell, nb, force)
+        calls[-1].append(outcome)
+        return outcome
+
+    def counted(self):
+        calls.append([])
+        return refine(self)
+
+    monkeypatch.setattr(planner._Mission, "execute_edge", staged)
+    monkeypatch.setattr(planner._Mission, "refine", counted)
+    log = run_mission(builtin_scenario("mecanum"))
+    assert log.status == "failure:workspace_exit"
+    assert calls[-1][-2:] == ["moved", "failed"]
+    assert [e["type"] for e in log.events].count("workspace_exit") == 1
+    assert [e["type"] for e in log.events[-2:]] == ["workspace_exit", "mission_end"]
+
+
 def _mecanum_cell(side, x_init):
     """A built-in mecanum mission on a grid of ``side`` whose current cell,
     the one holding ``x_init``, is identified analytically."""
