@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import time
-from operator import mul, sub
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Optional
 
 import numpy as np
