@@ -194,26 +194,16 @@ def _exit_violation(x: list, lo: list, hi: list):
     return best_f, best_v
 
 
-def _trajectory(ts, xs, us, clamps: int, exit_facet=None, exit_time=None) -> Trajectory:
-    """Close a rollout, warning once if any step's control was clamped."""
-    if clamps:
-        warnings.warn(f"control clamped to input box on {clamps} steps")
-    return Trajectory(t=np.array(ts), x=np.array(xs), u=np.array(us),
-                      exit_facet=exit_facet, exit_time=exit_time,
-                      clamp_warnings=clamps)
-
-
 def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
-              pu: Optional[Box] = None, record_stride: int = 1,
-              stop: Optional[Callable] = None) -> Trajectory:
+              pu: Optional[Box] = None, record_stride: int = 1) -> Trajectory:
     """Fixed-step RK4 rollout with facet-crossing event detection.
 
     The control is held constant across each RK4 step (zero-order hold at
-    the step start); ``ctrl`` is called with the state as a list of floats.
-    On the first step whose endpoint leaves the cell the crossing time is
-    bisected to 1e-9 and the trajectory truncated there. ``stop``, when
-    given, is called with the state of every recorded sample after the
-    start, and the rollout ends at the first for which it returns True.
+    the step start); ``ctrl`` is called before every step with the state as
+    a list of floats, and returning None ends the rollout there, with the
+    state reached recorded. On the first step whose endpoint leaves the
+    cell the crossing time is bisected to 1e-9 and the trajectory truncated
+    there.
     """
     x0 = np.asarray(x0, dtype=float)
     if not cell.contains(x0, tol=1e-7):
@@ -226,9 +216,12 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
     ts, xs, us = [0.0], [x], []
     clamps = 0
     t = 0.0
+    exit_facet = exit_time = None
     n_steps = int(np.ceil(t_max / dt - 1e-12))
     for step in range(n_steps):
-        u = np.asarray(ctrl(x), dtype=float).tolist()
+        if (v := ctrl(x)) is None:
+            break
+        u = np.asarray(v, dtype=float).tolist()
         if pu is not None:
             u, was_clamped = _clamp(u, u_lo, u_hi)
             clamps += was_clamped
@@ -250,21 +243,23 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
                     hi_t = mid
                 else:
                     lo_t = mid
-            x_cross = _rk4_step(deriv, x, hi_t)
-            f_cross, _ = _exit_violation(x_cross, lo, hi)
+            x = _rk4_step(deriv, x, hi_t)
+            f_cross, _ = _exit_violation(x, lo, hi)
             t += hi_t
-            ts.append(t)
-            xs.append(x_cross)
-            us.append(u)
-            return _trajectory(ts, xs, us, clamps,
-                               exit_facet=f_cross if f_cross is not None else fct,
-                               exit_time=t)
+            exit_facet, exit_time = (fct if f_cross is None else f_cross), t
+            break
         x = x_new
         t += h
-        if (step + 1) % record_stride == 0 or step == n_steps - 1:
+        if (step + 1) % record_stride == 0:
             ts.append(t)
             xs.append(x)
             us.append(u)
-            if stop is not None and stop(x):
-                break
-    return _trajectory(ts, xs, us, clamps)
+    if xs[-1] is not x:
+        # the crossing, or the end of a rollout between record_stride samples
+        ts.append(t)
+        xs.append(x)
+        us.append(u)
+    if clamps:
+        warnings.warn(f"control clamped to input box on {clamps} steps")
+    return Trajectory(t=np.array(ts), x=np.array(xs), u=np.array(us),
+                      exit_facet=exit_facet, exit_time=exit_time, clamp_warnings=clamps)

@@ -10,6 +10,7 @@ quadratic program takes over.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import defaultdict
@@ -61,12 +62,11 @@ class MissionLog:
         self.events.append({"t": t, "type": kind, **payload})
 
     def append_traj(self, traj: Trajectory, t0: float, cell_id: int):
-        n_u = traj.u.shape[0]
-        for i in range(len(traj.t)):
-            self.traj_t.append(t0 + traj.t[i])
-            self.traj_x.append(traj.x[i])
-            self.traj_u.append(traj.u[min(i, n_u - 1)] if n_u else np.zeros(0))
-            self.traj_cell.append(cell_id)
+        """One row per sample, with the control applied from it."""
+        self.traj_t.extend(t0 + traj.t)
+        self.traj_x.extend(traj.x)
+        self.traj_u.extend([*traj.u, traj.u[-1]])
+        self.traj_cell.extend([cell_id] * len(traj.t))
 
     @property
     def success(self) -> bool:
@@ -120,18 +120,36 @@ class _Mission:
         self.cur_id = entered.id
         return entered
 
-    def advance(self, ctrl, cell: Box, t_max: float, stride: int,
-                stop=None) -> Trajectory:
+    def advance(self, ctrl, cell: Box, t_max: float,
+                stride: Optional[int] = None) -> Trajectory:
         """Roll the plant out under ``ctrl`` until it leaves ``cell``,
-        ``t_max`` passes or ``stop`` holds at a recorded sample, log the
-        samples against the cell and move the mission clock and state to
-        the rollout's end."""
+        ``t_max`` passes or ``ctrl`` returns None, log the samples of a
+        rollout that took a step against the cell and move the mission
+        clock and state to the rollout's end. Samples are recorded every
+        ``stride`` steps, by default every ``record_stride``."""
         traj = integrate(self.sys, ctrl, self.x, cell, self.scn.dt, t_max,
-                         pu=self.pu, record_stride=stride, stop=stop)
-        self.log.append_traj(traj, self.t, cell.id)
+                         pu=self.pu, record_stride=stride or self.scn.record_stride)
+        if len(traj.u):
+            self.log.append_traj(traj, self.t, cell.id)
         self.t += traj.t[-1]
         self.x = traj.final_state
         return traj
+
+    def advance_held(self, law, cell: Box, updates: int, k: int = 10,
+                     stride: Optional[int] = None) -> Trajectory:
+        """``advance`` for at most ``updates`` periods of ``k`` steps, each
+        under the control that ``law`` computes from the state at its start.
+        ``law`` returning None ends the rollout."""
+        steps = itertools.count()
+        u = None
+
+        def ctrl(x):
+            nonlocal u
+            if next(steps) % k == 0:
+                u = law(x)
+            return u
+
+        return self.advance(ctrl, cell, updates * k * self.scn.dt, stride)
 
     def speed_estimate(self, model: Optional[AffineModel]) -> float:
         if model is not None:
@@ -153,41 +171,27 @@ class _Mission:
         """Push the state toward the cell interior until every facet is at
         least ``need`` away or ``chunks`` control updates have passed. One
         rollout recomputes the ingress control every INGRESS_CHUNK steps
-        and stops at the first chunk end where the margin is reached.
+        and stops at the first update where the margin is reached.
         Returns False if the cell was escaped."""
         lo, hi = cell.lo.tolist(), cell.hi.tolist()
-
-        def margin(x) -> float:
-            return min(min(map(sub, x, lo)), min(map(sub, hi, x)))
-
-        prev = margin(self.x.tolist())
-        if prev >= need:
-            return True
-        law = self._ingress_law(cell)
+        ingress = self._ingress_law(cell)
+        prev = -math.inf
         hold = False
-        u = None
 
-        def ctrl(x):
-            nonlocal u
-            if u is None:
-                # the control that carried us across the entry facet tends to
-                # keep pointing into this cell, so hold it to penetrate
-                u = self.last_u if hold else law(x)
-            return u
-
-        def chunk_end(x) -> bool:
-            nonlocal prev, hold, u
-            now = margin(x)
+        def law(x):
+            nonlocal prev, hold
+            now = min(min(map(sub, x, lo)), min(map(sub, hi, x)))
             if now >= need:
-                return True
+                return None
             if now <= prev + 1e-12:
                 # no progress with the current candidate, switch strategy
                 hold = not hold if self.last_u is not None else False
-            prev, u = now, None
-            return False
+            prev = now
+            # the control that carried us across the entry facet tends to
+            # keep pointing into this cell, so hold it to penetrate
+            return self.last_u if hold else ingress(x)
 
-        traj = self.advance(ctrl, cell, chunks * INGRESS_CHUNK * self.scn.dt,
-                            INGRESS_CHUNK, stop=chunk_end)
+        traj = self.advance_held(law, cell, chunks, INGRESS_CHUNK, INGRESS_CHUNK)
         if traj.exit_facet is None:
             return True
         self.retries[cell.id] += 1
@@ -435,7 +439,7 @@ class _Mission:
             l_u = float(cell.sides[e.shared.axis])
             timeout = 3.0 * l_u / self.speed_estimate(self.models.get(cell.id))
         timeout = max(timeout, 50 * scn.dt)
-        traj = self.advance(ctrl, cell, timeout, scn.record_stride)
+        traj = self.advance(ctrl, cell, timeout)
         self.last_u = traj.u[-1]
         if cell.id in self.models:
             self.last_model = self.models[cell.id]
@@ -452,7 +456,7 @@ class _Mission:
         # keep the same feedback law running briefly so the crossing velocity
         # carries the state clear of the shared facet before handing over;
         # the traversal is judged by the cell entered at the crossing
-        pen = self.advance(ctrl, entered, 20 * scn.dt, scn.record_stride)
+        pen = self.advance(ctrl, entered, 20 * scn.dt)
         self.last_u = pen.u[-1]
         if pen.exit_facet is not None and self.locate_after_exit(pen.exit_facet,
                                                                  entered) is None:
@@ -479,17 +483,17 @@ class _Mission:
         params = TerminalParams(alpha=4.0, kappa=self.scn.terminal_kappa,
                                 slack_weight=self.scn.terminal_slack_weight,
                                 r_stop=0.05 * float(np.min(cell.sides)))
-        steps = max(1, int(duration / (10 * self.scn.dt)))
-        for _ in range(steps):
+
+        def law(x):
             try:
-                step = clf_cbf_control(model, self.x, cell.center, cell, self.pu, params)
+                return clf_cbf_control(model, x, cell.center, cell, self.pu, params).u
             except SolverError:
-                break
-            traj = self.advance(lambda _x: step.u, cell, 10 * self.scn.dt,
-                                self.scn.record_stride)
-            if traj.exit_facet is not None:
-                self.locate_after_exit(traj.exit_facet, cell)
-                return
+                return None
+
+        traj = self.advance_held(law, cell, max(1, int(duration / (10 * self.scn.dt))))
+        if traj.exit_facet is not None:
+            self.locate_after_exit(traj.exit_facet, cell)
+            return
         self.log.event(self.t, "centering", cell=cell.id)
 
     def forced_escape(self, cell: Box) -> bool:
@@ -516,28 +520,23 @@ class _Mission:
         for nb in sorted(candidates, key=rank):
             sf = edges[(cell.id, nb)].shared
             fct = facet_id(sf.axis, sf.direction)
-            n1 = p.normals[fct]
+            gain = p.normals[fct] @ model.B
             others = [i for i in range(2 * cell.dim) if i != fct]
+            # barrier-style rows: approach the remaining facets no faster
+            # than in proportion to the distance left to them
+            rows = np.array([p.normals[i] @ model.B for i in others])
+
+            def law(x):
+                x = np.array(x)
+                drift = model.A @ x + model.c
+                rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ x)
+                                - float(p.normals[i] @ drift) for i in others])
+                return fastest_control(gain, rows, rhs, self.pu)
+
             timeout = max(3.0 * float(cell.sides[sf.axis])
                           / self.speed_estimate(model), 50 * self.scn.dt)
-            t_used = 0.0
-            traj = None
-            while t_used < timeout:
-                drift = model.A @ self.x + model.c
-                # barrier-style rows: approach the remaining facets no
-                # faster than in proportion to the distance left to them
-                rows = np.array([p.normals[i] @ model.B for i in others])
-                rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ self.x)
-                                - float(p.normals[i] @ drift) for i in others])
-                u = fastest_control(n1 @ model.B, rows, rhs, self.pu)
-                if u is None:
-                    break
-                traj = self.advance(lambda _x: u, cell, 10 * self.scn.dt,
-                                    self.scn.record_stride)
-                t_used += traj.t[-1]
-                if traj.exit_facet is not None:
-                    break
-            if traj is None or traj.exit_facet is None:
+            traj = self.advance_held(law, cell, math.ceil(timeout / (10 * self.scn.dt)))
+            if traj.exit_facet is None:
                 continue
             entered = self.locate_after_exit(traj.exit_facet, cell)
             if entered is None:
@@ -553,13 +552,11 @@ class _Mission:
 
     def terminal_phase(self, cell: Box) -> None:
         scn = self.scn
-        if cell.id not in self.models:
-            if not self.ingress_and_identify(cell):
-                self.log.event(self.t, "terminal_escape", cell=cell.id)
-                return
+        if cell.id not in self.models and self.ingress_and_identify(cell):
             cell = self.current_cell()
         # start the quadratic program from a state with real barrier margin
-        if not self.gain_margin(cell, 0.2 * float(np.min(cell.sides))):
+        if (cell.id not in self.models
+                or not self.gain_margin(cell, 0.2 * float(np.min(cell.sides)))):
             self.log.event(self.t, "terminal_escape", cell=cell.id)
             return
         model = self.models[cell.id]
@@ -568,31 +565,38 @@ class _Mission:
                                 slack_weight=scn.terminal_slack_weight)
         self.log.event(self.t, "terminal_phase", cell=cell.id)
         period = 10 * scn.dt
-        t_phase = 0.0
         audits = []
-        while t_phase < scn.terminal_budget:
-            dist = float(np.linalg.norm(self.x - scn.x_target))
-            if dist <= scn.r_stop:
-                self.log.status = "success"
-                self.log.final_distance = dist
-                self.log.event(self.t, "converged", distance=dist)
-                self.log.metrics["terminal_audits"] = audits
-                return
-            step = clf_cbf_control(model, self.x, scn.x_target, cell, self.pu, params)
-            audits.append({"t": self.t, "delta": step.delta,
+        infeasible = False
+
+        def law(x):
+            nonlocal infeasible
+            if float(np.linalg.norm(np.subtract(x, scn.x_target))) <= scn.r_stop:
+                return None
+            try:
+                step = clf_cbf_control(model, x, scn.x_target, cell, self.pu, params)
+            except SolverError:
+                # no input meets the barrier rows from this state
+                infeasible = True
+                return None
+            # the mission clock moves when the rollout ends
+            audits.append({"t": self.t + len(audits) * period, "delta": step.delta,
                            "min_barrier": step.min_barrier,
                            "kkt_stationarity": step.kkt_stationarity,
                            "kkt_complementarity": step.kkt_complementarity})
-            traj = self.advance(lambda _x: step.u, cell, period, scn.record_stride)
-            t_phase += traj.t[-1]
-            if traj.exit_facet is not None:
-                self.log.event(self.t, "terminal_escape", cell=cell.id,
-                               facet=int(traj.exit_facet))
-                return
+            return step.u
+
+        traj = self.advance_held(law, cell, math.ceil(scn.terminal_budget / period))
+        if traj.exit_facet is not None:
+            self.log.event(self.t, "terminal_escape", cell=cell.id,
+                           facet=int(traj.exit_facet))
+            return
         dist = float(np.linalg.norm(self.x - scn.x_target))
-        self.log.status = "partial"
+        self.log.status, kind = (
+            ("failure:terminal_infeasible", "terminal_infeasible") if infeasible
+            else ("success", "converged") if dist <= scn.r_stop
+            else ("partial", "terminal_budget_exhausted"))
         self.log.final_distance = dist
-        self.log.event(self.t, "terminal_budget_exhausted", distance=dist)
+        self.log.event(self.t, kind, distance=dist)
         self.log.metrics["terminal_audits"] = audits
 
 

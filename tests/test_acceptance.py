@@ -308,7 +308,7 @@ def test_c10_underactuated_mission_succeeds(unicycle_run, tmp_path):
     _write_outputs(str(tmp_path), scn, log)
     csv = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "6a18c5cc94d0530d54c3e94df6ecba015a4888f21bc165a20484de78f46c9ef9")
+        "fa137dd234d9ec86727e6d38a5fda2a2e97c6198234f73936eea3ec338b7970b")
     statuses = _edge_statuses(log)
     assert len(statuses) == 4
     assert hashlib.sha256(json.dumps(statuses).encode()).hexdigest() == (
@@ -336,7 +336,7 @@ def test_c12_runs_are_deterministic(mecanum_run, mecanum_rerun, tmp_path):
     csv = (d1 / "trajectory.csv").read_bytes()
     assert csv == (d2 / "trajectory.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == (
-        "bd406626a64894b50334817977dfaded52f394129ecbe081be0d06beac1e4f0b")
+        "da1d5ba1347d996a4c61bb0c144377fe5151017043ecbecfec6e1fe970616be5")
 
     statuses = _edge_statuses(mecanum_run)
     assert statuses == _edge_statuses(mecanum_rerun)

@@ -224,6 +224,28 @@ def test_run_leaving_the_workspace_is_a_mission_failure(tmp_path):
     assert summary["status"] == "failure:workspace_exit"
 
 
+def test_run_with_an_infeasible_terminal_qp_is_a_mission_failure(tmp_path, capsys):
+    """With |u| <= 4.4 against a drift of about 4.5 per axis, the mecanum
+    plant cannot hold its target. The drift carries the state to the
+    cell's low x facet, where the terminal QP finds no input that meets
+    the barrier rows. The mission ends with that status, not with a
+    traceback."""
+    data = builtin_scenario("mecanum").to_dict()
+    data.update(pu_lo=[-4.4, -4.4], pu_hi=[4.4, 4.4], x_init=[-0.5, -0.5],
+                x_target=[-0.5, -0.5], r_stop=0.01)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "status: failure:terminal_infeasible" in out
+    assert "Traceback" not in out + err
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "failure:terminal_infeasible"
+    assert [e["type"] for e in summary["events"]][-2:] == ["terminal_infeasible", "mission_end"]
+
+
 def test_run_h_min_override_rejected(capsys):
     assert main(["run", "--scenario", "mecanum", "--h-min", "3", "--quiet"]) == 1
     assert "scenario.h_min" in capsys.readouterr().err

@@ -171,6 +171,27 @@ def test_integrate_timeout_returns_no_exit():
     assert traj.t[-1] == pytest.approx(0.1)
 
 
+def test_integrate_ends_where_the_control_returns_none():
+    # dx/dt = u = 1 for 7 steps, then ctrl returns None: the state reached
+    # is recorded although the 7th step is no record_stride sample
+    s = TrueSystem(n=1, m=1, f=lambda x: [0.0], g=lambda x: [[1.0]])
+    cell = Box(lo=[-1.0], hi=[1.0])
+    calls = []
+
+    def ctrl(x):
+        calls.append(x)
+        return None if len(calls) > 7 else [1.0]
+
+    traj = integrate(s, ctrl, [0.0], cell, dt=0.125, t_max=5.0, record_stride=5)
+    assert len(calls) == 8 and traj.exit_facet is None
+    assert traj.t.tolist() == [0.0, 0.625, 0.875]
+    assert traj.x[:, 0].tolist() == [0.0, 0.625, 0.875]
+    assert traj.u.tolist() == [[1.0], [1.0]]
+    # a rollout ended before its first step holds only the start
+    traj = integrate(s, lambda x: None, [0.5], cell, dt=0.125, t_max=5.0)
+    assert traj.t.tolist() == [0.0] and traj.x.tolist() == [[0.5]] and traj.u.size == 0
+
+
 def test_integrate_rejects_outside_start():
     s = _constant_field([1.0, 0.0])
     cell = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])

@@ -1,4 +1,5 @@
-"""The one-rollout ingress against the chunked loop it replaced.
+"""The one-rollout ingress and terminal phase against the chunked loops
+they replaced.
 
 ``_Mission.gain_margin`` once made one 5-step ``integrate`` call per
 control update and measured the margin between calls. That loop is kept
@@ -8,14 +9,22 @@ toggle ``hold`` at the same chunk ends, and escape or stop at the same
 step. Its log drops only the closing row of each chunk but the last,
 which repeated the next chunk's opening state with the old control, and
 its clock may differ by rounding, since it is summed once per rollout.
+
+``_Mission.terminal_phase`` once made one 10-step ``integrate`` call per
+QP. That loop is kept here too. The single rollout must end with the
+same status and events after as many QPs, and drop the same closing rows.
+Its states and clock agree to 1e-12, not exactly: each old 10-step call
+shortened its last step by rounding (``min(dt, t_max - t)``).
 """
 import numpy as np
 import pytest
 
-from reachplan.dynamics import AffineModel
+from reachplan.dynamics import AffineModel, analytic_linearize
 from reachplan.geometry import facet_id
+from reachplan.optim import STATS
 from reachplan.planner import _Mission
 from reachplan.scenario import builtin_scenario
+from reachplan.terminal import TerminalParams, clf_cbf_control
 
 # the creep law of the chunked loop: cancel the modeled drift and aim at
 # the cell centre at min(1, |d|) m/s
@@ -125,3 +134,101 @@ def test_one_rollout_matches_the_chunked_loop(x_offset, model, last_u, need, out
         assert ref.t == ms.t == 0.0 and not ms.log.traj_t
     else:
         assert len(new) > 3 and len(old) < len(_rows(ref.log))
+
+
+def _terminal_chunked(ms, cell):
+    """The chunked terminal loop, from the state the margin push left."""
+    scn = ms.scn
+    model = ms.models[cell.id]
+    params = TerminalParams(alpha=scn.terminal_alpha,
+                            kappa=scn.terminal_kappa, r_stop=scn.r_stop,
+                            slack_weight=scn.terminal_slack_weight)
+    ms.log.event(ms.t, "terminal_phase", cell=cell.id)
+    period = 10 * scn.dt
+    t_phase = 0.0
+    audits = []
+    while t_phase < scn.terminal_budget:
+        dist = float(np.linalg.norm(ms.x - scn.x_target))
+        if dist <= scn.r_stop:
+            ms.log.status = "success"
+            ms.log.final_distance = dist
+            ms.log.event(ms.t, "converged", distance=dist)
+            ms.log.metrics["terminal_audits"] = audits
+            return
+        step = clf_cbf_control(model, ms.x, scn.x_target, cell, ms.pu, params)
+        audits.append({"t": ms.t, "delta": step.delta,
+                       "min_barrier": step.min_barrier,
+                       "kkt_stationarity": step.kkt_stationarity,
+                       "kkt_complementarity": step.kkt_complementarity})
+        traj = ms.advance(lambda _x: step.u, cell, period, scn.record_stride)
+        t_phase += traj.t[-1]
+        if traj.exit_facet is not None:
+            ms.log.event(ms.t, "terminal_escape", cell=cell.id,
+                         facet=int(traj.exit_facet))
+            return
+    dist = float(np.linalg.norm(ms.x - scn.x_target))
+    ms.log.status = "partial"
+    ms.log.final_distance = dist
+    ms.log.event(ms.t, "terminal_budget_exhausted", distance=dist)
+    ms.log.metrics["terminal_audits"] = audits
+
+
+def _terminal_mission(x_init, model, budget):
+    """The built-in mecanum mission started in its target cell [-1, 0]^2,
+    far enough inside that the margin push before the QP takes no step."""
+    scn = builtin_scenario("mecanum")
+    scn.x_init = np.array(x_init)
+    scn.terminal_budget = budget
+    ms = _Mission(scn)
+    ms.refine()
+    cell = ms.current_cell()
+    ms.models[cell.id] = model or analytic_linearize(ms.sys, cell.center)
+    return ms, cell
+
+
+def _run_counting_qps(fn, ms, cell):
+    STATS.reset()
+    fn(ms, cell)
+    return STATS.qp_calls
+
+
+# From the target cell's upper left the QP converges after 2.76 s, so a
+# 0.095 s budget ends the phase after 10 periods. (At a budget of whole
+# periods the old loop's summed clock may fall short of it by rounding and
+# run one period more.) Down-drift of the target a model
+# without drift asks for too little input, and the plant's drift of about
+# -4.5 per axis carries the state out through the cell's low facets.
+@pytest.mark.parametrize("x_init, model, budget, status", [
+    ([-0.75, -0.25], None, 40.0, "success"),
+    ([-0.75, -0.25], None, 0.095, "partial"),
+    ([-0.7, -0.7], NO_DRIFT, 40.0, "incomplete"),
+], ids=["converges", "budget", "escape"])
+def test_terminal_rollout_matches_the_chunked_loop(x_init, model, budget, status):
+    ref, cell = _terminal_mission(x_init, model, budget)
+    qp_ref = _run_counting_qps(_terminal_chunked, ref, cell)
+    ms, cell = _terminal_mission(x_init, model, budget)
+    qp = _run_counting_qps(_Mission.terminal_phase, ms, cell)
+    assert ms.log.status == ref.log.status == status
+    assert [(e["type"], e.get("facet")) for e in ms.log.events] == \
+        [(e["type"], e.get("facet")) for e in ref.log.events]
+    assert np.max(np.abs(np.subtract([e["t"] for e in ms.log.events],
+                                     [e["t"] for e in ref.log.events]))) <= 1e-12
+    assert qp == qp_ref > 1
+    audits = ms.log.metrics.get("terminal_audits")
+    if status == "incomplete":
+        assert audits is None and ref.log.metrics.get("terminal_audits") is None
+        assert ms.log.events[-1]["facet"] == ref.log.events[-1]["facet"]
+    else:
+        old = ref.log.metrics["terminal_audits"]
+        assert len(audits) == len(old) == qp
+        assert max(abs(a["t"] - b["t"]) for a, b in zip(audits, old)) <= 1e-12
+        assert ms.log.final_distance == pytest.approx(ref.log.final_distance,
+                                                      abs=1e-12, rel=0)
+    assert np.max(np.abs(ms.x - ref.x)) <= 1e-12
+    assert ms.t == pytest.approx(ref.t, abs=1e-12, rel=0)
+    old, new = _without_closing_rows(_rows(ref.log)), _rows(ms.log)
+    assert len(new) == len(old) < len(_rows(ref.log))
+    assert [r[3] for r in new] == [r[3] for r in old]
+    for a, b in zip(new, old):
+        assert abs(a[0] - b[0]) <= 1e-12
+        assert np.max(np.abs(np.subtract(a[1], b[1]))) <= 1e-12

@@ -220,6 +220,50 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
     assert 0.0 < ms.t and ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
 
 
+def _centering_mission():
+    """A mecanum mission in its identified 1 m cell [0, 1]^2, where g is
+    near I, started 0.2 m up-drift of the centre on each axis."""
+    scn = builtin_scenario("mecanum")
+    scn.x_init = np.array([0.7, 0.7])
+    ms = _Mission(scn)
+    ms.refine()
+    cell = ms.current_cell()
+    ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
+    return ms, cell
+
+
+def test_centering_pushes_toward_the_cell_centre():
+    """One rollout of 20 ten-step QP periods keeps the state in the cell,
+    brings it closer to the centre and logs the manoeuvre."""
+    ms, cell = _centering_mission()
+    start = np.linalg.norm(ms.x - cell.center)
+    qp_calls = optim.STATS.qp_calls
+    ms.centering_maneuver(cell, 0.2)
+    assert optim.STATS.qp_calls - qp_calls == 20
+    assert ms.t == pytest.approx(20 * 10 * ms.scn.dt, abs=1e-12)
+    assert cell.contains(ms.x) and ms.current_cell().id == cell.id
+    assert np.linalg.norm(ms.x - cell.center) < 0.5 * start
+    assert ms.log.events[-1] == {"t": ms.t, "type": "centering", "cell": cell.id}
+    assert ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
+    assert ms.log.traj_t[-1] == ms.t and np.array_equal(ms.log.traj_x[-1], ms.x)
+
+
+def test_centering_with_an_infeasible_qp_takes_no_step(monkeypatch):
+    """A QP that raises SolverError on its first call ends the manoeuvre
+    before any step: the clock and state stay and no row is logged."""
+    ms, cell = _centering_mission()
+    x0 = ms.x.copy()
+
+    def infeasible(*args, **kwargs):
+        raise optim.SolverError("no KKT-consistent active set found")
+
+    monkeypatch.setattr(planner, "clf_cbf_control", infeasible)
+    ms.centering_maneuver(cell, 0.2)
+    assert ms.t == 0.0 and np.array_equal(ms.x, x0)
+    assert not ms.log.traj_t and not ms.log.traj_u
+    assert ms.log.events[-1] == {"t": 0.0, "type": "centering", "cell": cell.id}
+
+
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
 def test_builtin_mission_solves_no_tableau_lp(plant, monkeypatch):
     """A built-in mission solves no tableau LP: it makes no solve_lp call,
