@@ -10,7 +10,7 @@ from .deviation import DeviationBounds, cell_pair_bounds, deviation_bounds
 from .dynamics import (AffineModel, Trajectory, TrueSystem, analytic_linearize,
                        integrate, mecanum_system, unicycle_system)
 from .geometry import Box, Polytope, Simplex, box_to_polytope, locate_simplex, triangulate
-from .graph import ReachGraph, edge_entropy, uncertain_weight
+from .graph import ReachGraph, edge_entropy, replay, uncertain_weight
 from .partition import PartitionTree, adjacency, segment_intersects, uniform_cell_count
 from .planner import MissionLog, run_mission
 from .reach import (ExitTimeBound, PWAController, ReachCertificate,

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 mission failure.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .planner import run_mission
 from .reach import facet_reachable
 from .scenario import Scenario, builtin_scenario
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MODEL_MAX = 1e50     # largest certify model value: products of four stay finite
 
 
@@ -58,6 +59,10 @@ def load_scenario(spec: str, overrides: dict) -> Scenario:
 
 def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    # each step is a change from the one before, so a step left over from
+    # an earlier mission in this directory would corrupt a replay
+    for path in glob.glob(os.path.join(glob.escape(out_dir), "graph_step_*.json")):
+        os.remove(path)
     n, m = scn.x_init.size, scn.pu_lo.size
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as f:
         hdr = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)]

@@ -23,7 +23,12 @@ class GeometryError(ValueError):
 
 @dataclass
 class Box:
-    """Axis-aligned box [lo, hi] with a cell identity and refinement depth."""
+    """Axis-aligned box [lo, hi] with a cell identity and refinement depth.
+
+    ``lo_list``/``hi_list`` hold the bounds as Python floats, for the
+    per-axis loops of the partition, which are faster on floats than on
+    numpy scalars and give the same IEEE results.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -37,6 +42,8 @@ class Box:
             raise GeometryError("box bounds must be 1-d arrays of equal length")
         if np.any(self.hi - self.lo <= 0):
             raise GeometryError(f"degenerate box: lo={self.lo} hi={self.hi}")
+        self.lo_list = self.lo.tolist()
+        self.hi_list = self.hi.tolist()
 
     @property
     def dim(self) -> int:

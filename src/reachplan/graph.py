@@ -5,7 +5,9 @@ rectangle and carries one of three statuses: certain (transition
 certified, weight = exit-time bound), impossible (refuted, excluded from
 search), or uncertain (weight trades traversal cost against the expected
 information gained by exploring it). Every uncertain edge is reachable
-with the graph's prior probability ``p_prior``.
+with the graph's prior probability ``p_prior``. Snapshots record only
+what changed since the previous one; ``replay`` turns them back into
+whole graphs.
 """
 from __future__ import annotations
 
@@ -68,28 +70,62 @@ class Edge:
 
 
 class ReachGraph:
+    """Directed graph over the leaves of a partition, one edge per ordered
+    pair of cells that share a facet, so every edge (a, b) has its reverse
+    (b, a). It follows the partition split by split (``rebuild``) and
+    keeps, for ``refresh_uncertain_weights`` and ``snapshot``, the edges
+    whose weight or record may have changed since their last call."""
+
     def __init__(self, C_u: float, beta_u: float, p_prior: float = 0.5):
         self.C_u = C_u
         self.beta_u = beta_u
         self.p_prior = p_prior
         self.edges: dict = {}          # (src, dst) -> Edge
-        self.out: dict = {}            # src -> list of dst
+        self.out: dict = {}            # src -> ascending list of dst
+        # pairs added, changed or removed since the last snapshot -> whether
+        # the pair was in the graph at that snapshot
+        self._changed: dict = {}
+        self._unweighed: set = set()   # pairs added since the last refresh
+        # cells whose uncertain out-set changed since the last refresh
+        self._stale: set = set()
 
-    def rebuild(self, adjacency: dict):
-        """Follow a repartitioning. A pair survives only if neither cell
-        split, so its facet and everything learned about it still hold and
-        its Edge is kept as it is; a new pair starts uncertain and every
-        other edge is dropped. Uncertain weights are left to
-        refresh_uncertain_weights. Out-lists keep the order of
-        ``adjacency``, which partition.adjacency gives in ascending target
-        order per source."""
-        old = self.edges
-        self.edges = {}
-        self.out = {}
-        for (a, b), sf in adjacency.items():
-            e = old.get((a, b))
-            self.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, sf)
-            self.out.setdefault(a, []).append(b)
+    def rebuild(self, tree):
+        """Follow the splits of ``tree`` since the last rebuild (its
+        ``take_changes``). Edges of removed leaves are dropped and the
+        facet pairs of created leaves start uncertain; every other Edge is
+        kept as it is, with everything learned about it. Only the out-lists
+        of created leaves and of their neighbours are sorted again. Weights
+        of new edges are left to refresh_uncertain_weights."""
+        removed, created = tree.take_changes()
+        relinked = set()
+        for a in removed:
+            for b in self.out.pop(a, ()):
+                self._drop(a, b)
+                if b not in removed:
+                    self._drop(b, a)
+                    relinked.add(b)
+        for a in created:
+            nbrs = tree.neighbours[a]
+            for b in nbrs:
+                self._add(a, b, tree.facets[(a, b)])
+                if b not in created:
+                    self._add(b, a, tree.facets[(b, a)])
+                    relinked.add(b)
+            self.out[a] = sorted(nbrs)
+        for b in relinked:
+            self.out[b] = sorted(tree.neighbours[b])
+        self._stale |= relinked
+
+    def _add(self, a: int, b: int, sf: SharedFacet):
+        self.edges[(a, b)] = Edge(a, b, UNCERTAIN, sf)
+        self._unweighed.add((a, b))
+        self._changed[(a, b)] = False
+
+    def _drop(self, a: int, b: int):
+        del self.edges[(a, b)]
+        self._unweighed.discard((a, b))
+        if not self._changed.setdefault((a, b), True):
+            del self._changed[(a, b)]      # added and dropped between snapshots
 
     def mark_certain(self, a: int, b: int, t_bound: float, kind: str,
                      t_est: Optional[float] = None):
@@ -103,6 +139,8 @@ class ReachGraph:
         e.weight = t_bound if t_est is None else min(t_est, t_bound)
         e.t_bound = t_bound
         e.cert_kind = kind
+        self._changed.setdefault((a, b), True)
+        self._stale.add(a)
 
     def mark_impossible(self, a: int, b: int):
         e = self.edges[(a, b)]
@@ -110,6 +148,8 @@ class ReachGraph:
             raise RuntimeError(f"edge ({a},{b}) flips certain -> impossible")
         e.status = IMPOSSIBLE
         e.weight = 0.0
+        self._changed.setdefault((a, b), True)
+        self._stale.add(a)
 
     def expected_info_gain(self, a: int, b: int) -> float:
         """p_prior times the total entropy of the target node's uncertain
@@ -124,19 +164,32 @@ class ReachGraph:
                 total += h
         return total
 
-    def refresh_uncertain_weights(self, cell_sides: dict):
-        """Recompute every uncertain edge weight; l_u is the source cell's
-        side length along the transition axis. Each target's out-entropy
-        is summed once per refresh."""
+    def refresh_uncertain_weights(self, leaves: dict):
+        """Recompute the uncertain edge weights that may have changed since
+        the last refresh: those of new edges, and those of the edges into a
+        cell whose uncertain out-set changed (a split next to it, or a mark
+        on one of its out-edges). l_u is the source cell's side along the
+        transition axis, from ``leaves`` (id -> Box). Each target's
+        out-entropy is summed once per refresh."""
+        pairs = self._unweighed
+        for b in self._stale:
+            pairs.update((a, b) for a in self.out.get(b, ()))
+        self._unweighed, self._stale = set(), set()
         entropy: dict = {}
-        for (a, b), e in self.edges.items():
-            if e.status != UNCERTAIN:
+        for a, b in pairs:
+            e = self.edges.get((a, b))
+            if e is None or e.status != UNCERTAIN:
                 continue
             h = entropy.get(b)
             if h is None:
                 h = entropy[b] = self._uncertain_out_entropy(b)
-            l_u = float(cell_sides[a][e.shared.axis])
-            e.weight = uncertain_weight(self.C_u, l_u, self.beta_u, self.p_prior * h)
+            cell = leaves[a]
+            axis = e.shared.axis
+            l_u = cell.hi_list[axis] - cell.lo_list[axis]
+            w = uncertain_weight(self.C_u, l_u, self.beta_u, self.p_prior * h)
+            if w != e.weight:
+                e.weight = w
+                self._changed.setdefault((a, b), True)
 
     def total_entropy(self) -> float:
         h = edge_entropy(self.p_prior)
@@ -176,13 +229,43 @@ class ReachGraph:
         return None, math.inf
 
     def snapshot(self) -> dict:
+        """The graph as a change from the previous snapshot: ``edges`` holds
+        the records of the edges added or changed since then and
+        ``removed`` the pairs dropped since then, both in ascending pair
+        order; the first snapshot lists every edge. ``tally`` and
+        ``entropy`` are of the whole graph. ``replay`` rebuilds each
+        snapshot's full edge list."""
+        changed, self._changed = self._changed, {}
+        edges, removed = [], []
+        for pair in sorted(changed):
+            e = self.edges.get(pair)
+            if e is None:
+                removed.append(list(pair))
+            else:
+                edges.append({"source": pair[0], "target": pair[1], "status": e.status,
+                              "weight": e.weight,
+                              "p_e": self.p_prior if e.status == UNCERTAIN else None,
+                              "t_bound": e.t_bound, "cert_kind": e.cert_kind})
         return {
-            "edges": [
-                {"source": a, "target": b, "status": e.status, "weight": e.weight,
-                 "p_e": self.p_prior if e.status == UNCERTAIN else None,
-                 "t_bound": e.t_bound, "cert_kind": e.cert_kind}
-                for (a, b), e in sorted(self.edges.items())
-            ],
+            "edges": edges,
+            "removed": removed,
             "tally": self.status_tally(),
             "entropy": self.total_entropy(),
         }
+
+
+def replay(steps):
+    """Yield the full form of each snapshot in ``steps`` (the snapshots of
+    one mission in order, as ``snapshot`` returned them or as read back
+    from ``graph_step_<k>.json``): the same dict with ``edges`` holding
+    every edge of the graph at that step in ascending pair order, and no
+    ``removed``."""
+    edges: dict = {}
+    for step in steps:
+        for a, b in step["removed"]:
+            del edges[(a, b)]
+        for e in step["edges"]:
+            edges[(e["source"], e["target"])] = e
+        full = {k: v for k, v in step.items() if k != "removed"}
+        full["edges"] = [edges[pair] for pair in sorted(edges)]
+        yield full

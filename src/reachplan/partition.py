@@ -8,16 +8,19 @@ untouched cells so per-cell bookkeeping survives re-partitioning. The tree
 keeps the shared facets between adjacent leaves current as it splits: a
 child can only touch its parent's former neighbours and its own siblings
 (the neighbour-finding argument of Samet's quadtrees), so a split costs
-time in the size of its neighbourhood, not in the number of leaves.
+time in the size of its neighbourhood, not in the number of leaves. It
+also records the leaves each split removed and created, from which the
+reachability graph follows the partition (``take_changes``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .geometry import Box, GeometryError
+from .geometry import CONTAINMENT_TOL, Box, GeometryError
 
 
 @dataclass
@@ -65,16 +68,17 @@ class PartitionTree:
         # the (lower id, higher id) entry is the one shared_facet computed
         self.facets: dict[tuple, SharedFacet] = {}
         self.neighbours: dict[int, set] = {self.root.id: set()}
+        # leaves removed and created by splits since the last take_changes
+        self._removed: set = set()
+        self._created: set = {self.root.id}
+        # a side above this is still splittable (h_min with a 1e-9 margin)
+        self._split_above = (self.h_min * (1 + 1e-9)).tolist()
 
     def _new_box(self, lo, hi, depth) -> Box:
         b = Box(lo=lo, hi=hi, id=self._next_id, depth=depth)
         self._next_id += 1
         self.nodes[b.id] = b
         return b
-
-    @property
-    def dim(self) -> int:
-        return self.root.dim
 
     def locate(self, x) -> Box:
         """Leaf containing x; on internal boundaries the lower-id leaf wins.
@@ -85,6 +89,8 @@ class PartitionTree:
         x = np.asarray(x, dtype=float)
         if not self.root.contains(x):
             raise GeometryError(f"point {x} outside the partition root")
+        p = x.tolist()
+        tol = CONTAINMENT_TOL
         best = None
         stack = [self.root]
         while stack:
@@ -94,12 +100,16 @@ class PartitionTree:
                 if best is None or b.id < best.id:
                     best = b
                 continue
-            stack.extend(c for c in map(self.nodes.get, kids) if c.contains(x))
+            for c in map(self.nodes.__getitem__, kids):
+                if all(lo - tol <= v <= hi + tol
+                       for lo, v, hi in zip(c.lo_list, p, c.hi_list)):
+                    stack.append(c)
         return best
 
     def splittable_axes(self, cell: Box) -> list:
-        tol = 1e-9
-        return [k for k in range(self.dim) if cell.sides[k] > self.h_min[k] * (1 + tol)]
+        return [k for k, (lo, hi, above) in enumerate(zip(cell.lo_list, cell.hi_list,
+                                                          self._split_above))
+                if hi - lo > above]
 
     def split(self, cell: Box) -> list:
         """Subdivide a leaf along every axis still above its h_min."""
@@ -108,11 +118,11 @@ class PartitionTree:
         axes = self.splittable_axes(cell)
         if not axes:
             return [cell]
-        mid = cell.center
+        mid = [0.5 * (lo + hi) for lo, hi in zip(cell.lo_list, cell.hi_list)]
         children = []
         for code in range(2 ** len(axes)):
-            lo = cell.lo.copy()
-            hi = cell.hi.copy()
+            lo = list(cell.lo_list)
+            hi = list(cell.hi_list)
             for i, ax in enumerate(axes):
                 if code >> i & 1:
                     lo[ax] = mid[ax]
@@ -123,6 +133,11 @@ class PartitionTree:
         self.children[cell.id] = [c.id for c in children]
         for c in children:
             self.leaves[c.id] = c
+        if cell.id in self._created:
+            self._created.discard(cell.id)
+        else:
+            self._removed.add(cell.id)
+        self._created.update(self.children[cell.id])
         former = [self.leaves[n] for n in sorted(self._unlink(cell.id))]
         for i, c in enumerate(children):
             self.neighbours[c.id] = set()
@@ -132,6 +147,14 @@ class PartitionTree:
                 if sf is not None:
                     self._link(other.id, c.id, sf)
         return children
+
+    def take_changes(self) -> tuple:
+        """(removed, created): the ids of the leaves that splits removed and
+        created since the last call, which are then forgotten. A leaf
+        created and split in between is in neither."""
+        changes = self._removed, self._created
+        self._removed, self._created = set(), set()
+        return changes
 
     def _unlink(self, a: int) -> set:
         """Forget leaf a's adjacencies; returns its former neighbour ids."""
@@ -154,14 +177,30 @@ class PartitionTree:
         """Algorithm: refine every leaf the segment a-b touches to h_min.
 
         Returns the ids of cells that were split (parents, in split order).
+        The leaves to split are found from the root down, entering only the
+        nodes the segment touches: a child's slab interval lies inside its
+        parent's, so a node the segment misses has no touched leaf below.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if not (self.root.contains(a) and self.root.contains(b)):
             raise GeometryError("segment endpoints must lie inside the root box")
+        a, b = a.tolist(), b.tolist()
+        work = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if not segment_intersects(node, a, b):
+                continue
+            kids = self.children.get(node.id)
+            if kids is None:
+                if self.splittable_axes(node):
+                    work.append(node)
+            else:
+                stack.extend(map(self.nodes.__getitem__, kids))
+        # ascending ids, the order of self.leaves
+        work.sort(key=attrgetter("id"))
         split_ids = []
-        work = [c for c in self.leaves.values()
-                if self.splittable_axes(c) and segment_intersects(c, a, b)]
         while work:
             cell = work.pop()
             if cell.id not in self.leaves:
@@ -187,18 +226,17 @@ class PartitionTree:
 
 
 def segment_intersects(c: Box, a, b, tol: float = 1e-12) -> bool:
-    """Closed segment vs closed box via slab clipping."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Closed segment vs closed box via slab clipping; a and b are float
+    sequences (lists are fastest)."""
     t0, t1 = 0.0, 1.0
-    d = b - a
-    for k in range(c.dim):
-        if abs(d[k]) < tol:
-            if a[k] < c.lo[k] - tol or a[k] > c.hi[k] + tol:
+    for lo, hi, ak, bk in zip(c.lo_list, c.hi_list, a, b):
+        d = bk - ak
+        if abs(d) < tol:
+            if ak < lo - tol or ak > hi + tol:
                 return False
             continue
-        ta = (c.lo[k] - a[k]) / d[k]
-        tb = (c.hi[k] - a[k]) / d[k]
+        ta = (lo - ak) / d
+        tb = (hi - ak) / d
         if ta > tb:
             ta, tb = tb, ta
         t0 = max(t0, ta)
@@ -222,7 +260,9 @@ def adjacency(tree: PartitionTree) -> dict:
     Returns {(id_a, id_b): SharedFacet seen from cell a}, read from the map
     the tree keeps current on split: (a, b) then (b, a) for each a < b, in
     ascending order. A large cell next to k smaller neighbors across one
-    facet produces k entries.
+    facet produces k entries. The reachability graph follows the tree
+    through ``take_changes`` instead; this whole map is what tests check
+    that graph against.
     """
     out = {}
     for a, b in sorted(k for k in tree.facets if k[0] < k[1]):
@@ -233,29 +273,27 @@ def adjacency(tree: PartitionTree) -> dict:
 
 def shared_facet(a: Box, b: Box, tol: float = 1e-9):
     """Shared (n-1)-measure face of two boxes, or None."""
+    alo, ahi, blo, bhi = a.lo_list, a.hi_list, b.lo_list, b.hi_list
     touch_axis = None
     direction = 0
-    for k in range(a.dim):
-        if abs(a.hi[k] - b.lo[k]) <= tol:
+    for k in range(len(alo)):
+        if abs(ahi[k] - blo[k]) <= tol:
             if touch_axis is not None:
                 return None
             touch_axis, direction = k, +1
-        elif abs(a.lo[k] - b.hi[k]) <= tol:
+        elif abs(alo[k] - bhi[k]) <= tol:
             if touch_axis is not None:
                 return None
             touch_axis, direction = k, -1
         else:
             # must overlap with positive measure on every non-touching axis
-            if a.hi[k] <= b.lo[k] + tol or b.hi[k] <= a.lo[k] + tol:
+            if ahi[k] <= blo[k] + tol or bhi[k] <= alo[k] + tol:
                 return None
     if touch_axis is None:
         return None
-    lo = np.maximum(a.lo, b.lo)
-    hi = np.minimum(a.hi, b.hi)
-    plane = a.hi[touch_axis] if direction > 0 else a.lo[touch_axis]
-    lo[touch_axis] = plane
-    hi[touch_axis] = plane
-    rest = np.delete(hi - lo, touch_axis)
-    if np.any(rest <= tol):
+    lo = [max(p, q) for p, q in zip(alo, blo)]
+    hi = [min(p, q) for p, q in zip(ahi, bhi)]
+    lo[touch_axis] = hi[touch_axis] = ahi[touch_axis] if direction > 0 else alo[touch_axis]
+    if any(h - l <= tol for k, (l, h) in enumerate(zip(lo, hi)) if k != touch_axis):
         return None
-    return SharedFacet(axis=touch_axis, direction=direction, lo=lo, hi=hi)
+    return SharedFacet(axis=touch_axis, direction=direction, lo=np.array(lo), hi=np.array(hi))

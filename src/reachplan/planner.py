@@ -26,7 +26,7 @@ from .dynamics import AffineModel, Trajectory, integrate
 from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes,
                        facet_axis_dir, facet_id)
 from .optim import STATS, SolverError
-from .partition import PartitionTree, adjacency, uniform_cell_count
+from .partition import PartitionTree, uniform_cell_count
 from .reach import (ReachCertificate, facet_reachable, fastest_control,
                     predict_reachable, predict_unreachable,
                     relaxed_facet_reachable, synthesize_controller)
@@ -84,7 +84,8 @@ class _Mission:
         self.tree = PartitionTree(scn.ws_lo, scn.ws_hi, scn.h_min)
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
-        self.certs: dict = {}         # (src id, facet id) -> certificate or None
+        self.certs: dict = {}         # cell id -> {facet id: certificate or None}
+        self.failed: set = set()      # pairs whose edge failed MAX_EDGE_FAILURES times
         self.retries = defaultdict(int)
         self.escape_count = 0
         self.log = MissionLog()
@@ -266,16 +267,16 @@ class _Mission:
     # ---------------- certification ----------------
 
     def certify_cell_facet(self, cell: Box, fct: int) -> Optional[ReachCertificate]:
-        key = (cell.id, fct)
-        if key in self.certs:
-            return self.certs[key]
+        certs = self.certs.setdefault(cell.id, {})
+        if fct in certs:
+            return certs[fct]
         model = self.models[cell.id]
         if self.scn.underactuated:
             cert = relaxed_facet_reachable(model, cell, fct, self.pu,
                                            self.scn.theta_thre, self.scn.shrink)
         else:
             cert = facet_reachable(model, box_to_polytope(cell), fct, self.pu)
-        self.certs[key] = cert
+        certs[fct] = cert
         return cert
 
     def certify_current(self, cell: Box) -> int:
@@ -404,10 +405,17 @@ class _Mission:
 
     def _forget_split(self, pid: int):
         self.models.pop(pid, None)
-        self.certs = {k: v for k, v in self.certs.items() if k[0] != pid}
+        self.certs.pop(pid, None)
 
     def rebuild_graph(self):
-        self.graph.rebuild(adjacency(self.tree))
+        self.graph.rebuild(self.tree)
+
+    def _charge(self, e: gr.Edge, failures: int):
+        """Set an edge's failure count; at MAX_EDGE_FAILURES it is left out
+        of planning."""
+        e.failures = failures
+        if failures >= MAX_EDGE_FAILURES:
+            self.failed.add((e.src, e.dst))
 
     # ---------------- execution ----------------
 
@@ -428,7 +436,7 @@ class _Mission:
             # a (nearly) flat simplex of the certified polytope carries no
             # affine law; the certificate is unusable, so plan without it
             e.cert = None
-            e.failures = MAX_EDGE_FAILURES
+            self._charge(e, MAX_EDGE_FAILURES)
             self.log.event(self.t, "degenerate_certificate", cell=cell.id, to=nb)
             return "blocked"
         if e.status == gr.CERTAIN and e.t_bound:
@@ -447,7 +455,7 @@ class _Mission:
             # certificate did not carry the state across in a generous time
             # budget; disqualify the edge rather than charging the cell
             self.log.event(self.t, "traversal_timeout", cell=cell.id, to=nb)
-            e.failures += 1
+            self._charge(e, e.failures + 1)
             return "blocked"
         entered = self.locate_after_exit(traj.exit_facet, cell)
         if entered is None:
@@ -464,7 +472,7 @@ class _Mission:
             return "failed"
         intended_fct = facet_id(e.shared.axis, e.shared.direction)
         if entered.id != nb or traj.exit_facet != intended_fct:
-            e.failures += 1
+            self._charge(e, e.failures + 1)
             self.log.event(self.t, "unintended_exit", cell=cell.id,
                            intended=nb, actual=entered.id,
                            intended_facet=intended_fct,
@@ -641,18 +649,17 @@ def run_mission(scn: Scenario) -> MissionLog:
         if cur.id not in ms.tree.leaves:
             continue  # current cell was split, replan on the new partition
         n_resolved += ms.predictive_pass()
-        ms.graph.refresh_uncertain_weights(
-            {b.id: b.sides for b in ms.tree.leaves.values()})
+        ms.graph.refresh_uncertain_weights(ms.tree.leaves)
 
-        # an edge whose failures change below is blocked or ends the loop
-        failed = {pair for pair, e in ms.graph.edges.items()
-                  if e.failures >= MAX_EDGE_FAILURES}
+        # an edge whose failures change below is blocked or ends the loop;
+        # the pairs of split cells match no edge
+        failed = frozenset(ms.failed)
         blocked: set = set()
         moved = False
         recentered: set = set()
         while True:
             path, cost = ms.graph.shortest_path(cur.id, tgt.id,
-                                                blocked=frozenset(blocked | failed))
+                                                blocked=failed.union(blocked))
             if path is None:
                 break
             snap = ms.graph.snapshot()

@@ -13,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
+from graph_reference import FixedGraph
 from reachplan.cli import _write_outputs
 from reachplan.deviation import DeviationBounds, deviation_bounds
 from reachplan.dynamics import (AffineModel, TrueSystem, analytic_linearize,
                                 integrate, mecanum_system)
 from reachplan.geometry import Box, box_to_polytope
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, ReachGraph, edge_entropy,
-                             uncertain_weight)
+                             replay, uncertain_weight)
 from reachplan.partition import SharedFacet
 from reachplan.planner import run_mission
 from reachplan.reach import (exit_time_bound, facet_reachable,
@@ -98,7 +99,7 @@ def _vertex_system_holds(A, B, c, cert, tol=1e-9):
 
 def _edge_statuses(log):
     return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
-            for s in log.snapshots]
+            for s in replay(log.snapshots)]
 
 
 # ---------------------------------------------------------------- criteria
@@ -265,7 +266,7 @@ def test_c09_graph_kernels():
         g = ReachGraph(C_u=1.0, beta_u=0.0)
         adj = {(a, b): sf for a, b in itertools.permutations(range(n), 2)
                if rng.random() < 0.45}
-        g.rebuild(adj)
+        g.rebuild(FixedGraph(adj))
         usable = {}
         for e in g.edges.values():
             if rng.random() < 0.2:

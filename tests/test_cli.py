@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from graph_reference import full_snapshot
 from reachplan.cli import _write_outputs, main
+from reachplan.graph import ReachGraph, replay
 from reachplan.planner import run_mission
 from reachplan.scenario import Scenario, builtin_scenario
 
@@ -125,16 +127,57 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert (out / "graph_step_0.json").exists()
 
 
-def test_graph_snapshots_are_compact_and_round_trip(tmp_path):
-    """Each graph_step_<k>.json is one line and parses to snapshot k."""
-    scn = builtin_scenario("mecanum")
-    log = run_mission(scn)
-    _write_outputs(str(tmp_path), scn, log)
-    assert len(list(tmp_path.glob("graph_step_*.json"))) == len(log.snapshots) > 0
-    for k, snap in enumerate(log.snapshots):
-        text = (tmp_path / f"graph_step_{k}.json").read_text()
-        assert "\n" not in text
-        assert json.loads(text) == snap
+def test_graph_snapshots_are_compact_and_round_trip(tmp_path, monkeypatch):
+    """Each graph_step_<k>.json is one line and parses to snapshot k, and on
+    both built-in missions replaying the files gives, at every plan, the
+    whole graph as a snapshot of every edge lists it."""
+    whole = []
+    delta = ReachGraph.snapshot
+
+    def snapshot(g):
+        whole.append(full_snapshot(g))
+        return delta(g)
+
+    monkeypatch.setattr(ReachGraph, "snapshot", snapshot)
+    for name in ("mecanum", "unicycle"):
+        whole.clear()
+        scn = builtin_scenario(name)
+        log = run_mission(scn)
+        out = tmp_path / name
+        _write_outputs(str(out), scn, log)
+        assert len(list(out.glob("graph_step_*.json"))) == len(log.snapshots) > 0
+        steps = []
+        for k, snap in enumerate(log.snapshots):
+            text = (out / f"graph_step_{k}.json").read_text()
+            assert "\n" not in text
+            steps.append(json.loads(text))
+            assert steps[-1] == snap
+        assert len(steps[-1]["edges"]) < len(whole[-1]["edges"])
+        replayed = list(replay(steps))
+        assert len(replayed) == len(whole)
+        for full, ref in zip(replayed, whole):
+            assert {k: full[k] for k in ref} == ref
+
+
+def test_run_twice_into_one_directory_leaves_only_the_last_graph_steps(tmp_path):
+    """The built-in mecanum mission and then the shorter unicycle bench
+    mission, written to one directory: only the second mission's graph
+    steps are left, and they replay to its tallies."""
+    assert main(["run", "--scenario", "mecanum", "--out", str(tmp_path), "--quiet"]) == 0
+    first = len(list(tmp_path.glob("graph_step_*.json")))
+    scn = builtin_scenario("unicycle").to_dict()
+    scn["x_target"] = [-1.875, 0.625, -np.pi / 8]
+    path = tmp_path / "unicycle.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    tallies = json.loads((tmp_path / "summary.json").read_text())["edge_status_tallies"]
+    files = sorted(tmp_path.glob("graph_step_*.json"))
+    assert first > len(files) == len(tallies)
+    steps = [json.loads((tmp_path / f"graph_step_{k}.json").read_text())
+             for k in range(len(files))]
+    for full, tally in zip(replay(steps), tallies):
+        statuses = [e["status"] for e in full["edges"]]
+        assert {s: statuses.count(s) for s in tally} == tally
 
 
 def test_run_bad_scenario_usage_error(capsys):

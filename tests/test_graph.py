@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from graph_reference import FixedGraph, full_rebuild, full_refresh, full_snapshot
+from reachplan.geometry import Box
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, UNCERTAIN, Edge, ReachGraph,
-                             edge_entropy, uncertain_weight)
+                             edge_entropy, replay, uncertain_weight)
 from reachplan.partition import PartitionTree, SharedFacet, adjacency
 
 
@@ -22,10 +24,10 @@ def _line_graph(n_nodes, C_u=1.0, beta_u=0.0):
     for a in range(n_nodes - 1):
         adj[(a, a + 1)] = _sf(direction=+1)
         adj[(a + 1, a)] = _sf(direction=-1)
-    sides = {i: np.ones(2) for i in range(n_nodes)}
+    leaves = {i: Box(lo=np.zeros(2), hi=np.ones(2), id=i) for i in range(n_nodes)}
     g = ReachGraph(C_u=C_u, beta_u=beta_u)
-    g.rebuild(adj)
-    return g, sides
+    g.rebuild(FixedGraph(adj))
+    return g, leaves
 
 
 def test_edge_entropy_values():
@@ -59,13 +61,13 @@ def test_uncertain_weight_spot_values():
 
 
 def test_expected_info_gain_hand_oracle():
-    g, sides = _line_graph(3, C_u=10.0, beta_u=1.0)
+    g, leaves = _line_graph(3, C_u=10.0, beta_u=1.0)
     # node 1 has two uncertain out-edges (1->0, 1->2), each at p = 0.5
     assert g.expected_info_gain(0, 1) == pytest.approx(0.5 * 2 * math.log(2))
     # resolving 1->2 removes one of them
     g.mark_certain(1, 2, t_bound=3.0, kind="exact")
     assert g.expected_info_gain(0, 1) == pytest.approx(0.5 * math.log(2))
-    g.refresh_uncertain_weights(sides)
+    g.refresh_uncertain_weights(leaves)
     assert g.edges[(0, 1)].weight == pytest.approx(
         10.0 * 1.0 / (1.0 + 0.5 * math.log(2)))
 
@@ -92,17 +94,23 @@ def test_weight_never_exceeds_bound():
 
 
 def test_rebuild_preserves_resolved_status():
-    g, _ = _line_graph(3)
-    g.mark_certain(0, 1, t_bound=4.0, kind="relaxed", t_est=1.5)
-    g.mark_impossible(2, 1)
-    adj = {k: _sf(direction=+1 if k[1] > k[0] else -1)
-           for k in [(0, 1), (1, 0), (1, 2), (2, 1)]}
-    g.rebuild(adj)
-    assert g.edges[(0, 1)].status == CERTAIN
-    assert g.edges[(0, 1)].weight == 1.5
-    assert g.edges[(0, 1)].cert_kind == "relaxed"
-    assert g.edges[(2, 1)].status == IMPOSSIBLE
-    assert g.edges[(1, 2)].status == UNCERTAIN
+    """Splitting a cell away from two resolved edges keeps their statuses
+    and records; the split's new pairs start uncertain."""
+    tree = PartitionTree([0.0, 0.0], [4.0, 1.0], [0.5, 1.0])
+    west, east = tree.split(tree.root)
+    west_a, west_b = tree.split(west)           # [0, 1] and [1, 2]
+    g = ReachGraph(C_u=1.0, beta_u=0.0)
+    g.rebuild(tree)
+    g.mark_certain(west_b.id, east.id, t_bound=4.0, kind="relaxed", t_est=1.5)
+    g.mark_impossible(east.id, west_b.id)
+    lo, hi = tree.split(west_a)                 # [0, 0.5] and [0.5, 1]
+    g.rebuild(tree)
+    assert g.edges[(west_b.id, east.id)].status == CERTAIN
+    assert g.edges[(west_b.id, east.id)].weight == 1.5
+    assert g.edges[(west_b.id, east.id)].cert_kind == "relaxed"
+    assert g.edges[(east.id, west_b.id)].status == IMPOSSIBLE
+    assert g.edges[(hi.id, west_b.id)].status == UNCERTAIN
+    assert (west_a.id, west_b.id) not in g.edges
 
 
 def test_total_entropy_counts_only_uncertain():
@@ -144,7 +152,7 @@ def test_shortest_path_matches_brute_force():
         for a, b in itertools.permutations(range(n), 2):
             if rng.random() < 0.45:
                 adj[(a, b)] = _sf()
-        g.rebuild(adj)
+        g.rebuild(FixedGraph(adj))
         for (a, b), e in g.edges.items():
             r = rng.random()
             if r < 0.2:
@@ -196,14 +204,15 @@ def test_refresh_weights_match_per_edge_formula():
         sides = {i: rng.uniform(0.25, 2.0, 2) for i in range(n)}
         g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)),
                        p_prior=float(rng.uniform(0.05, 0.95)))
-        g.rebuild(adj)
+        g.rebuild(FixedGraph(adj))
         for (a, b), e in g.edges.items():
             r = rng.random()
             if r < 0.25:
                 g.mark_impossible(a, b)
             elif r < 0.5:
                 g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
-        g.refresh_uncertain_weights(sides)
+        g.refresh_uncertain_weights({i: Box(lo=np.zeros(2), hi=s, id=i)
+                                     for i, s in sides.items()})
         for (a, b), e in g.edges.items():
             if e.status != UNCERTAIN:
                 continue
@@ -246,7 +255,7 @@ def test_rebuild_after_random_splits(dim):
         tree = PartitionTree(np.zeros(dim), np.full(dim, 8.0), np.full(dim, 0.5))
         g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)),
                        p_prior=float(rng.uniform(0.05, 0.95)))
-        g.rebuild(adjacency(tree))
+        g.rebuild(tree)
         for _ in range(10):
             _mark_at_random(g, rng)
             before = dict(g.edges)
@@ -255,8 +264,8 @@ def test_rebuild_after_random_splits(dim):
                 leaves = [c for c in tree.leaves.values() if tree.splittable_axes(c)]
                 tree.split(leaves[int(rng.integers(len(leaves)))])
             adj = adjacency(tree)
-            g.rebuild(adj)
-            assert list(g.edges) == list(adj)
+            g.rebuild(tree)
+            assert g.edges.keys() == adj.keys()
             for pair, e in g.edges.items():
                 assert pair[0] in tree.leaves and pair[1] in tree.leaves
                 if pair in before:
@@ -266,12 +275,97 @@ def test_rebuild_after_random_splits(dim):
             assert g.out == {a: sorted(b for s, b in adj if s == a)
                              for a in {s for s, _ in adj}}
             sides = {c.id: c.sides for c in tree.leaves.values()}
-            g.refresh_uncertain_weights(sides)
+            g.refresh_uncertain_weights(tree.leaves)
             fresh = ReachGraph(g.C_u, g.beta_u, g.p_prior)
-            fresh.rebuild(adj)
+            full_rebuild(fresh, adj)
             for pair, e in g.edges.items():
                 fresh.edges[pair].status = e.status
-            fresh.refresh_uncertain_weights(sides)
-            assert [e.weight for e in g.edges.values() if e.status == UNCERTAIN] == \
-                [e.weight for e in fresh.edges.values() if e.status == UNCERTAIN]
+            full_refresh(fresh, sides)
+            assert {p: e.weight for p, e in g.edges.items() if e.status == UNCERTAIN} == \
+                {p: e.weight for p, e in fresh.edges.items() if e.status == UNCERTAIN}
             assert g.total_entropy() == fresh.total_entropy()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("driver", ["split", "segment"])
+def test_incremental_graph_matches_the_full_build(dim, driver):
+    """After every random split (or every refinement along a random
+    segment), with random marks in between, the graph that follows the
+    partition equals a full build from its adjacency: the same pairs, the
+    very same Edge of every surviving pair, ascending out-lists, bit-equal
+    uncertain weights and the same total entropy. Replaying its change-only
+    snapshots gives the whole graph at every step."""
+    rng = np.random.default_rng(60 + dim)
+    lo, hi = np.zeros(dim), np.full(dim, 8.0)
+    tree = PartitionTree(lo, hi, np.full(dim, 0.5 if dim == 2 else 1.0))
+    g = ReachGraph(C_u=float(rng.uniform(1, 100)), beta_u=float(rng.uniform(0, 2)),
+                   p_prior=float(rng.uniform(0.05, 0.95)))
+    g.rebuild(tree)
+    snaps, fulls = [], []
+    for _ in range(40 if driver == "split" else 6):
+        before = dict(g.edges)
+        saved = {pair: copy.copy(e) for pair, e in before.items()}
+        if driver == "split":
+            cands = sorted((c for c in tree.leaves.values() if tree.splittable_axes(c)),
+                           key=lambda c: c.id)
+            tree.split(cands[int(rng.integers(len(cands)))])
+        else:
+            tree.refine_segment(rng.uniform(lo, hi), rng.uniform(lo, hi))
+        g.rebuild(tree)
+        adj = adjacency(tree)
+        fresh = ReachGraph(g.C_u, g.beta_u, g.p_prior)
+        full_rebuild(fresh, adj)
+        assert g.edges.keys() == fresh.edges.keys()
+        for pair, e in g.edges.items():
+            if pair in before:
+                assert e is before[pair] and e == saved[pair]
+            else:
+                assert e == Edge(pair[0], pair[1], UNCERTAIN, adj[pair])
+        # adjacency lists each source's targets in ascending order
+        assert g.out == fresh.out
+        for (a, b), e in g.edges.items():
+            r = rng.random()
+            if e.status == UNCERTAIN and r < 0.1:
+                g.mark_impossible(a, b)
+            elif e.status == UNCERTAIN and r < 0.2:
+                g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
+        g.refresh_uncertain_weights(tree.leaves)
+        for pair, e in g.edges.items():
+            fresh.edges[pair].status = e.status
+        full_refresh(fresh, {c.id: c.sides for c in tree.leaves.values()})
+        assert {p: e.weight for p, e in g.edges.items() if e.status == UNCERTAIN} == \
+            {p: e.weight for p, e in fresh.edges.items() if e.status == UNCERTAIN}
+        assert g.total_entropy() == fresh.total_entropy()
+        fulls.append(full_snapshot(g))
+        snaps.append(g.snapshot())
+    assert len(snaps[-1]["edges"]) < len(g.edges)
+    assert any(s["removed"] for s in snaps)
+    assert list(replay(snaps)) == fulls
+
+
+def test_snapshots_list_what_changed_since_the_last_one():
+    """The first snapshot lists every edge; the next lists only the edges
+    marked or added since, and the pairs of a split cell as removed, but
+    not a pair added and dropped in between."""
+    tree = PartitionTree([0.0, 0.0], [4.0, 1.0], [0.5, 1.0])
+    west, east = tree.split(tree.root)
+    g = ReachGraph(C_u=1.0, beta_u=0.0)
+    g.rebuild(tree)
+    g.refresh_uncertain_weights(tree.leaves)
+    first = g.snapshot()
+    assert [(e["source"], e["target"]) for e in first["edges"]] == \
+        [(west.id, east.id), (east.id, west.id)]
+    assert first["removed"] == []
+    assert g.snapshot()["edges"] == []
+    g.mark_certain(west.id, east.id, t_bound=1.0, kind="exact")
+    a, b = tree.split(east)
+    g.rebuild(tree)
+    c, d = tree.split(b)
+    g.rebuild(tree)
+    g.refresh_uncertain_weights(tree.leaves)
+    snap = g.snapshot()
+    assert snap["removed"] == [[west.id, east.id], [east.id, west.id]]
+    assert [(e["source"], e["target"]) for e in snap["edges"]] == [
+        (west.id, a.id), (a.id, west.id), (a.id, c.id), (c.id, a.id), (c.id, d.id),
+        (d.id, c.id)]
+    assert snap["tally"] == {CERTAIN: 0, IMPOSSIBLE: 0, UNCERTAIN: 6}

@@ -233,3 +233,47 @@ def test_locate_matches_linear_scan(grid):
         assert tree.locate(x).id == min(hits)
         ties += len(hits) > 1
     assert ties > 100
+
+
+def _refine_segment_by_leaf_scan(tree, a, b):
+    """Reference: PartitionTree.refine_segment with its work list taken
+    from a scan of every leaf, in the order of tree.leaves."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    split_ids = []
+    work = [c for c in tree.leaves.values()
+            if tree.splittable_axes(c) and segment_intersects(c, a, b)]
+    while work:
+        cell = work.pop()
+        if cell.id not in tree.leaves:
+            continue
+        kids = tree.split(cell)
+        split_ids.append(cell.id)
+        for k in kids:
+            if tree.splittable_axes(k) and segment_intersects(k, a, b):
+                work.append(k)
+    return split_ids
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_refine_segment_matches_the_leaf_scan(grid):
+    """The descent from the root splits the same cells in the same order as
+    a scan of every leaf, so both trees give every cell the same id and
+    bounds; segments run between random points, cell corners and facet
+    midpoints, and along facets."""
+    lo, hi, h = (np.array(v) for v in _GRIDS[grid])
+    rng = np.random.default_rng(17)
+    tree, ref = PartitionTree(lo, hi, h), PartitionTree(lo, hi, h)
+    for k in range(12):
+        a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
+        if k % 3 == 1:
+            # from a leaf corner to the centre of another leaf's facet
+            leaves = sorted(tree.leaves.values(), key=lambda c: c.id)
+            c1, c2 = (leaves[int(rng.integers(len(leaves)))] for _ in range(2))
+            a = c1.vertex(int(rng.integers(2 ** len(lo))))
+            b = c2.center.copy()
+            b[0] = c2.lo[0]
+        elif k % 3 == 2:
+            b[1:] = a[1:]      # parallel to axis 0
+        assert tree.refine_segment(a, b) == _refine_segment_by_leaf_scan(ref, a, b)
+        assert tree.snapshot() == ref.snapshot()

@@ -10,6 +10,7 @@ from reachplan import optim, planner
 from reachplan.cli import _write_outputs
 from reachplan.dynamics import Trajectory, analytic_linearize
 from reachplan.geometry import box_to_polytope, facet_id
+from reachplan.graph import replay
 from reachplan.partition import uniform_cell_count
 from reachplan.planner import MAX_EDGE_FAILURES, MissionLog, _Mission, run_mission
 from reachplan.reach import facet_reachable, relaxed_facet_reachable
@@ -337,7 +338,7 @@ def test_unicycle_runs_are_deterministic(tmp_path):
 
     def edge_statuses(log):
         return [[(e["source"], e["target"], e["status"]) for e in s["edges"]]
-                for s in log.snapshots]
+                for s in replay(log.snapshots)]
 
     statuses = edge_statuses(runs[0])
     assert statuses == edge_statuses(runs[1])
