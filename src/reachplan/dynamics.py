@@ -5,10 +5,15 @@ terrain-dependent drift (fully actuated, n = m = 2) and a unicycle with
 small heading/velocity disturbances (underactuated, n = 3, m = 2).
 
 Rollouts run on Python floats: every RK4 stage evaluates the plant as
-scalar arithmetic on lists, and only the samples a ``Trajectory`` records
-become arrays. Each product and sum of ``f(x) + g(x) u`` is rounded on its
-own, so the trajectories do not depend on which BLAS kernel numpy loads
-(OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add).
+scalar arithmetic, and only the samples a ``Trajectory`` records become
+arrays. Each product and sum of ``f(x) + g(x) u`` is rounded on its own,
+so the trajectories do not depend on which BLAS kernel numpy loads
+(OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add). Each
+built-in plant also writes its RK4 step out in closed form
+(``TrueSystem.step``), with the stages in the association ``rhs`` uses,
+so it reaches the same floats as the generic RK4 over ``rhs`` without
+its lists and calls; a plant given by ``f`` and ``g`` alone takes the
+generic RK4.
 """
 from __future__ import annotations
 
@@ -37,6 +42,9 @@ class TrueSystem:
     f: Callable
     g: Callable
     df: Optional[Callable] = None  # Jacobian of the drift, when closed-form
+    # step(x, u, dt): one RK4 step under the held control u, on float
+    # sequences, bit-equal to the generic RK4 over rhs (_rk4)
+    step: Optional[Callable] = None
 
     def rhs(self, x, u) -> list:
         """f(x) + g(x) u as a list of floats, the rollouts' derivative.
@@ -89,6 +97,8 @@ class Trajectory:
 
 
 def mecanum_system() -> TrueSystem:
+    sin = math.sin
+
     def f(x):
         x0, x1 = x
         return [-0.5 * math.sin(0.1 * x0 - 0.2 * x1) - 4.5,
@@ -107,10 +117,31 @@ def mecanum_system() -> TrueSystem:
             [-0.06 * c2, 0.02 * c2],
         ])
 
-    return TrueSystem(n=2, m=2, f=f, g=g, df=df)
+    def step(x, u, dt):
+        x0, x1 = x
+        u0, u1 = u
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def d(y0, y1):
+            # f_i + (0 + g_i0 u0 + g_i1 u1), rounded as rhs's sum rounds it
+            return (-0.5 * sin(0.1 * y0 - 0.2 * y1) - 4.5
+                    + (0.0 + (1.0 + 0.02 * y0) * u0 + 0.02 * y1 * u1),
+                    -0.2 * sin(0.3 * y0 - 0.1 * y1) - 4.5
+                    + (0.0 + -0.02 * y0 * u0 + (1.0 - 0.02 * y1) * u1))
+
+        a0, a1 = d(x0, x1)
+        b0, b1 = d(x0 + half * a0, x1 + half * a1)
+        c0, c1 = d(x0 + half * b0, x1 + half * b1)
+        e0, e1 = d(x0 + dt * c0, x1 + dt * c1)
+        return [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + e0),
+                x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1)]
+
+    return TrueSystem(n=2, m=2, f=f, g=g, df=df, step=step)
 
 
 def unicycle_system() -> TrueSystem:
+    sin, cos = math.sin, math.cos
+
     def dv(x):
         return 0.03 * np.cos(0.01 * x[0] + 0.02 * x[1])
 
@@ -138,7 +169,30 @@ def unicycle_system() -> TrueSystem:
         J[2, :] = ddw
         return J
 
-    return TrueSystem(n=3, m=2, f=f, g=g, df=df)
+    def step(x, u, dt):
+        x0, x1, th = x
+        u0, u1 = u
+        half, sixth = 0.5 * dt, dt / 6.0
+        # rows 0 and 1 end in 0.0 * u1; row 2's input term is constant
+        z = 0.0 * u1
+        w = 0.0 + 0.0 * u0 + 1.0 * u1
+
+        def d(y0, y1, y2):
+            # f_i + (0 + g_i0 u0 + g_i1 u1), rounded as rhs's sum rounds it
+            v = 0.03 * cos(0.01 * y0 + 0.02 * y1)
+            c, s = cos(y2), sin(y2)
+            return (c * v + (0.0 + c * u0 + z), s * v + (0.0 + s * u0 + z),
+                    0.03 * sin(-0.02 * y0 + 0.01 * y1) + w)
+
+        a0, a1, a2 = d(x0, x1, th)
+        b0, b1, b2 = d(x0 + half * a0, x1 + half * a1, th + half * a2)
+        c0, c1, c2 = d(x0 + half * b0, x1 + half * b1, th + half * b2)
+        e0, e1, e2 = d(x0 + dt * c0, x1 + dt * c1, th + dt * c2)
+        return [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + e0),
+                x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
+                th + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2)]
+
+    return TrueSystem(n=3, m=2, f=f, g=g, df=df, step=step)
 
 
 def analytic_linearize(s: TrueSystem, x_e) -> AffineModel:
@@ -172,7 +226,7 @@ def clamp_to_box(u, pu: Box):
     return np.array(clamped), flagged
 
 
-def _rk4_step(deriv, x: list, dt: float) -> list:
+def _rk4(deriv, x: list, dt: float) -> list:
     """One classical RK4 step of xdot = deriv(x) on a list of floats."""
     half, sixth = 0.5 * dt, dt / 6.0
     k1 = deriv(x)
@@ -181,6 +235,14 @@ def _rk4_step(deriv, x: list, dt: float) -> list:
     k4 = deriv([xi + dt * ki for xi, ki in zip(x, k3)])
     return [xi + sixth * (a + 2 * b + 2 * c + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _rk4_step(s: TrueSystem, x: list, u: list, dt: float) -> list:
+    """One RK4 step of the plant under the held control u: the plant's
+    closed-form step, or the generic RK4 over ``rhs`` if it has none."""
+    if s.step is not None:
+        return s.step(x, u, dt)
+    return _rk4(lambda z: s.rhs(z, u), x, dt)
 
 
 def _exit_violation(x: list, lo: list, hi: list):
@@ -212,7 +274,6 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
     lo, hi = cell.lo.tolist(), cell.hi.tolist()
     if pu is not None:
         u_lo, u_hi = pu.lo.tolist(), pu.hi.tolist()
-    rhs = s.rhs
     ts, xs, us = [0.0], [x], []
     clamps = 0
     t = 0.0
@@ -225,9 +286,8 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
         if pu is not None:
             u, was_clamped = _clamp(u, u_lo, u_hi)
             clamps += was_clamped
-        deriv = lambda z: rhs(z, u)
         h = min(dt, t_max - t)
-        x_new = _rk4_step(deriv, x, h)
+        x_new = _rk4_step(s, x, u, h)
         if not all(map(math.isfinite, x_new)):
             raise FloatingPointError("non-finite state during integration")
         fct, vio = _exit_violation(x_new, lo, hi)
@@ -238,12 +298,12 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
                 if hi_t - lo_t <= 1e-9:
                     break
                 mid = 0.5 * (lo_t + hi_t)
-                f_mid, v_mid = _exit_violation(_rk4_step(deriv, x, mid), lo, hi)
+                f_mid, v_mid = _exit_violation(_rk4_step(s, x, u, mid), lo, hi)
                 if f_mid is not None and v_mid > 1e-12:
                     hi_t = mid
                 else:
                     lo_t = mid
-            x = _rk4_step(deriv, x, hi_t)
+            x = _rk4_step(s, x, u, hi_t)
             f_cross, _ = _exit_violation(x, lo, hi)
             t += hi_t
             exit_facet, exit_time = (fct if f_cross is None else f_cross), t

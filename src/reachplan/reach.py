@@ -34,8 +34,7 @@ import numpy as np
 from .deviation import DeviationBounds
 from .dynamics import AffineModel
 from .geometry import (Box, Polytope, box_to_polytope, facet_axis_dir,
-                       locate_simplex, triangulate, truncated_pyramid,
-                       GeometryError)
+                       triangulate, truncated_pyramid, GeometryError)
 from .optim import DELTA_STRICT, STATS
 
 
@@ -442,9 +441,10 @@ class PWAController:
     ``bary @ (x - v0) + unit``: block l of n+1 rows holds the inverse edge
     matrix of simplex l under the row that gives its v0 weight. A weight
     within LOCATE_BAND of the tolerance, or a point outside the polytope,
-    is settled by locate_simplex itself, so the chosen simplex is always
-    the one locate_simplex (lowest index on ties) or, outside, the
-    least-violating rule picks.
+    takes the exact path: every simplex's barycentric system solved as
+    Simplex.barycentric solves it, in one stacked solve over ``edges``.
+    So the chosen simplex is always the one locate_simplex (lowest index
+    on ties) or, outside, the least-violating rule picks.
     """
 
     simplices: list
@@ -452,15 +452,18 @@ class PWAController:
     origin: np.ndarray = field(init=False, repr=False)
     bary: np.ndarray = field(init=False, repr=False)
     unit: np.ndarray = field(init=False, repr=False)
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.origin = self.simplices[0].vertices[0]
-        blocks = []
+        edges, blocks = [], []
         for s in self.simplices:
             if not np.array_equal(s.vertices[0], self.origin):
                 raise ValueError("simplices must share their first vertex")
-            inv = np.linalg.inv((s.vertices[1:] - self.origin).T)
+            edges.append((s.vertices[1:] - s.vertices[0]).T)
+            inv = np.linalg.inv(edges[-1])
             blocks.append(np.vstack([-inv.sum(axis=0), inv]))
+        self.edges = np.stack(edges)
         self.bary = np.vstack(blocks)
         self.unit = np.zeros(self.bary.shape[0])
         self.unit[::self.origin.size + 1] = 1.0
@@ -475,14 +478,13 @@ class PWAController:
                 return idx
             if low > -LOCATE_TOL - LOCATE_BAND:
                 break       # too close to the tolerance to call
-        try:
-            idx, _ = locate_simplex(self.simplices, x, tol=LOCATE_TOL)
-        except GeometryError:
-            # numerical overshoot outside the polytope: fall back to the
-            # least-violating simplex
-            idx = max(range(len(self.simplices)),
-                      key=lambda i: float(np.min(self.simplices[i].barycentric(x))))
-        return idx
+        # the exact path, with the weights of locate_simplex: the first
+        # simplex that holds x, else (x outside the polytope, as in the
+        # rollout past a crossing) the least-violating one
+        rest = np.linalg.solve(self.edges, x - self.origin)
+        low = np.minimum(1.0 - rest.sum(axis=1), rest.min(axis=1))
+        inside = np.flatnonzero(low >= -LOCATE_TOL)
+        return int(inside[0]) if inside.size else int(np.argmax(low))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -64,11 +64,10 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     rows_dx = []
     for u in plan.inputs:
         u = np.asarray(u, dtype=float).tolist()
-        deriv = lambda z: s.rhs(z, u)
         x_next = x
         h = T / 10
         for _ in range(10):
-            x_next = _rk4_step(deriv, x_next, h)
+            x_next = _rk4_step(s, x_next, u, h)
         if cell is not None and not cell.contains(x_next, tol=1e-9):
             raise CellEscape(x_next)
         # the forward difference matches the derivative at the midpoint

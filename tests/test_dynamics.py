@@ -1,4 +1,5 @@
 """True systems, analytic linearization, RK4 integration, crossing detection."""
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reachplan.dynamics import (CLAMP_TOL, AffineModel, TrueSystem, analytic_linearize,
+from reachplan.dynamics import (CLAMP_TOL, AffineModel, TrueSystem, _rk4, analytic_linearize,
                                 clamp_to_box, integrate, mecanum_system,
                                 unicycle_system)
 from reachplan.geometry import Box, facet_id
@@ -125,6 +126,64 @@ def test_plant_matches_numpy_formulas_bit_for_bit(maker, f_np, g_np):
     # integer lists are states too
     ints = list(range(1, s.n + 1))
     assert (np.asarray(s.f(ints)) == f_np(np.asarray(ints, dtype=float))).all()
+
+
+def _bits(v):
+    return [float(a).hex() for a in v]
+
+
+@pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
+def test_plant_step_matches_generic_rk4_bit_for_bit(maker):
+    """A built-in plant's closed-form step reaches the bits of the generic
+    RK4 over rhs, signed zeros included: random states (some coordinates
+    +-0), zero and mixed-sign controls, the rollout step lengths, the
+    crossing bisection's fractions of a step and identify_affine's T/10."""
+    s = maker()
+    rng = np.random.default_rng(53)
+    checked = 0
+    for _ in range(1500):
+        x = rng.uniform(-10, 10, s.n).tolist()
+        if rng.random() < 0.2:
+            x[rng.integers(s.n)] = float(rng.choice([0.0, -0.0]))
+        a, b = rng.uniform(0, 10, 2).tolist()
+        controls = [[0.0, 0.0], [-0.0, -0.0], [a, -b], [-a, b], [0.0, -b], [-0.0, a],
+                    rng.uniform(-10, 10, 2).tolist()]
+        h = float(rng.choice([1e-3, 4e-3, 1e-2]))
+        k = int(rng.integers(1, 30))
+        steps = [h, 1e-4, h / 10, h * int(rng.integers(1, 2 ** k)) / 2 ** k]
+        for u in controls:
+            for dt in steps:
+                want = _rk4(lambda z: s.rhs(z, u), x, dt)
+                assert _bits(s.step(x, u, dt)) == _bits(want), (x, u, dt)
+                checked += 1
+    assert checked == 1500 * 7 * 4
+
+
+@pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
+def test_rollout_is_the_same_through_either_step(maker):
+    """integrate gives the same samples, crossing and exit time whether the
+    plant steps in closed form or through the generic RK4."""
+    s = maker()
+    generic = dataclasses.replace(s, step=None)
+    rng = np.random.default_rng(59)
+    pu = Box(lo=[-10.0] * s.m, hi=[10.0] * s.m)
+    exits = 0
+    for _ in range(20):
+        x0 = rng.uniform(-6.0, 6.0, s.n)
+        cell = Box(lo=x0 - rng.uniform(0.02, 0.5, s.n), hi=x0 + rng.uniform(0.02, 0.5, s.n))
+        K = rng.uniform(-2.0, 2.0, (s.m, s.n))
+        k0 = rng.uniform(-12.0, 12.0, s.m)
+        ctrl = lambda x: K @ np.asarray(x) + k0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got, want = (integrate(p, ctrl, x0, cell, dt=4e-3, t_max=0.3, pu=pu, record_stride=3)
+                         for p in (s, generic))
+        for field in ("t", "x", "u"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert (got.exit_facet, got.exit_time, got.clamp_warnings) == \
+            (want.exit_facet, want.exit_time, want.clamp_warnings)
+        exits += got.exit_facet is not None
+    assert exits >= 5
 
 
 def test_clamp_to_box():

@@ -178,10 +178,13 @@ def _location_points(ctrl, rng):
             pts.append(lam @ s.vertices)
     pts += _band_points(ctrl, rng)
     # overshoot: pushed away from the centre past every corner and the
-    # first face centroids, as after a rollout step across the exit facet
+    # first face centroids, from a rollout step across the exit facet out
+    # to the 20-step rollout after the crossing, which runs the law up to
+    # about one cell side outside its polytope (eps 2 moves a corner by
+    # one side along every axis)
     center = p_vertices.mean(axis=0)
     for x in list(pts[:len(p_vertices)]) + pts[len(p_vertices):len(p_vertices) + 40]:
-        for eps in (1e-12, 1e-9, 1e-7, 1e-3):
+        for eps in (1e-12, 1e-9, 1e-7, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0):
             pts.append(x + eps * (x - center))
     return pts
 

@@ -96,10 +96,10 @@ def test_float_rollout_matches_numpy_rollout(maker, monkeypatch):
     steps = 0
     rk4_step = dynamics._rk4_step
 
-    def counted(deriv, x, h):
+    def counted(*args):
         nonlocal steps
         steps += 1
-        return rk4_step(deriv, x, h)
+        return rk4_step(*args)
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
     pu = Box(lo=[-4.0] * s.m, hi=[4.0] * s.m)

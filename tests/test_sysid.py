@@ -1,8 +1,10 @@
 """Local affine identification by excitation and least squares."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from reachplan.dynamics import TrueSystem, analytic_linearize, mecanum_system
+from reachplan.dynamics import TrueSystem, analytic_linearize, mecanum_system, unicycle_system
 from reachplan.geometry import Box
 from reachplan.sysid import CellEscape, ExcitationPlan, identify_affine
 
@@ -72,3 +74,18 @@ def test_state_drifts_and_is_recorded():
     model = identify_affine(s, [0.0, 0.0], plan)
     # six samples of 1 ms with unit drift move x by about 6e-3
     assert model.final_state[0] == pytest.approx(6e-3, rel=0.2)
+
+
+@pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
+def test_identified_model_is_the_same_through_either_step(maker):
+    """identify_affine fits the same model, bit for bit, whether the plant
+    steps in closed form or through the generic RK4 over rhs."""
+    s = maker()
+    generic = dataclasses.replace(s, step=None)
+    rng = np.random.default_rng(61)
+    plan = ExcitationPlan.default(Box(lo=[-10.0] * s.m, hi=[10.0] * s.m), m=s.m, n=s.n)
+    for _ in range(20):
+        x0 = rng.uniform(-8.0, 8.0, s.n)
+        got, want = identify_affine(s, x0, plan), identify_affine(generic, x0, plan)
+        for field in ("A", "B", "c", "final_state"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
