@@ -9,11 +9,11 @@ scalar arithmetic, and only the samples a ``Trajectory`` records become
 arrays. Each product and sum of ``f(x) + g(x) u`` is rounded on its own,
 so the trajectories do not depend on which BLAS kernel numpy loads
 (OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add). Each
-built-in plant also writes its RK4 step out in closed form
-(``TrueSystem.step``), with the stages in the association ``rhs`` uses,
-so it reaches the same floats as the generic RK4 over ``rhs`` without
-its lists and calls; a plant given by ``f`` and ``g`` alone takes the
-generic RK4.
+built-in plant also writes its derivative out in closed form, in the
+association ``rhs`` uses, and steps it with the RK4 of its dimension
+(``_rk4_2``, ``_rk4_3``) as ``TrueSystem.step``, so it reaches the same
+floats as the generic RK4 over ``rhs`` without its lists and calls; a
+plant given by ``f`` and ``g`` alone takes the generic RK4.
 """
 from __future__ import annotations
 
@@ -118,9 +118,7 @@ def mecanum_system() -> TrueSystem:
         ])
 
     def step(x, u, dt):
-        x0, x1 = x
         u0, u1 = u
-        half, sixth = 0.5 * dt, dt / 6.0
 
         def d(y0, y1):
             # f_i + (0 + g_i0 u0 + g_i1 u1), rounded as rhs's sum rounds it
@@ -129,12 +127,7 @@ def mecanum_system() -> TrueSystem:
                     -0.2 * sin(0.3 * y0 - 0.1 * y1) - 4.5
                     + (0.0 + -0.02 * y0 * u0 + (1.0 - 0.02 * y1) * u1))
 
-        a0, a1 = d(x0, x1)
-        b0, b1 = d(x0 + half * a0, x1 + half * a1)
-        c0, c1 = d(x0 + half * b0, x1 + half * b1)
-        e0, e1 = d(x0 + dt * c0, x1 + dt * c1)
-        return [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + e0),
-                x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1)]
+        return _rk4_2(d, x, dt)
 
     return TrueSystem(n=2, m=2, f=f, g=g, df=df, step=step)
 
@@ -170,9 +163,7 @@ def unicycle_system() -> TrueSystem:
         return J
 
     def step(x, u, dt):
-        x0, x1, th = x
         u0, u1 = u
-        half, sixth = 0.5 * dt, dt / 6.0
         # rows 0 and 1 end in 0.0 * u1; row 2's input term is constant
         z = 0.0 * u1
         w = 0.0 + 0.0 * u0 + 1.0 * u1
@@ -184,13 +175,7 @@ def unicycle_system() -> TrueSystem:
             return (c * v + (0.0 + c * u0 + z), s * v + (0.0 + s * u0 + z),
                     0.03 * sin(-0.02 * y0 + 0.01 * y1) + w)
 
-        a0, a1, a2 = d(x0, x1, th)
-        b0, b1, b2 = d(x0 + half * a0, x1 + half * a1, th + half * a2)
-        c0, c1, c2 = d(x0 + half * b0, x1 + half * b1, th + half * b2)
-        e0, e1, e2 = d(x0 + dt * c0, x1 + dt * c1, th + dt * c2)
-        return [x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + e0),
-                x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1),
-                th + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2)]
+        return _rk4_3(d, x, dt)
 
     return TrueSystem(n=3, m=2, f=f, g=g, df=df, step=step)
 
@@ -235,6 +220,32 @@ def _rk4(deriv, x: list, dt: float) -> list:
     k4 = deriv([xi + dt * ki for xi, ki in zip(x, k3)])
     return [xi + sixth * (a + 2 * b + 2 * c + d)
             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+
+
+def _rk4_2(d, x, dt: float) -> list:
+    """_rk4 on two floats, with the derivative d(y0, y1) -> (dy0, dy1)
+    written out in closed form; the same rounding as _rk4."""
+    x0, x1 = x
+    half, sixth = 0.5 * dt, dt / 6.0
+    a0, a1 = d(x0, x1)
+    b0, b1 = d(x0 + half * a0, x1 + half * a1)
+    c0, c1 = d(x0 + half * b0, x1 + half * b1)
+    e0, e1 = d(x0 + dt * c0, x1 + dt * c1)
+    return [x0 + sixth * (a0 + 2 * b0 + 2 * c0 + e0),
+            x1 + sixth * (a1 + 2 * b1 + 2 * c1 + e1)]
+
+
+def _rk4_3(d, x, dt: float) -> list:
+    """_rk4 on three floats, as _rk4_2."""
+    x0, x1, x2 = x
+    half, sixth = 0.5 * dt, dt / 6.0
+    a0, a1, a2 = d(x0, x1, x2)
+    b0, b1, b2 = d(x0 + half * a0, x1 + half * a1, x2 + half * a2)
+    c0, c1, c2 = d(x0 + half * b0, x1 + half * b1, x2 + half * b2)
+    e0, e1, e2 = d(x0 + dt * c0, x1 + dt * c1, x2 + dt * c2)
+    return [x0 + sixth * (a0 + 2 * b0 + 2 * c0 + e0),
+            x1 + sixth * (a1 + 2 * b1 + 2 * c1 + e1),
+            x2 + sixth * (a2 + 2 * b2 + 2 * c2 + e2)]
 
 
 def _rk4_step(s: TrueSystem, x: list, u: list, dt: float) -> list:

@@ -265,6 +265,4 @@ def locate_simplex(tri: list, x, tol: float = 1e-9):
         lam = s.barycentric(x)
         if np.all(lam >= -tol):
             return idx, lam
-    # the message names no point: PWAController.locate catches this raise
-    # on every overshoot, and formatting the array would dominate its cost
     raise GeometryError("point lies outside the triangulated region")

@@ -138,19 +138,11 @@ class PartitionTree:
         else:
             self._removed.add(cell.id)
         self._created.update(self.children[cell.id])
-        # each former neighbour, with the children that can border it
-        former = []
-        for n in sorted(self.neighbours[cell.id]):
-            other = self.leaves[n]
-            former.append((other, *_child_codes(other, self.facets[(cell.id, n)], axes, mid)))
-        self._unlink(cell.id)
+        former = [self.leaves[n] for n in sorted(self._unlink(cell.id))]
         for i, c in enumerate(children):
             self.neighbours[c.id] = set()
-            # every candidate has a lower id than c, as in adjacency's order;
-            # siblings share a facet only if their numbers differ in one bit
-            near = [other for other, mask, code in former if i & mask == code]
-            near += [children[j] for j in range(i) if (i ^ j) & ((i ^ j) - 1) == 0]
-            for other in near:
+            # every candidate has a lower id than c, as in adjacency's order
+            for other in former + children[:i]:
                 sf = shared_facet(other, c)
                 if sf is not None:
                     self._link(other.id, c.id, sf)
@@ -164,12 +156,14 @@ class PartitionTree:
         self._removed, self._created = set(), set()
         return changes
 
-    def _unlink(self, a: int):
-        """Forget leaf a's adjacencies."""
-        for b in self.neighbours.pop(a):
+    def _unlink(self, a: int) -> set:
+        """Forget leaf a's adjacencies; returns its former neighbour ids."""
+        nbrs = self.neighbours.pop(a)
+        for b in nbrs:
             self.neighbours[b].discard(a)
             del self.facets[(a, b)]
             del self.facets[(b, a)]
+        return nbrs
 
     def _link(self, a: int, b: int, sf: SharedFacet):
         self.facets[(a, b)] = sf
@@ -275,31 +269,6 @@ def adjacency(tree: PartitionTree) -> dict:
         out[(a, b)] = tree.facets[(a, b)]
         out[(b, a)] = tree.facets[(b, a)]
     return out
-
-
-def _child_codes(other: Box, sf: SharedFacet, axes: list, mid: list,
-                 tol: float = 1e-9) -> tuple:
-    """The children of a split that can border ``other``, the parent's
-    neighbour across its facet sf: child i (bit k of i set when it holds
-    the upper half of axes[k]) can iff i & mask == code.
-
-    Such a child lies on sf's side along sf's axis, and on every other
-    split axis its half meets ``other`` by more than tol; shared_facet
-    would reject the rest by the same tolerance tests."""
-    lo, hi = other.lo_list, other.hi_list
-    mask = code = 0
-    for i, ax in enumerate(axes):
-        if ax == sf.axis:
-            side = int(sf.direction > 0)
-        elif hi[ax] <= mid[ax] + tol:
-            side = 0
-        elif lo[ax] >= mid[ax] - tol:
-            side = 1
-        else:
-            continue
-        mask |= 1 << i
-        code |= side << i
-    return mask, code
 
 
 def shared_facet(a: Box, b: Box, tol: float = 1e-9):

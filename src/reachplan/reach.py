@@ -480,8 +480,11 @@ class PWAController:
                 break       # too close to the tolerance to call
         # the exact path, with the weights of locate_simplex: the first
         # simplex that holds x, else (x outside the polytope, as in the
-        # rollout past a crossing) the least-violating one
-        rest = np.linalg.solve(self.edges, x - self.origin)
+        # rollout past a crossing) the least-violating one; b is a stack of
+        # one-column matrices, a signature numpy 1.x and 2.x read alike
+        k, n = self.edges.shape[:2]
+        b = np.broadcast_to(x - self.origin, (k, n))[..., None]
+        rest = np.linalg.solve(self.edges, b)[..., 0]
         low = np.minimum(1.0 - rest.sum(axis=1), rest.min(axis=1))
         inside = np.flatnonzero(low >= -LOCATE_TOL)
         return int(inside[0]) if inside.size else int(np.argmax(low))
