@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, dot
 
 
 @dataclass(frozen=True)
@@ -29,15 +29,14 @@ class DeviationBounds:
 
 
 def _deviations(L_df: float, L_g: float, x1, X2):
-    """(eps_A, eps_B, eps_c), each (N,), from x1 to every row of X2 (N, n).
-    Norms are one BLAS dot per row, as in np.linalg.norm."""
+    """(eps_A, eps_B, eps_c), each (N,), from x1 to every row of X2 (N, n)."""
     if L_df < 0 or L_g < 0:
         raise ValueError("Lipschitz constants must be nonnegative")
     x1 = np.asarray(x1, dtype=float)
     X2 = np.asarray(X2, dtype=float)
     diff = X2 - x1
-    d = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-    norm2 = np.sqrt(np.matmul(X2[:, None, :], X2[:, :, None])[:, 0, 0])
+    d = np.sqrt(dot(diff, diff))
+    norm2 = np.sqrt(dot(X2, X2))
     return L_df * d, L_g * d, 0.5 * L_df * d * d + L_df * d * norm2
 
 

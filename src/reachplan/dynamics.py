@@ -7,13 +7,15 @@ small heading/velocity disturbances (underactuated, n = 3, m = 2).
 Rollouts run on Python floats: every RK4 stage evaluates the plant as
 scalar arithmetic, and only the samples a ``Trajectory`` records become
 arrays. Each product and sum of ``f(x) + g(x) u`` is rounded on its own,
-so the trajectories do not depend on which BLAS kernel numpy loads
-(OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add). Each
-built-in plant also writes its derivative out in closed form, in the
-association ``rhs`` uses, and steps it with the RK4 of its dimension
-(``_rk4_2``, ``_rk4_3``) as ``TrueSystem.step``, so it reaches the same
-floats as the generic RK4 over ``rhs`` without its lists and calls; a
-plant given by ``f`` and ``g`` alone takes the generic RK4.
+so a plant step does not depend on which BLAS kernel numpy loads
+(OpenBLAS may compute a 2x2 ``g @ u`` with a fused multiply-add). A
+trajectory still does: the controller it runs evaluates ``F @ x + g``
+through BLAS, and identification and synthesis call LAPACK (README,
+Modules). Each built-in plant also writes its derivative out in closed
+form, in the association ``rhs`` uses, and steps it with the RK4 of its
+dimension (``_rk4_2``, ``_rk4_3``) as ``TrueSystem.step``, so it reaches
+the same floats as the generic RK4 over ``rhs`` without its lists and
+calls; a plant given by ``f`` and ``g`` alone takes the generic RK4.
 """
 from __future__ import annotations
 
@@ -197,18 +199,10 @@ CLAMP_TOL = 1e-9
 
 def _clamp(u: list, lo: list, hi: list):
     """u clamped to [lo, hi] componentwise, and whether any component
-    exceeded the box by more than CLAMP_TOL."""
+    exceeded the box by more than CLAMP_TOL (PWA interpolation of
+    box-corner controls overshoots by about 1e-15)."""
     clamped = [min(max(ui, l), h) for ui, l, h in zip(u, lo, hi)]
     return clamped, any(abs(c - ui) > CLAMP_TOL for c, ui in zip(clamped, u))
-
-
-def clamp_to_box(u, pu: Box):
-    """u clamped to the box, and whether any component exceeded it by more
-    than CLAMP_TOL (PWA interpolation of box-corner controls overshoots by
-    about 1e-15)."""
-    clamped, flagged = _clamp(np.asarray(u, dtype=float).tolist(),
-                              pu.lo.tolist(), pu.hi.tolist())
-    return np.array(clamped), flagged
 
 
 def _rk4(deriv, x: list, dt: float) -> list:

@@ -21,6 +21,21 @@ class GeometryError(ValueError):
     pass
 
 
+def dot(a, b):
+    """a[..., 0]·b[..., 0] + a[..., 1]·b[..., 1] + …, broadcast like a * b.
+
+    The products are added in index order, each product and sum rounded on
+    its own, so the result depends neither on the memory layout of a and b
+    nor on how many other rows share the call, nor on the BLAS build. Every
+    product of the certificate path (A v + B u + c, facet drifts, N B,
+    vertex norms, crossing extents, deviation distances) goes through it.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * b[..., k]
+    return out
+
+
 @dataclass
 class Box:
     """Axis-aligned box [lo, hi] with a cell identity and refinement depth.

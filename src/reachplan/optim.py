@@ -1,4 +1,5 @@
-"""Dense small-scale LP and QP solvers used by certification and control.
+"""Dense small-scale LP and QP solvers: the terminal controller's QP and
+the test reference LP.
 
 Linear programs are solved by a two-phase tableau simplex with Bland's
 rule (deterministic and cycle-free). A mission solves none: every vertex

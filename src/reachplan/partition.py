@@ -215,9 +215,6 @@ class PartitionTree:
     def leaf_count(self) -> int:
         return len(self.leaves)
 
-    def total_leaf_volume(self) -> float:
-        return sum(b.volume() for b in self.leaves.values())
-
     def snapshot(self) -> list:
         return [
             {"id": b.id, "lo": b.lo.tolist(), "hi": b.hi.tolist(), "depth": b.depth}

@@ -23,7 +23,7 @@ import numpy as np
 from . import graph as gr
 from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
-from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes,
+from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes, dot,
                        facet_axis_dir, facet_id)
 from .optim import STATS, SolverError
 from .partition import PartitionTree, uniform_cell_count
@@ -204,13 +204,12 @@ class _Mission:
         """Margin to gain before identifying ``cell``: three plan durations
         of travel at the speed seen during identification, at most a
         quarter of the cell's shortest side."""
+        speed = 1.0                 # speed_estimate's value without a model
         if self.last_model is not None:
             m = self.last_model
             # drift plus the excitation amplitude through the input matrix
             speed = float(np.linalg.norm(m.A @ self.x + m.c)
                           + plan.amplitude * np.linalg.norm(m.B, 2))
-        else:
-            speed = self.speed_estimate(self.last_model)
         need = 3.0 * len(plan.inputs) * plan.period * speed
         return min(need, 0.25 * float(np.min(cell.sides)))
 
@@ -312,13 +311,12 @@ class _Mission:
     def nearest_models(self, cells: list) -> list:
         """Per cell, the id of the identified cell whose linearization point
         is nearest the cell's center (the first such in ``self.models``
-        order), from one stacked distance array. Each distance is one BLAS
-        dot, as in np.linalg.norm."""
+        order), from one stacked distance array."""
         ids = list(self.models)
         points = np.array([self.models[cid].linearization_point for cid in ids])
         centers = 0.5 * (np.array([c.lo for c in cells]) + np.array([c.hi for c in cells]))
         diff = points[None] - centers[:, None]                          # (cells, models, n)
-        dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0]).tolist()
+        dist = np.sqrt(dot(diff, diff)).tolist()
         return [ids[min(range(len(ids)), key=row.__getitem__)] for row in dist]
 
     def predictive_pass(self) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .deviation import DeviationBounds
 from .dynamics import AffineModel
-from .geometry import (Box, Polytope, box_to_polytope, facet_axis_dir,
+from .geometry import (Box, Polytope, box_to_polytope, dot, facet_axis_dir,
                        triangulate, truncated_pyramid, GeometryError)
 from .optim import DELTA_STRICT, STATS
 
@@ -67,13 +67,12 @@ def _crossing_times(V, normals, speeds) -> list:
     exit normal by the slowest of them and is (None, None) unless that
     speed exceeds DELTA_STRICT / 2. ``t_est`` divides it by their mean, a
     typical speed of the interpolated closed loop that is usually far above
-    the slowest one. The extents are one gemv per polytope and the means
-    run over contiguous rows, as for one certificate alone."""
-    proj = np.matmul(V, normals[:, :, None])[..., 0]
-    speeds = np.ascontiguousarray(speeds)
+    the slowest one."""
+    proj = dot(V, normals[:, None])                                     # (E, M)
+    means = dot(speeds, np.ones(speeds.shape[1])) / speeds.shape[1]     # sums in dot's order
     out = []
     for alpha, beta, c1, mean in zip(proj.min(axis=1).tolist(), proj.max(axis=1).tolist(),
-                                     speeds.min(axis=1).tolist(), speeds.mean(axis=1).tolist()):
+                                     speeds.min(axis=1).tolist(), means.tolist()):
         if c1 > DELTA_STRICT / 2:
             out.append((ExitTimeBound(T0=(beta - alpha) / c1, alpha=alpha, beta=beta, c1=c1),
                         (beta - alpha) / mean))
@@ -91,7 +90,7 @@ def _vertex_certificates(b: _Batch, pu: Box, spread, kind: str) -> list:
     ok = [e for e, fast in enumerate((speed >= DELTA_STRICT).all(axis=0).tolist()) if fast]
     if ok:
         qs = [b.qe[e] for e in ok]
-        uo = np.ascontiguousarray(u[:, ok])                          # (M, E', m)
+        uo = u[:, ok]                                                # (M, E', m)
         margins = (_speeds(b, ok, uo) - spread[qs].T).T               # (E', M)
         times = _crossing_times(b.V[qs], b.N[qs, [b.fe[e] for e in ok]], margins)
         for i, (e, q, (bound, t_est)) in enumerate(zip(ok, qs, times)):
@@ -104,31 +103,11 @@ def _vertex_certificates(b: _Batch, pu: Box, spread, kind: str) -> list:
 
 
 def _speeds(b: _Batch, entries, u):
-    """n_fᵀ(A v_j + B u_j + c) (M, E') of the listed entries of the batch
-    under controls u (M, E', m), each on the BLAS calls of one question
-    alone: gemv for A v and B u, then a dot with the exit normal."""
+    """n_fᵀ(w_j + B u_j) (M, E'), w_j = A v_j + c, of the listed entries of
+    the batch under controls u (M, E', m)."""
     qs = [b.qe[e] for e in entries]
-    models = [b.models[q] for q in qs]
-    w = (_matvecs([mo.A for mo in models], b.V[qs].transpose(1, 0, 2))
-         + _matvecs([mo.B for mo in models], u) + np.stack([mo.c for mo in models]))
-    normals = b.N[qs, [b.fe[e] for e in entries]]
-    return np.matmul(normals[:, None, :], w[..., None])[..., 0, 0]
-
-
-def _matvecs(mats, x):
-    """mats[e] @ x[j, e] for x (M, E, k), stacked as (M, E, n). Each product
-    runs on the gemv kernel numpy picks for mats[e] alone, which rounds
-    differently for row-major matrices (unit column stride) and the others
-    (identified models are column-major slices), so the two kinds go to
-    separate np.matmul calls."""
-    out = np.empty(x.shape[:2] + (mats[0].shape[0],))
-    for rowmajor in (True, False):
-        sel = [e for e, a in enumerate(mats) if (a.strides[1] == a.itemsize) == rowmajor]
-        if sel:
-            stack = (np.stack([mats[e] for e in sel]) if rowmajor
-                     else np.stack([mats[e].T for e in sel]).transpose(0, 2, 1))
-            out[:, sel] = np.matmul(stack, x[:, sel, :, None])[..., 0]
-    return out
+    w = b.w[qs].transpose(1, 0, 2) + dot(b.B[qs], u[:, :, None])
+    return dot(b.N[qs, [b.fe[e] for e in entries]], w)
 
 
 def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
@@ -188,15 +167,14 @@ class _Batch:
     axis. Entry e is exit facet fe[e] of question qe[e], in question order.
     Every polytope must share the first one's vertex-facet table, so that
     all vertices meet their facets in one pattern. Holds what the rows of
-    every entry share: V (Q, M, n), N (Q, I, n), w = A v_j + c (Q, M, n),
-    the facet drifts n_iᵀw_j of that table (Q, K, M) and N B (Q, I, m),
-    each question's products one stacked np.matmul item (gemm, as for one
-    question alone) or a broadcast sum over its own arrays."""
+    every entry share: V (Q, M, n), the vertex norms ‖v_j‖ (Q, M),
+    N (Q, I, n), B (Q, n, m), w = A v_j + c (Q, M, n), the facet drifts
+    n_iᵀw_j of that table (Q, K, M) and N B (Q, I, m)."""
 
     def __init__(self, models, polys, facets):
         if any(p.vertex_facets != polys[0].vertex_facets for p in polys):
             raise ValueError("the polytopes of one call must share one vertex-facet table")
-        self.models, self.polys = list(models), list(polys)
+        self.polys = list(polys)
         self.sizes = [len(fs) for fs in facets]
         self.qe = [q for q, fs in enumerate(facets) for _ in fs]
         self.fe = [f for fs in facets for f in fs]
@@ -205,10 +183,12 @@ class _Batch:
         self.idx = np.array(self.table)
         self.V = np.stack([p.vertices for p in polys])
         self.N = np.stack([p.normals for p in polys])
-        self.w = (np.matmul(np.stack([mo.A for mo in models]), self.V.transpose(0, 2, 1))
-                  .transpose(0, 2, 1) + np.stack([mo.c for mo in models])[:, None])
-        self.drift = (self.N[:, self.idx] * self.w[:, None]).sum(axis=3)
-        self.NB = np.matmul(self.N, np.stack([mo.B for mo in models]))
+        self.B = np.stack([mo.B for mo in models])
+        self.norms = np.sqrt(dot(self.V, self.V))
+        self.w = (dot(np.stack([mo.A for mo in models])[:, None], self.V[:, :, None])
+                  + np.stack([mo.c for mo in models])[:, None])
+        self.drift = dot(self.N[:, self.idx], self.w[:, None])
+        self.NB = dot(self.N[:, :, None], self.B.transpose(0, 2, 1)[:, None])
 
     def split(self, values) -> list:
         """Per-entry values as one list per question."""
@@ -230,9 +210,9 @@ def _vertex_systems(b: _Batch, lo, hi, margin, dB, entries=slice(None)):
     strict row negated: its slack d[R] - C[:, R]·u is
     n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
-    # Products are broadcast sums and the mask is built in Python: integer
-    # ufuncs, argmax and some BLAS kernels are not used elsewhere in a
-    # mission, and touching their code first here would raise its peak RSS.
+    # The mask is built in Python: integer ufuncs and argmax are not used
+    # elsewhere in a mission, and touching their code first here would
+    # raise its peak RSS.
     m = b.NB.shape[2]
     qe, fe = b.qe[entries], b.fe[entries]
     real = np.array([[[i >= 0 and i != f for f in fe] for i in row] for row in b.table],
@@ -240,7 +220,7 @@ def _vertex_systems(b: _Batch, lo, hi, margin, dB, entries=slice(None)):
     idx = b.idx
     K, M = idx.shape
     _, _, _, box, pick = _pattern_tables(m, K)
-    drift_exit = (b.N[qe, fe][:, None] * b.w[qe]).sum(axis=2)          # (E, M)
+    drift_exit = dot(b.N[qe, fe][:, None], b.w[qe])                     # (E, M)
     dBe = dB[qe].transpose(1, 0, 2)                                     # (m, E, P)
     C = np.empty((m, 2 * m + K + 1, M, len(fe), lo.shape[0]))
     d = np.empty(C.shape[1:])
@@ -279,7 +259,7 @@ def _robust_rows(b: _Batch, bounds, pu: Box):
     vertex refutes every in-bound model."""
     S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, len(b.table))
     eps = np.array([[e.eps_A, e.eps_B, e.eps_c] for e in bounds])
-    margin = eps[:, :1] * np.sqrt((b.V * b.V).sum(axis=2)) + eps[:, 2:]
+    margin = eps[:, :1] * b.norms + eps[:, 2:]
     lo = np.maximum(pu.lo, cap_lo)
     hi = np.minimum(pu.hi, cap_hi)
     return (lo, hi, margin, -eps[:, 1, None, None] * S.T), (lo <= hi).all(axis=1)
@@ -421,7 +401,7 @@ def predict_reachable(questions, pu: Box) -> list:
     share one vertex-facet table.
     """
     return _ask(questions, lambda b, bounds: _vertex_certificates(
-        b, pu, _robust_spread(bounds, b.V, pu), "predictive"))
+        b, pu, _robust_spread(bounds, b.norms, pu), "predictive"))
 
 
 # Containment tolerance of locate_simplex, and the band around it in which
@@ -522,15 +502,14 @@ def exit_time_bound(model: AffineModel, p: Polytope, controls: dict,
     return bound
 
 
-def _robust_spread(bounds, V, pu: Box):
-    """(Q, M): per question q and vertex j of V (Q, M, n),
+def _robust_spread(bounds, norms, pu: Box):
+    """(Q, M): per question q and vertex j with norm norms[q, j] = ‖v_j‖,
     eps_A·‖v_j‖ + eps_B·U_max + eps_c of bounds[q], how far an in-bound
     model can move n·(A v_j + B u + c) for a unit normal n and any u in the
-    input box, whose largest vertex norm is U_max. ‖v_j‖ is one BLAS dot
-    per vertex, as in np.linalg.norm."""
-    u_max = max(float(np.linalg.norm(pu.vertex(c))) for c in range(2 ** pu.dim))
+    input box, whose largest vertex norm is U_max."""
+    corners = pu.vertices()
+    u_max = float(np.sqrt(dot(corners, corners)).max())
     eps = np.array([[e.eps_A, e.eps_B, e.eps_c] for e in bounds])
-    norms = np.sqrt(np.matmul(V[..., None, :], V[..., None])[..., 0, 0])
     return eps[:, :1] * norms + eps[:, 1:2] * u_max + eps[:, 2:]
 
 
@@ -564,35 +543,35 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     n1 = p.normals[exit_facet]
     b = _Batch([model], [p], [[exit_facet]])
     u, speed = _fastest_controls(b, pu, np.zeros((1, p.n_vertices)))
-    fastest = _speeds(b, [0], np.ascontiguousarray(u))[:, 0].tolist()
+    drift = b.w[0]                                                      # A v_j + c
+    # most outward-pointing velocity still admissible for invariance; its
+    # speed outward is _speeds' at the exact vertices
+    w = np.where(speed[:, :1] > -np.inf, drift + dot(b.B[0], u[:, :1]), drift)
+    outward, along = dot(n1, w).tolist(), dot(n1, drift).tolist()
+    w_norm, drift_norm = np.sqrt(dot(w, w)).tolist(), np.sqrt(dot(drift, drift)).tolist()
     controls, margins = {}, {}
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
         if speed[j, 0] >= DELTA_STRICT:
-            controls[j], margins[j] = u[j, 0], fastest[j]
+            controls[j], margins[j] = u[j, 0], outward[j]
             exact.append(j)
             continue
-        drift = model.A @ p.vertices[j] + model.c
-        # most outward-pointing velocity still admissible for invariance
-        w = drift + model.B @ u[j, 0] if speed[j, 0] > -np.inf else drift
-        outward = float(n1 @ w)
-        nw = float(np.linalg.norm(w))
-        if outward >= 0.0 or nw < 1e-15:
+        if outward[j] >= 0.0 or w_norm[j] < 1e-15:
             ang = 0.0
         else:
-            ang = float(np.arcsin(min(1.0, -outward / nw)))
+            ang = float(np.arcsin(min(1.0, -outward[j] / w_norm[j])))
         if ang > theta_thre + 1e-12:
             return None
         # zero control at relaxed vertices; the remaining invariance rows
         # (n_i·drift) must hold up to a tolerance commensurate with the
         # threshold angle
-        tol = np.sin(theta_thre) * max(float(np.linalg.norm(drift)), 0.05 * u_abs)
+        tol = np.sin(theta_thre) * max(drift_norm[j], 0.05 * u_abs)
         if any(b.drift[0, k, j] > tol for k, i in enumerate(p.vertex_facets[j])
                if i != exit_facet):
             return None
         controls[j] = np.zeros(pu.dim)
-        margins[j] = float(n1 @ drift)
+        margins[j] = along[j]
         relaxed.append(j)
     (bound, t_est), = _crossing_times(p.vertices[None], p.normals[[exit_facet]],
                                       np.array([[margins[j] for j in exact or margins]]))

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reachplan.dynamics import (CLAMP_TOL, AffineModel, TrueSystem, _rk4, analytic_linearize,
-                                clamp_to_box, integrate, mecanum_system,
+from reachplan.dynamics import (CLAMP_TOL, AffineModel, TrueSystem, _clamp, _rk4,
+                                analytic_linearize, integrate, mecanum_system,
                                 unicycle_system)
 from reachplan.geometry import Box, facet_id
 
@@ -187,21 +187,20 @@ def test_rollout_is_the_same_through_either_step(maker):
 
 
 def test_clamp_to_box():
-    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    u, clamped = clamp_to_box([0.5, -2.0], pu)
+    """integrate's clamp to the input box [-1, 1]²."""
+    u, clamped = _clamp([0.5, -2.0], [-1.0, -1.0], [1.0, 1.0])
     assert clamped and np.allclose(u, [0.5, -1.0])
-    u, clamped = clamp_to_box([0.1, 0.2], pu)
+    u, clamped = _clamp([0.1, 0.2], [-1.0, -1.0], [1.0, 1.0])
     assert not clamped
 
 
 def test_clamp_below_tolerance_is_applied_but_not_flagged():
     """An excess of 1e-13 (interpolation rounding) is clamped silently; one
     just above CLAMP_TOL is flagged."""
-    pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    u, clamped = clamp_to_box([1.0 + 1e-13, -1.0 - 1e-13], pu)
-    assert not clamped and u.tolist() == [1.0, -1.0]
-    u, clamped = clamp_to_box([0.0, -1.0 - 2 * CLAMP_TOL], pu)
-    assert clamped and u.tolist() == [0.0, -1.0]
+    u, clamped = _clamp([1.0 + 1e-13, -1.0 - 1e-13], [-1.0, -1.0], [1.0, 1.0])
+    assert not clamped and u == [1.0, -1.0]
+    u, clamped = _clamp([0.0, -1.0 - 2 * CLAMP_TOL], [-1.0, -1.0], [1.0, 1.0])
+    assert clamped and u == [0.0, -1.0]
 
 
 def _constant_field(v):

@@ -29,7 +29,7 @@ def test_split_conserves_volume_and_counts():
     kids = tree.split(tree.root)
     assert len(kids) == 4
     assert tree.leaf_count() == 4
-    assert tree.total_leaf_volume() == pytest.approx(root_vol)
+    assert sum(b.volume() for b in tree.leaves.values()) == pytest.approx(root_vol)
     assert tree.children[tree.root.id] == [k.id for k in kids]
     # splitting a non-leaf fails
     with pytest.raises(GeometryError):

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from reachplan import optim, reach
-from reachplan.deviation import DeviationBounds, deviation_bounds
+from reachplan.deviation import DeviationBounds, cell_pair_bounds
 from reachplan.dynamics import AffineModel, TrueSystem, analytic_linearize, integrate, unicycle_system
 from reachplan.geometry import (Box, GeometryError, box_to_polytope, facet_id,
                                 locate_simplex, truncated_pyramid)
@@ -505,6 +505,80 @@ def test_batched_questions_match_one_question_calls(n, m):
     assert found > 20 and sum(map(sum, refuted)) > 20
 
 
+def _in_layout(model, layout):
+    """The model with A and B in C order (0), in Fortran order (1), or (2)
+    sliced with c from one column-major parameter matrix, as
+    identify_affine builds them."""
+    A, B, c = model.A, model.B, model.c
+    if layout == 2:
+        theta = np.hstack([A, B, c[:, None]]).copy(order="F")
+        n, m = B.shape
+        A, B, c = theta[:, :n], theta[:, n:n + m], theta[:, n + m]
+    else:
+        order = "CF"[layout]
+        A, B, c = A.copy(order=order), B.copy(order=order), c.copy()
+    return AffineModel(A=A, B=B, c=c, linearization_point=model.linearization_point)
+
+
+def _cert_key(cert):
+    """Everything a certificate states, as Python floats."""
+    if cert is None:
+        return None
+    return (cert.exit_facet, cert.kind, cert.margins, cert.relaxed_vertices,
+            cert.exact_vertices, cert.bound, cert.t_est,
+            {j: u.tolist() for j, u in cert.controls.items()})
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 2), (3, 3)])
+def test_answers_do_not_depend_on_the_model_layout(n, m):
+    """The verdicts and certificates (controls, margins, bound, t_est) of
+    120 random questions are bit-identical whether every model holds A and
+    B in C order, in Fortran order or as column slices of a parameter
+    matrix, or the three layouts are mixed in one call; so are the
+    cell_pair_bounds from a source point in C order, as a strided row or
+    as a reversed view."""
+    rng = np.random.default_rng(71 + 10 * n + m)
+    pu = Box(lo=rng.uniform(-3.0, -0.5, m), hi=rng.uniform(0.5, 3.0, m))
+    questions = [_batch_question(rng, n, m, pu) for _ in range(120)]
+    answers = []
+    for layouts in ([0] * 120, [1] * 120, [2] * 120, [k % 3 for k in range(120)]):
+        asked = [(_in_layout(q[0], k), *q[1:]) for q, k in zip(questions, layouts)]
+        answers.append((predict_unreachable(asked, pu),
+                        [[_cert_key(c) for c in cs] for cs in predict_reachable(asked, pu)]))
+    assert all(a == answers[0] for a in answers[1:])
+    refuted, certs = answers[0]
+    assert sum(map(sum, refuted)) > 5 and sum(c is not None for cs in certs for c in cs) > 5
+    for _, _, p, _ in questions[:30]:
+        x = rng.uniform(-3.0, 3.0, n)
+        cell = Box(lo=p.vertices.min(axis=0), hi=p.vertices.max(axis=0))
+        views = (x.copy(), np.stack([x, x]).copy(order="F")[0], x[::-1].copy()[::-1])
+        assert views[1].strides != views[0].strides != views[2].strides
+        bounds = [cell_pair_bounds(2.0, 1.0, v, cell) for v in views]
+        assert bounds[1] == bounds[0] and bounds[2] == bounds[0]
+
+
+def test_relaxed_side_certificates_do_not_depend_on_the_model_layout():
+    """Relaxed side-facet certificates on heading cells, for unicycle
+    linearizations and for dense unactuated drifts, are bit-identical for
+    the three model layouts of _in_layout."""
+    rng = np.random.default_rng(83)
+    s = unicycle_system()
+    pu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
+    relaxed = 0
+    for _ in range(40):
+        th = rng.uniform(-np.pi, np.pi - np.pi / 4)
+        cell = _heading_cell(th, th + np.pi / 4, x_lo=rng.uniform(-5.0, 3.0, 2))
+        for model, theta in ((analytic_linearize(s, cell.center + rng.uniform(-0.3, 0.3, 3)), 20.0),
+                             (_model(rng.uniform(-0.3, 0.3, (3, 3)), np.zeros((3, 2)),
+                                     rng.uniform(-1, 1, 3)), 60.0)):
+            for f in range(4):
+                keys = [_cert_key(relaxed_facet_reachable(_in_layout(model, k), cell, f, pu,
+                                                          np.deg2rad(theta))) for k in range(3)]
+                assert keys[1] == keys[0] and keys[2] == keys[0]
+                relaxed += keys[0] is not None and bool(keys[0][3])
+    assert relaxed >= 10
+
+
 @pytest.mark.parametrize("offset", [1e-8, -1e-8])
 def test_band_vertices_need_no_tableau_lp(offset):
     """Single integrator whose every vertex can push out through +x with a
@@ -591,23 +665,40 @@ def test_relaxed_threshold_angle_matters():
                                    theta_thre=0.0) is None
 
 
+def _in_order(terms):
+    """terms[0] + terms[1] + ... on Python floats, left to right."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
 def _reference_crossing_times(model, cert):
     """The crossing times the planner computed from an exact or relaxed
     certificate before certificates carried them (its certify_current and
     exit_time_bound's vertex subset), kept as the oracle of cert.bound and
-    cert.t_est. Returns (bound, t_est), or (None, None) where it raised."""
+    cert.t_est. Returns (bound, t_est), or (None, None) where it raised.
+    Every sum runs on Python floats in index order, the order certificates
+    are computed in: n1·((A v + c) + B u), V·n1 and the mean margin."""
     p, fct = cert.polytope, cert.exit_facet
-    n1 = p.normals[fct]
+    n1 = p.normals[fct].tolist()
+    A, B, c = model.A.tolist(), model.B.tolist(), model.c.tolist()
+
+    def speed(j):
+        v, u = p.vertices[j].tolist(), cert.controls[j].tolist()
+        vel = [_in_order([a * x for a, x in zip(A[i], v)]) + c[i]
+               + _in_order([b * y for b, y in zip(B[i], u)]) for i in range(len(c))]
+        return _in_order([n * x for n, x in zip(n1, vel)])
+
     js = cert.exact_vertices or range(p.n_vertices)
-    c1 = min(float(n1 @ (model.A @ p.vertices[j] + model.B @ cert.controls[j] + model.c))
-             for j in js)
+    c1 = min(speed(j) for j in js)
     if c1 <= DELTA_STRICT / 2:
         return None, None
-    proj = p.vertices @ n1
-    alpha, beta = float(np.min(proj)), float(np.max(proj))
+    proj = [_in_order([x * n for x, n in zip(v, n1)]) for v in p.vertices.tolist()]
+    alpha, beta = min(proj), max(proj)
     T0 = (beta - alpha) / c1
     js = cert.exact_vertices or list(cert.margins.keys())
-    c_mean = float(np.mean([cert.margins[j] for j in js]))
+    c_mean = _in_order([cert.margins[j] for j in js]) / len(js)
     t_est = (beta - alpha) / c_mean if c_mean > 0 else T0
     return (T0, alpha, beta, c1), t_est
 
@@ -744,8 +835,9 @@ def test_predictive_certificates_refuse_only_what_the_vertex_lps_refuse():
     certified = refused = 0
     for _ in range(500):
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
+        norms = reach._Batch([model], [p], [[fct]]).norms
         for b in (DeviationBounds.zero(), bounds):
-            spread = reach._robust_spread([b], p.vertices[None], pu)[0]
+            spread = reach._robust_spread([b], norms, pu)[0]
             speeds = [_linprog_fastest_speed(model, p, j, fct, pu, spread[j])
                       for j in range(p.n_vertices)]
             before = optim.STATS.lp_calls
