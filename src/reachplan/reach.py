@@ -16,10 +16,14 @@ vertex relaxation for side facets.
 Every vertex LP has one unknown per input (m ≤ 3) and one closed-form
 kernel solves them. The predictive functions take a list of questions
 (model, bounds, polytope, exit facets) and build the systems of all of
-them (every exit facet, vertex and sign pattern) over one question axis,
-so a planner pass costs one refutation and one certification call. The
-systems are built and decided in slices of at most KERNEL_SLICE. Exact
-and relaxed certification are the one-question case of the same builder.
+them over one question axis, so a planner pass costs one refutation and
+one certification call. Each decides only the systems its verdicts
+depend on: a refutation decides the sign patterns one at a time, for the
+exit facets that still have a vertex without a feasible pattern, and
+certification drops every exit facet where a box bound on some vertex's
+speed falls short of DELTA_STRICT before the kernel runs. The systems
+are built and decided in slices of at most KERNEL_SLICE. Exact and
+relaxed certification are the one-question case of the same builder.
 No mission LP goes to the tableau simplex.
 """
 from __future__ import annotations
@@ -81,16 +85,51 @@ def _crossing_times(V, normals, speeds) -> list:
     return out
 
 
+def _box_screen(b: _Batch, pu: Box, spread) -> list:
+    """The entries of the batch that the kernel might certify with
+    spread[q, j]; every entry left out would come out None.
+
+    With a = n_fᵀB and d_j = n_fᵀ(A v_j + c) − spread_j, vertex j's speed
+    d_j + aᵀu is at most its box bound d_j + Σ_k max(a_k lo_k, a_k hi_k)
+    for u in the input box; the invariance rows only lower it. The
+    kernel's speed is the slack of a candidate within _FEAS_TOL of the
+    box, rounded in 2m operations, so it exceeds the box bound by at most
+    _FEAS_TOL·Σ_k|a_k| plus that rounding, and the bound as computed here
+    has 2m + 1 roundings of its own (d_j is the kernel's, bit for bit).
+    Each is at most 2⁻⁵³ of
+    s_j = |d_j| + Σ_k |a_k|(max(|lo_k|, |hi_k|) + _FEAS_TOL), which stays
+    finite for every model `reachplan certify` accepts (up to
+    cli.MODEL_MAX). So an entry is left out only when some vertex's box
+    bound plus _FEAS_TOL·Σ_k|a_k| + 1e-12·s_j, hundreds of times that
+    rounding, is below DELTA_STRICT: no candidate gives that vertex a
+    speed of DELTA_STRICT.
+    """
+    qe, fe = b.qe, b.fe
+    d = dot(b.N[qe, fe][:, None], b.w[qe]) - spread[qe]                 # (E, M)
+    a = b.NB[qe, fe]                                                    # (E, m)
+    top = np.maximum(a * pu.lo, a * pu.hi).sum(axis=1)[:, None]
+    reach_u = np.maximum(np.abs(pu.lo), np.abs(pu.hi)) + _FEAS_TOL
+    size = np.abs(d) + (np.abs(a) * reach_u).sum(axis=1)[:, None]
+    slop = _FEAS_TOL * np.abs(a).sum(axis=1)[:, None] + 1e-12 * size
+    keep = (d + top + slop >= DELTA_STRICT).all(axis=1).tolist()
+    return [e for e, k in enumerate(keep) if k]
+
+
 def _vertex_certificates(b: _Batch, pu: Box, spread, kind: str) -> list:
     """Per entry of the batch, the certificate in which every vertex j
     takes its fastest admissible control with spread[q, j] and leaves at a
-    speed of at least DELTA_STRICT, or None."""
-    u, speed = _fastest_controls(b, pu, spread)
+    speed of at least DELTA_STRICT, or None. Only the entries that pass
+    _box_screen go to the kernel."""
     out = [None] * len(b.fe)
-    ok = [e for e, fast in enumerate((speed >= DELTA_STRICT).all(axis=0).tolist()) if fast]
-    if ok:
+    live = _box_screen(b, pu, spread)
+    if not live:
+        return out
+    u, speed = _fastest_controls(b, live, pu, spread)
+    cols = [i for i, fast in enumerate((speed >= DELTA_STRICT).all(axis=0).tolist()) if fast]
+    if cols:
+        ok = [live[i] for i in cols]
         qs = [b.qe[e] for e in ok]
-        uo = u[:, ok]                                                # (M, E', m)
+        uo = u[:, cols]                                              # (M, E', m)
         margins = (_speeds(b, ok, uo) - spread[qs].T).T               # (E', M)
         times = _crossing_times(b.V[qs], b.N[qs, [b.fe[e] for e in ok]], margins)
         for i, (e, q, (bound, t_est)) in enumerate(zip(ok, qs, times)):
@@ -199,22 +238,22 @@ class _Batch:
         return out
 
 
-def _vertex_systems(b: _Batch, lo, hi, margin, dB, entries=slice(None)):
+def _vertex_systems(b: _Batch, entries, lo, hi, margin, dB):
     """(C, d, pick): the systems C u ≤ d of every (vertex j, entry e,
-    pattern k) of the batch's ``entries``, with C (m, R + 1, M, E, P) by
-    input component, d (R + 1, M, E, P) and R = 2m + K; P patterns of
-    lo, hi (P, m), margin (Q, M) and dB (Q, m, P). Rows 0..2m-1 bound u to
-    [lo_k, hi_k]. The next K are each vertex's facet rows
-    n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j, where the exit facet and the
-    padding of vertices with fewer facets are 0·u ≤ 1. The last row is the
-    strict row negated: its slack d[R] - C[:, R]·u is
-    n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
+    pattern k) of the batch entries listed in ``entries``, with
+    C (m, R + 1, M, E, P) by input component, d (R + 1, M, E, P) and
+    R = 2m + K; P patterns of lo, hi (P, m), margin (Q, M) and
+    dB (Q, m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are
+    each vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j,
+    where the exit facet and the padding of vertices with fewer facets are
+    0·u ≤ 1. The last row is the strict row negated: its slack
+    d[R] - C[:, R]·u is n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # The mask is built in Python: integer ufuncs and argmax are not used
     # elsewhere in a mission, and touching their code first here would
     # raise its peak RSS.
     m = b.NB.shape[2]
-    qe, fe = b.qe[entries], b.fe[entries]
+    qe, fe = [b.qe[e] for e in entries], [b.fe[e] for e in entries]
     real = np.array([[[i >= 0 and i != f for f in fe] for i in row] for row in b.table],
                     dtype=bool)                                        # (K, M, E)
     idx = b.idx
@@ -236,15 +275,16 @@ def _vertex_systems(b: _Batch, lo, hi, margin, dB, entries=slice(None)):
     return C, d, pick
 
 
-def _decide(b: _Batch, rows, boxed=True):
+def _decide(b: _Batch, entries, rows):
     """(possible, u, slack) of _closed_form_verdicts for every system of
-    _vertex_systems(b, *rows), built and decided a slice of whole entries
-    at a time: at most KERNEL_SLICE systems, or one entry's M·P when that
-    is more. So a batch never holds the rows of all its entries at once,
-    and as each system is decided on its own, slicing changes no result."""
+    _vertex_systems(b, entries, *rows), built and decided a slice of whole
+    entries at a time: at most KERNEL_SLICE systems, or one entry's M·P
+    when that is more. So a batch never holds the rows of all its entries
+    at once, and as each system is decided on its own, neither slicing nor
+    the choice of entries changes a result. ``entries`` must not be empty."""
     step = max(1, KERNEL_SLICE // (b.V.shape[1] * rows[0].shape[0]))
-    parts = [_closed_form_verdicts(*_vertex_systems(b, *rows, slice(e, e + step)), boxed)
-             for e in range(0, len(b.fe), step)]
+    parts = [_closed_form_verdicts(*_vertex_systems(b, entries[i:i + step], *rows))
+             for i in range(0, len(entries), step)]
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(x, axis=-2) for x in zip(*parts))
@@ -293,7 +333,7 @@ def _solve_square(A, r):
     return [x * inv for x in num]
 
 
-def _closed_form_verdicts(C, d, pick, boxed=True):
+def _closed_form_verdicts(C, d, pick):
     """Decide every system of m ≤ 3 inputs in the layout of
     _vertex_systems and find its best corner, in one kernel call.
 
@@ -305,9 +345,10 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
     of that slack, take the lexicographically smallest u (least u_0, then
     least u_1, ...). Returns (possible, u, slack): the mask (M, E, P) of
     the systems that some candidate within _NEAR of every row meets with a
-    slack of DELTA_STRICT - _NEAR or more (False where ``boxed`` is False), and
-    each best corner u (m, M, E, P) with its slack, NaN and -inf without a
-    candidate.
+    slack of DELTA_STRICT - _NEAR or more, and each best corner
+    u (m, M, E, P) with its slack, NaN and -inf without a candidate. A
+    system whose box rows leave no control (an empty orthant) can still
+    come out possible within the tolerances, so a caller skips those.
     """
     STATS.kernel_calls += 1
     STATS.kernel_systems += d[0].size
@@ -326,7 +367,7 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
     ok = viol <= _FEAS_TOL
     best = np.where(ok, slack, -np.inf).max(axis=0)
     near = np.where(viol <= _NEAR, slack, -np.inf).max(axis=0)
-    possible = (near >= DELTA_STRICT - _NEAR) & boxed
+    possible = near >= DELTA_STRICT - _NEAR
     tied = ok & (slack >= best - _TIE * np.maximum(1.0, np.abs(best)))
     u = []
     for k in range(m):
@@ -337,15 +378,16 @@ def _closed_form_verdicts(C, d, pick, boxed=True):
             np.where(tied, slack, -np.inf).max(axis=0))
 
 
-def _fastest_controls(b: _Batch, pu: Box, spread):
-    """(u (M, E, m), speed (M, E)): vertex j's control for entry e
-    maximizes its speed n_fᵀ(A v_j + B u + c) - spread[q, j] over the input
-    box and its rows n_iᵀ(A v_j + B u + c) + spread[q, j] ≤ 0; u NaN, speed
-    -inf without one. The speed is the kernel's slack, which _speeds
-    matches to rounding.
+def _fastest_controls(b: _Batch, entries, pu: Box, spread):
+    """(u (M, E, m), speed (M, E)) over the listed entries: vertex j's
+    control for entry e maximizes its speed
+    n_fᵀ(A v_j + B u + c) - spread[q, j] over the input box and its rows
+    n_iᵀ(A v_j + B u + c) + spread[q, j] ≤ 0; u NaN, speed -inf without
+    one. The speed is the kernel's slack, which _speeds matches to
+    rounding.
     """
-    _, u, speed = _decide(b, (pu.lo[None], pu.hi[None], -spread,
-                              np.zeros((len(b.polys), pu.dim, 1))))
+    _, u, speed = _decide(b, entries, (pu.lo[None], pu.hi[None], -spread,
+                                       np.zeros((len(b.polys), pu.dim, 1))))
     return u[..., 0].transpose(1, 2, 0), speed[..., 0]
 
 
@@ -379,13 +421,27 @@ def predict_unreachable(questions, pu: Box) -> list:
     Holds when some vertex is infeasible even for the outward-relaxed
     (best-case) inequality system under every control sign pattern. The
     systems of every question (m ≤ 3 inputs) are decided in closed form,
-    slice by slice; a system the kernel cannot rule out counts as
+    one sign pattern at a time in _pattern_tables order: each round
+    decides only the entries that still have a vertex without a feasible
+    pattern, and a pattern whose orthant misses the input box is skipped
+    without a kernel call. A system the kernel cannot rule out counts as
     feasible, so only certain infeasibility refutes. The polytopes must
     share one vertex-facet table (boxes of one dimension do).
     """
     def refuted(b, bounds):
-        possible = _decide(b, *_robust_rows(b, bounds, pu))[0].tolist()
-        return [not all(True in vertex[e] for vertex in possible) for e in range(len(b.fe))]
+        (lo, hi, margin, dB), boxed = _robust_rows(b, bounds, pu)
+        # per entry, the vertices with no feasible pattern among those decided
+        pending = [list(range(b.V.shape[1])) for _ in b.fe]
+        for k, fits in enumerate(boxed.tolist()):
+            entries = [e for e, js in enumerate(pending) if js]
+            if not entries:
+                break
+            if fits:
+                possible = _decide(b, entries, (lo[k:k + 1], hi[k:k + 1], margin,
+                                                dB[..., k:k + 1]))[0][..., 0].tolist()
+                for i, e in enumerate(entries):
+                    pending[e] = [j for j in pending[e] if not possible[j][i]]
+        return [bool(js) for js in pending]
     return _ask(questions, refuted)
 
 
@@ -397,8 +453,10 @@ def predict_reachable(questions, pu: Box) -> list:
     Built like an exact certificate, with every row of vertex j tightened
     by _robust_spread's bound on how far an in-bound model can move it, so
     its margins are robust outward speeds and its bound and t_est follow
-    from them. All questions share one kernel pass; the polytopes must
-    share one vertex-facet table.
+    from them. All questions share one kernel pass, which decides only the
+    exit facets that _box_screen leaves: the others cannot reach
+    DELTA_STRICT at some vertex even with the best input in the box. The
+    polytopes must share one vertex-facet table.
     """
     return _ask(questions, lambda b, bounds: _vertex_certificates(
         b, pu, _robust_spread(bounds, b.norms, pu), "predictive"))
@@ -542,7 +600,7 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
     p = box_to_polytope(cube)
     n1 = p.normals[exit_facet]
     b = _Batch([model], [p], [[exit_facet]])
-    u, speed = _fastest_controls(b, pu, np.zeros((1, p.n_vertices)))
+    u, speed = _fastest_controls(b, [0], pu, np.zeros((1, p.n_vertices)))
     drift = b.w[0]                                                      # A v_j + c
     # most outward-pointing velocity still admissible for invariance; its
     # speed outward is _speeds' at the exact vertices

@@ -378,8 +378,8 @@ def test_batched_predictive_verdicts_match_tableau_reference():
         facets = list(range(p.n_facets))
         batch = reach._Batch([model], [p], [facets])
         rows, boxed = reach._robust_rows(batch, [bounds], pu)
-        C, d, pick = reach._vertex_systems(batch, *rows)
-        possible, _, _ = reach._closed_form_verdicts(C, d, pick, boxed)
+        C, d, pick = reach._vertex_systems(batch, range(len(facets)), *rows)
+        possible = reach._closed_form_verdicts(C, d, pick)[0] & boxed
         refutations = predict_unreachable([(model, bounds, p, facets)], pu)[0]
         certs = predict_reachable([(model, bounds, p, facets)], pu)[0]
         assert len(refutations) == len(certs) == len(facets)
@@ -421,7 +421,7 @@ def test_kernel_keeps_every_system_the_tableau_keeps():
         model, bounds, p, fct, pu = _random_predictive_instance(rng)
         batch = reach._Batch([model], [p], [[fct]])
         rows, boxed = reach._robust_rows(batch, [bounds], pu)
-        C, d, pick = reach._vertex_systems(batch, *rows)
+        C, d, pick = reach._vertex_systems(batch, [0], *rows)
         m = C.shape[0]
         j, k = int(rng.integers(p.n_vertices)), int(rng.integers(C.shape[-1]))
         if not boxed[k]:
@@ -442,7 +442,7 @@ def test_kernel_keeps_every_system_the_tableau_keeps():
                 A_ge_strict=a.reshape(1, -1), b_ge_strict=-shifted[-1:, j, 0, k],
                 lo=-d[m:2 * m, j, 0, k], hi=d[:m, j, 0, k])
             if linear_feasible(prob) is not None:
-                possible, _, _ = reach._closed_form_verdicts(C, shifted, pick, boxed)
+                possible, _, _ = reach._closed_form_verdicts(C, shifted, pick)
                 assert possible[j, 0, k]
                 kept += 1
             band += 1
@@ -503,6 +503,142 @@ def test_batched_questions_match_one_question_calls(n, m):
             assert all(np.array_equal(got.controls[j], want.controls[j]) for j in got.controls)
             assert (got.bound, got.t_est) == (want.bound, want.t_est)
     assert found > 20 and sum(map(sum, refuted)) > 20
+
+
+def _pattern_verdicts(question, pu):
+    """The one-shot kernel verdicts (M, F, P) of one question: every sign
+    pattern of every vertex and exit facet decided in one call, False
+    where the pattern's orthant misses the input box."""
+    model, bounds, p, facets = question
+    b = reach._Batch([model], [p], [facets])
+    rows, boxed = reach._robust_rows(b, [bounds], pu)
+    C, d, pick = reach._vertex_systems(b, range(len(facets)), *rows)
+    return reach._closed_form_verdicts(C, d, pick)[0] & boxed
+
+
+def _one_shot_refutations(questions, pu):
+    """Oracle for predict_unreachable: a facet is refuted when some vertex
+    has no feasible pattern among the one-shot verdicts."""
+    return [[not all(True in vertex[e] for vertex in _pattern_verdicts(q, pu).tolist())
+             for e in range(len(q[3]))] if q[3] else [] for q in questions]
+
+
+def _later_pattern_question(n, c_x, c_side):
+    """Single integrator on the unit box with drift (c_x, c_side, ...),
+    asked for every facet. With c_x = 0.5, leaving through x- needs
+    u_0 ≤ -0.5, so no vertex of that facet is feasible under the first
+    sign pattern; with c_side = 0.5 as well the top corner also needs
+    u_k ≤ -0.5 on every other axis, so only the last pattern is feasible
+    there. With c_x = 0, u_0 = 0 leaves through x- at a slack of 0, which
+    the kernel counts as possible; under an input box with lo_0 = 5e-10
+    only the empty orthant u_0 ≤ 0 offers it, within the tolerance."""
+    model = _model(np.zeros((n, n)), np.eye(n), [c_x] + [c_side] * (n - 1))
+    p = box_to_polytope(Box(lo=np.zeros(n), hi=np.ones(n)))
+    return model, DeviationBounds.zero(), p, list(range(2 * n))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
+def test_staged_refutations_match_the_one_shot_oracle(n, m):
+    """predict_unreachable, which decides one sign pattern at a time and
+    only for the entries still open, returns the one-shot oracle's
+    verdicts and decides fewer systems. Questions: random ones (boxes and
+    truncated pyramids) under an input box around 0 and under boxes that
+    miss orthants (lo > 0 or hi < 0 on one axis, or lo = 5e-10, inside
+    the kernel's tolerance), and single integrators where only a later
+    pattern, only the last, or only an empty orthant is feasible."""
+    rng = np.random.default_rng(97 + 10 * n + m)
+    boxes = [(-np.ones(m), np.ones(m)), (np.r_[0.5, -np.ones(m - 1)], 2.0 * np.ones(m)),
+             (-2.0 * np.ones(m), np.r_[np.ones(m - 1), -0.25]),
+             (np.r_[5e-10, -np.ones(m - 1)], np.ones(m))]
+    refuted = kept = 0
+    for lo, hi in boxes:
+        pu = Box(lo=lo, hi=hi)
+        questions = [_batch_question(rng, n, m, pu) for _ in range(40)]
+        if m == n:
+            questions += [_later_pattern_question(n, *c) for c in ((0.0, 0.0), (0.5, 0.0),
+                                                                    (0.5, 0.5))]
+        systems = optim.STATS.kernel_systems
+        got = predict_unreachable(questions, pu)
+        staged = optim.STATS.kernel_systems - systems
+        systems = optim.STATS.kernel_systems
+        want = _one_shot_refutations(questions, pu)
+        assert got == want
+        assert staged < optim.STATS.kernel_systems - systems
+        refuted += sum(map(sum, got))
+        kept += sum(len(r) - sum(r) for r in got)
+    assert refuted > 20 and kept > 20
+    if m == n:
+        x_minus = facet_id(0, -1)
+        around = Box(lo=-np.ones(m), hi=np.ones(m))
+        only_last = [False] * (2 ** m - 1) + [True]
+        for c in (0.0, 0.5):
+            q = _later_pattern_question(n, 0.5, c)
+            possible = _pattern_verdicts(q, around)[:, x_minus].tolist()       # (M, P)
+            assert not any(v[0] for v in possible) and all(any(v) for v in possible)
+            assert (only_last in possible) == (c > 0)
+            assert not predict_unreachable([q], around)[0][x_minus]
+            assert predict_unreachable([q], Box(lo=boxes[1][0], hi=boxes[1][1]))[0][x_minus]
+        q = _later_pattern_question(n, 0.0, 0.0)
+        assert not predict_unreachable([q], around)[0][x_minus]
+        assert predict_unreachable([q], Box(lo=boxes[3][0], hi=boxes[3][1]))[0][x_minus]
+
+
+def _box_bounds(model, p, fct, pu, spread):
+    """Per vertex, n_fᵀ(A v_j + c) − spread_j + Σ_k max(a_k lo_k, a_k hi_k),
+    a = n_fᵀB, written out with numpy's own products."""
+    n1 = p.normals[fct]
+    a = n1 @ model.B
+    top = float(np.maximum(a * pu.lo, a * pu.hi).sum())
+    return [float(n1 @ (model.A @ v + model.c)) - s + top for v, s in zip(p.vertices, spread)]
+
+
+def _screen_question(rng, n, m, pu, near):
+    """A random question (model, bounds, polytope, exit facet) for
+    _box_screen. Without ``near`` its model is scaled by 1e3 to 1e6 half
+    the time; with ``near`` its drift is shifted along the exit normal so
+    that the smallest box bound of its vertices lies within 1e-7 of
+    DELTA_STRICT."""
+    model, bounds, p, _ = _batch_question(rng, n, m, pu)
+    fct = int(rng.integers(2 * n))
+    if not near:
+        scale = 10.0 ** rng.uniform(3.0, 6.0) if rng.random() < 0.5 else 1.0
+        return _model(scale * model.A, scale * model.B, scale * model.c), bounds, p, fct
+    spread = reach._robust_spread([bounds], reach._Batch([model], [p], [[fct]]).norms, pu)[0]
+    shift = DELTA_STRICT + rng.uniform(-1e-7, 1e-7) - min(_box_bounds(model, p, fct, pu, spread))
+    return _model(model.A, model.B, model.c + shift * p.normals[fct]), bounds, p, fct
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
+def test_box_screen_drops_only_what_the_kernel_refuses(n, m):
+    """Every entry _box_screen drops comes out without a certificate when
+    the kernel decides every entry unscreened: on random questions with
+    models scaled by up to 1e6, on questions whose smallest box bound lies
+    within 1e-7 of DELTA_STRICT, and on integrators ẋ = B u + c with
+    B = eye(n, m), whose fastest speed is their box bound, DELTA_STRICT
+    ± 1e-9 or 1e-7, at scales up to 1e6. The screen does drop entries, and
+    near the bound the kernel certifies some."""
+    rng = np.random.default_rng(113 + 10 * n + m)
+    pu = Box(lo=rng.uniform(-3.0, -0.5, m), hi=rng.uniform(0.5, 3.0, m))
+    questions = [_screen_question(rng, n, m, pu, near=k % 2 == 1) for k in range(120)]
+    cube = box_to_polytope(Box(lo=np.zeros(n), hi=np.ones(n)))
+    for scale in (1.0, 1e3, 1e6):
+        for offset in (-1e-7, -1e-9, 1e-9, 1e-7):
+            # x+ at the fastest control u_0 = hi_0, u_k = 0 elsewhere
+            c = np.zeros(n)
+            c[0] = (DELTA_STRICT + offset) / scale - pu.hi[0]
+            questions.append((_model(np.zeros((n, n)), scale * np.eye(n, m), scale * c),
+                              DeviationBounds.zero(), cube, facet_id(0, +1)))
+    models, bounds, polys, facets = zip(*questions)
+    b = reach._Batch(models, polys, [[f] for f in facets])
+    spread = reach._robust_spread(bounds, b.norms, pu)
+    kept = reach._box_screen(b, pu, spread)
+    _, speed = reach._fastest_controls(b, range(len(questions)), pu, spread)
+    certified = (speed >= DELTA_STRICT).all(axis=0).tolist()
+    dropped = sorted(set(range(len(questions))) - set(kept))
+    assert not any(certified[e] for e in dropped)
+    assert len(dropped) > 20 and sum(certified) > 5
+    assert any(e in dropped for e in range(1, 120, 2))
+    assert certified[120:] == [False, False, True, True] * 3
 
 
 def _in_layout(model, layout):
