@@ -192,7 +192,7 @@ def cmd_certify(args) -> int:
     except (ValueError, OSError) as e:      # a JSON syntax error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
-    cert = facet_reachable(model, box_to_polytope(cell), fct, pu)
+    cert = facet_reachable(model, box_to_polytope(cell), [fct], pu)[0]
     if cert is None:
         print("infeasible")
         return 2

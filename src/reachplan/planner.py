@@ -27,8 +27,7 @@ from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes, 
                        facet_axis_dir, facet_id)
 from .optim import STATS, SolverError
 from .partition import PartitionTree, uniform_cell_count
-from .reach import (ReachCertificate, facet_reachable, fastest_control,
-                    predict_reachable, predict_unreachable,
+from .reach import (facet_reachable, fastest_control, predict_reachable, predict_unreachable,
                     relaxed_facet_reachable, synthesize_controller)
 from .scenario import Scenario
 from .sysid import CellEscape, ExcitationPlan, identify_affine
@@ -84,7 +83,6 @@ class _Mission:
         self.tree = PartitionTree(scn.ws_lo, scn.ws_hi, scn.h_min)
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
-        self.certs: dict = {}         # cell id -> {facet id: certificate or None}
         self.failed: set = set()      # pairs whose edge failed MAX_EDGE_FAILURES times
         self.retries = defaultdict(int)
         self.escape_count = 0
@@ -265,29 +263,32 @@ class _Mission:
 
     # ---------------- certification ----------------
 
-    def certify_cell_facet(self, cell: Box, fct: int) -> Optional[ReachCertificate]:
-        certs = self.certs.setdefault(cell.id, {})
-        if fct in certs:
-            return certs[fct]
-        model = self.models[cell.id]
-        if self.scn.underactuated:
-            cert = relaxed_facet_reachable(model, cell, fct, self.pu,
-                                           self.scn.theta_thre, self.scn.shrink)
-        else:
-            cert = facet_reachable(model, box_to_polytope(cell), fct, self.pu)
-        certs[fct] = cert
-        return cert
+    def pending(self, cid: int, skip) -> tuple:
+        """(edges, facets): the uncertain out-edges nb -> Edge of cell ``cid``
+        that skip(edge) does not leave out, in out-list order, and the exit
+        facet id of each."""
+        edges = {nb: e for nb in self.graph.out.get(cid, ())
+                 if (e := self.graph.edges[(cid, nb)]).status == gr.UNCERTAIN and not skip(e)}
+        return edges, {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
 
     def certify_current(self, cell: Box) -> int:
-        """Exact/relaxed certification of the current cell's outgoing edges.
-        Returns the number of edge statuses resolved."""
+        """Exact/relaxed certification of the current cell's uncertain
+        outgoing edges without a certificate, in one call for their distinct
+        exit facets. Returns the number of edge statuses resolved."""
+        edges, fct = self.pending(cell.id, lambda e: e.cert is not None)
+        if not edges:
+            return 0
+        exits = list(dict.fromkeys(fct.values()))
+        model = self.models[cell.id]
+        if self.scn.underactuated:
+            found = relaxed_facet_reachable(model, cell, exits, self.pu,
+                                            self.scn.theta_thre, self.scn.shrink)
+        else:
+            found = facet_reachable(model, box_to_polytope(cell), exits, self.pu)
+        certs = dict(zip(exits, found))
         resolved = 0
-        for nb in list(self.graph.out.get(cell.id, ())):
-            e = self.graph.edges[(cell.id, nb)]
-            if e.status != gr.UNCERTAIN:
-                continue
-            fct = facet_id(e.shared.axis, e.shared.direction)
-            cert = self.certify_cell_facet(cell, fct)
+        for nb, e in edges.items():
+            cert = certs[fct[nb]]
             if cert is None:
                 # the relaxed condition is only sufficient, so its failure on
                 # a splittable cell calls for refinement rather than a verdict
@@ -344,13 +345,10 @@ class _Mission:
         asks = []         # (cell, source id, pending edges, exit facet per edge)
         questions = []    # (source model, deviation bounds) per ask
         for cell, src_cid in zip(cells, self.nearest_models(cells)):
-            edges = {nb: e for nb in self.graph.out.get(cell.id, ())
-                     if (e := self.graph.edges[(cell.id, nb)]).status == gr.UNCERTAIN
-                     and src_cid not in e.pred_sources}
+            edges, fct = self.pending(cell.id, lambda e: src_cid in e.pred_sources)
             if not edges:
                 continue
             src = self.models[src_cid]
-            fct = {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
             asks.append((cell, src_cid, edges, fct))
             questions.append((src, cell_pair_bounds(self.scn.L_df, self.scn.L_g,
                                                     src.linearization_point, cell)))
@@ -390,20 +388,16 @@ class _Mission:
     def refine(self) -> int:
         split_ids = self.tree.refine_segment(self.x, self.scn.x_target)
         for pid in split_ids:
-            self._forget_split(pid)
+            self.models.pop(pid, None)
         return len(split_ids)
 
     def split_cell(self, cell: Box) -> bool:
-        """Split one leaf and forget its model and certificates."""
+        """Split one leaf and forget its model."""
         if not self.tree.splittable_axes(cell):
             return False
         self.tree.split(cell)
-        self._forget_split(cell.id)
+        self.models.pop(cell.id, None)
         return True
-
-    def _forget_split(self, pid: int):
-        self.models.pop(pid, None)
-        self.certs.pop(pid, None)
 
     def rebuild_graph(self):
         self.graph.rebuild(self.tree)
@@ -558,10 +552,9 @@ class _Mission:
 
     def terminal_phase(self, cell: Box) -> None:
         scn = self.scn
-        if cell.id not in self.models and self.ingress_and_identify(cell):
-            cell = self.current_cell()
-        # start the quadratic program from a state with real barrier margin
-        if (cell.id not in self.models
+        # identify the cell if needed, then start the quadratic program from
+        # a state with real barrier margin
+        if ((cell.id not in self.models and not self.ingress_and_identify(cell))
                 or not self.gain_margin(cell, 0.2 * float(np.min(cell.sides)))):
             self.log.event(self.t, "terminal_escape", cell=cell.id)
             return
@@ -632,16 +625,8 @@ def run_mission(scn: Scenario) -> MissionLog:
             log.event(ms.t, "retry_budget_exhausted", cell=cur.id)
             break
         ms.rebuild_graph()
-        if cur.id not in ms.models:
-            ok = ms.ingress_and_identify(cur)
-            if not ok:
-                continue
-            cur = ms.current_cell()
-            if cur.id == tgt.id:
-                ms.terminal_phase(cur)
-                if log.status != "incomplete":
-                    break
-                continue
+        if cur.id not in ms.models and not ms.ingress_and_identify(cur):
+            continue
         ms.last_model = ms.models.get(cur.id, ms.last_model)
         n_resolved = ms.certify_current(cur)
         if cur.id not in ms.tree.leaves:

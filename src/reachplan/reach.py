@@ -23,7 +23,9 @@ exit facets that still have a vertex without a feasible pattern, and
 certification drops every exit facet where a box bound on some vertex's
 speed falls short of DELTA_STRICT before the kernel runs. The systems
 are built and decided in slices of at most KERNEL_SLICE. Exact and
-relaxed certification are the one-question case of the same builder.
+relaxed certification take a cell's list of exit facets and ask them in
+one call of the same builder (one batch of truncated pyramids for the
+relaxed heading facets, one fastest-control call for the side facets).
 No mission LP goes to the tableau simplex.
 """
 from __future__ import annotations
@@ -149,15 +151,15 @@ def _speeds(b: _Batch, entries, u):
     return dot(b.N[qs, [b.fe[e] for e in entries]], w)
 
 
-def facet_reachable(model: AffineModel, p: Polytope, exit_facet: int,
-                    pu: Box) -> Optional[ReachCertificate]:
-    """Exact certificate for a known affine model, or None.
+def facet_reachable(model: AffineModel, p: Polytope, exit_facets, pu: Box) -> list:
+    """Per exit facet, the exact certificate for a known affine model, or
+    None, from one batch of all the facets.
 
     Every vertex takes its fastest admissible control, which must leave
     through the exit facet at a speed of at least DELTA_STRICT.
     """
-    return _vertex_certificates(_Batch([model], [p], [[exit_facet]]), pu,
-                                np.zeros((1, p.n_vertices)), "exact")[0]
+    return _ask([(model, None, p, exit_facets)], lambda b, _: _vertex_certificates(
+        b, pu, np.zeros(b.norms.shape), "exact"))[0]
 
 
 # Closed-form kernel for the vertex systems (m <= 3 inputs).
@@ -579,40 +581,53 @@ def robust_exit_time_bound(model: AffineModel, bounds: DeviationBounds,
     return None if cert is None else cert.bound
 
 
-def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
-                            pu: Box, theta_thre: float,
-                            shrink: float = 0.5) -> Optional[ReachCertificate]:
+def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facets, pu: Box,
+                            theta_thre: float, shrink: float = 0.5) -> list:
     """Underactuated relaxation for a cell whose last state axis is the
-    heading.
+    heading: per exit facet, a certificate or None.
 
     Facets normal to the heading axis: certify on a truncated-pyramid
-    subpolytope (opposite facet scaled by ``shrink``); the certificate is
-    only valid inside that subpolytope. Side facets: vertices failing the
-    exact rows are accepted with u_j = 0 when the achievable flow cone is
-    within ``theta_thre`` of the exit normal on both extremes.
+    subpolytope (opposite facet scaled by ``shrink``), all in one batch,
+    as the pyramids share the box's vertex-facet table; the certificate is
+    only valid inside that subpolytope. Side facets share one
+    fastest-control call over the box: vertices failing the exact rows are
+    accepted with u_j = 0 when the achievable flow cone is within
+    ``theta_thre`` of the exit normal on both extremes.
     """
-    axis, direction = facet_axis_dir(exit_facet)
-    if axis == cube.dim - 1:
-        sub = truncated_pyramid(cube, axis, direction, shrink)
-        return _vertex_certificates(_Batch([model], [sub], [[exit_facet]]), pu,
-                                    np.zeros((1, sub.n_vertices)), "relaxed")[0]
+    axis = cube.dim - 1
+    heading = [f for f in exit_facets if facet_axis_dir(f)[0] == axis]
+    found = _ask([(model, None, truncated_pyramid(cube, axis, facet_axis_dir(f)[1], shrink), [f])
+                  for f in heading],
+                 lambda b, _: _vertex_certificates(b, pu, np.zeros(b.norms.shape), "relaxed"))
+    out = {f: cert for f, (cert,) in zip(heading, found)}
+    sides = [f for f in exit_facets if f not in out]
+    if sides:
+        b = _Batch([model], [box_to_polytope(cube)], [sides])
+        u, speed = _fastest_controls(b, list(range(len(sides))), pu, np.zeros(b.norms.shape))
+        out.update((f, _side_certificate(b, e, u, speed, pu, theta_thre))
+                   for e, f in enumerate(sides))
+    return [out[f] for f in exit_facets]
 
-    p = box_to_polytope(cube)
-    n1 = p.normals[exit_facet]
-    b = _Batch([model], [p], [[exit_facet]])
-    u, speed = _fastest_controls(b, [0], pu, np.zeros((1, p.n_vertices)))
+
+def _side_certificate(b: _Batch, e: int, u, speed, pu: Box,
+                      theta_thre: float) -> Optional[ReachCertificate]:
+    """The relaxed certificate of entry e of a one-box batch, a side facet,
+    from the fastest controls u (M, E, m) and speeds (M, E) of every entry,
+    or None."""
+    p, fct = b.polys[0], b.fe[e]
+    n1 = p.normals[fct]
     drift = b.w[0]                                                      # A v_j + c
     # most outward-pointing velocity still admissible for invariance; its
     # speed outward is _speeds' at the exact vertices
-    w = np.where(speed[:, :1] > -np.inf, drift + dot(b.B[0], u[:, :1]), drift)
+    w = np.where(speed[:, e:e + 1] > -np.inf, drift + dot(b.B[0], u[:, e:e + 1]), drift)
     outward, along = dot(n1, w).tolist(), dot(n1, drift).tolist()
     w_norm, drift_norm = np.sqrt(dot(w, w)).tolist(), np.sqrt(dot(drift, drift)).tolist()
     controls, margins = {}, {}
     relaxed, exact = [], []
     u_abs = float(np.max(np.abs(np.concatenate([pu.lo, pu.hi]))))
     for j in range(p.n_vertices):
-        if speed[j, 0] >= DELTA_STRICT:
-            controls[j], margins[j] = u[j, 0], outward[j]
+        if speed[j, e] >= DELTA_STRICT:
+            controls[j], margins[j] = u[j, e], outward[j]
             exact.append(j)
             continue
         if outward[j] >= 0.0 or w_norm[j] < 1e-15:
@@ -625,15 +640,14 @@ def relaxed_facet_reachable(model: AffineModel, cube: Box, exit_facet: int,
         # (n_i·drift) must hold up to a tolerance commensurate with the
         # threshold angle
         tol = np.sin(theta_thre) * max(drift_norm[j], 0.05 * u_abs)
-        if any(b.drift[0, k, j] > tol for k, i in enumerate(p.vertex_facets[j])
-               if i != exit_facet):
+        if any(b.drift[0, k, j] > tol for k, i in enumerate(p.vertex_facets[j]) if i != fct):
             return None
         controls[j] = np.zeros(pu.dim)
         margins[j] = along[j]
         relaxed.append(j)
-    (bound, t_est), = _crossing_times(p.vertices[None], p.normals[[exit_facet]],
+    (bound, t_est), = _crossing_times(p.vertices[None], p.normals[[fct]],
                                       np.array([[margins[j] for j in exact or margins]]))
-    return ReachCertificate(exit_facet=exit_facet, controls=controls,
+    return ReachCertificate(exit_facet=fct, controls=controls,
                             kind="relaxed" if relaxed else "exact", margins=margins, polytope=p,
                             relaxed_vertices=tuple(relaxed), exact_vertices=tuple(exact),
                             bound=bound, t_est=t_est)

@@ -146,7 +146,7 @@ def test_c04_refutations_sound_under_perturbation():
             A, B, c = _sample_inbound(rng, m, bounds, at_limit=(k == 0))
             pert = AffineModel(A=A, B=B, c=c,
                                linearization_point=m.linearization_point)
-            assert facet_reachable(pert, p, fct, pu) is None
+            assert facet_reachable(pert, p, [fct], pu)[0] is None
     assert refuted > 100
 
 
@@ -156,7 +156,7 @@ def test_c05_zero_bounds_reduce_to_exact():
     bounded = 0
     for _ in range(500):
         m, p, pu, fct = _random_instance(rng, drift_scale=2.0)
-        exact = facet_reachable(m, p, fct, pu)
+        exact = facet_reachable(m, p, [fct], pu)[0]
         robust, = predict_reachable([(m, zero, p, [fct])], pu)[0]
         assert (exact is None) == (robust is None)
         rb = robust_exit_time_bound(m, zero, p, fct, pu)
@@ -181,7 +181,7 @@ def test_c06_exit_time_bound_holds_in_closed_loop():
     cells = 0
     while cells < 100:
         m, p, pu, fct = _random_instance(rng)
-        cert = facet_reachable(m, p, fct, pu)
+        cert = facet_reachable(m, p, [fct], pu)[0]
         if cert is None:
             continue
         cells += 1

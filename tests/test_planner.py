@@ -135,7 +135,7 @@ def test_unintended_exit_is_logged_and_charged_to_the_edge():
     actual_fct = facet_id(0, -1)
     model = analytic_linearize(ms.sys, cell.center)
     e = ms.graph.edges[(cell.id, nb)]
-    e.cert = facet_reachable(model, box_to_polytope(cell), actual_fct, ms.pu)
+    e.cert = facet_reachable(model, box_to_polytope(cell), [actual_fct], ms.pu)[0]
     assert e.cert is not None
     assert ms.execute_edge(cell, nb) == "moved"
     assert e.failures == 1
@@ -161,7 +161,7 @@ def test_traversal_is_judged_by_the_cell_entered_at_the_crossing():
     nb = _edge_across(ms, cell, 0, -1)
     model = analytic_linearize(ms.sys, cell.center)
     e = ms.graph.edges[(cell.id, nb)]
-    e.cert = facet_reachable(model, box_to_polytope(cell), facet_id(0, -1), ms.pu)
+    e.cert = facet_reachable(model, box_to_polytope(cell), [facet_id(0, -1)], ms.pu)[0]
     assert e.cert is not None
     assert ms.execute_edge(cell, nb) == "moved"
     deeper = ms.tree.leaves[ms.cur_id]
@@ -184,8 +184,8 @@ def test_degenerate_certificate_blocks_the_edge():
     nb = _edge_across(ms, cell, 2, +1)
     model = analytic_linearize(ms.sys, cell.center)
     e = ms.graph.edges[(cell.id, nb)]
-    e.cert = relaxed_facet_reachable(model, cell, facet_id(2, +1), ms.pu,
-                                     ms.scn.theta_thre, shrink=1e-9)
+    e.cert = relaxed_facet_reachable(model, cell, [facet_id(2, +1)], ms.pu,
+                                     ms.scn.theta_thre, shrink=1e-9)[0]
     assert e.cert is not None and e.cert.kind == "relaxed"
     assert e.cert.polytope.contains(ms.x)
     t0 = ms.t
@@ -318,6 +318,117 @@ def test_predictive_pass_asks_each_question_kind_once(monkeypatch):
         kinds = [kind for kind, _ in made]
         assert kinds in ([], ["refute"], ["refute", "certify"])
     assert max(n for made in passes for _, n in made) > 1
+
+
+def _record_certify_calls(monkeypatch):
+    """The (function name, exit facets) of every exact or relaxed
+    certification call the planner makes from now on."""
+    asked = []
+
+    def recorded(name, fn):
+        def wrapped(model, cell, exits, *args):
+            asked.append((name, list(exits)))
+            return fn(model, cell, exits, *args)
+        return wrapped
+
+    for name in ("facet_reachable", "relaxed_facet_reachable"):
+        monkeypatch.setattr(planner, name, recorded(name, getattr(planner, name)))
+    return asked
+
+
+def _pending_facets(ms, cell):
+    """The distinct exit facets of the cell's uncertain out-edges without a
+    certificate, in out-list order."""
+    edges = [ms.graph.edges[(cell.id, nb)] for nb in ms.graph.out[cell.id]]
+    return list(dict.fromkeys(facet_id(e.shared.axis, e.shared.direction) for e in edges
+                              if e.status == "uncertain" and e.cert is None))
+
+
+@pytest.mark.parametrize("plant, name", [("mecanum", "facet_reachable"),
+                                         ("unicycle", "relaxed_facet_reachable")])
+def test_certify_current_asks_the_pending_facets_in_one_call(plant, name, monkeypatch):
+    """Every certify_current call of a built-in mission makes one
+    certification call for the distinct exit facets of the cell's uncertain
+    edges without a certificate, in out-list order, or none when there are
+    none; some call asks several facets."""
+    asked = _record_certify_calls(monkeypatch)
+    certify_current = planner._Mission.certify_current
+    made = []
+
+    def recorded(self, cell):
+        want = _pending_facets(self, cell)
+        asked.clear()
+        resolved = certify_current(self, cell)
+        made.append((want, list(asked)))
+        return resolved
+
+    monkeypatch.setattr(planner._Mission, "certify_current", recorded)
+    assert run_mission(builtin_scenario(plant)).success
+    assert made
+    for want, got in made:
+        assert got == ([(name, want)] if want else [])
+    assert max(len(want) for want, _ in made) > 1
+
+
+def test_first_refused_facet_splits_the_cell_after_the_edges_before_it(monkeypatch):
+    """The unicycle cell [-10, -5] x [0, 5] x [-pi/2, 0] with the plant's
+    linearization at its centre: one relaxed call asks all five distinct
+    facets. The edges to the -y, +heading and -heading neighbours, first in
+    out-list order, are certified and marked certain; the +y facet is
+    refused, so the cell splits there and the edges after it stay
+    unmarked."""
+    ms = _Mission(builtin_scenario("unicycle"))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.tree.locate(np.array([-7.5, 2.5, -0.7]))
+    assert cell.lo.tolist() == [-10.0, 0.0, -np.pi / 2] and cell.hi.tolist() == [-5.0, 5.0, 0.0]
+    ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
+    edges = [ms.graph.edges[(cell.id, nb)] for nb in ms.graph.out[cell.id]]
+    facets = [facet_id(e.shared.axis, e.shared.direction) for e in edges]
+    assert facets == [2, 5, 4, 3, 1, 1, 1, 1, 1]
+    asked = _record_certify_calls(monkeypatch)
+    assert ms.certify_current(cell) == 4
+    assert asked == [("relaxed_facet_reachable", [2, 5, 4, 3, 1])]
+    assert cell.id not in ms.tree.leaves
+    assert ms.log.events[-1] == {"t": 0.0, "type": "cell_split", "cell": cell.id}
+    for e in edges[:3]:
+        assert e.status == "certain" and e.cert.kind == "relaxed"
+    for e in edges[3:]:
+        assert e.status == "uncertain" and e.cert is None and not e.soft
+
+
+def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypatch):
+    """The mecanum cell [0, 2] x [4, 6] certifies its edge to the +y
+    neighbour [0, 2] x [6, 8]. That neighbour splits, and both new edges
+    across the +y facet are certified again, in one call that asks that
+    facet once, with a certificate equal to the one before the split."""
+    ms = _Mission(builtin_scenario("mecanum"))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.tree.locate(np.array([1.0, 5.0]))
+    assert cell.lo.tolist() == [0.0, 4.0] and cell.hi.tolist() == [2.0, 6.0]
+    ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
+    ms.certify_current(cell)
+    nb = _edge_across(ms, cell, 1, +1)
+    before = ms.graph.edges[(cell.id, nb)].cert
+    assert before is not None
+    assert ms.split_cell(ms.tree.leaves[nb])
+    ms.rebuild_graph()
+    new = [n for n in ms.graph.out[cell.id]
+           if (ms.graph.edges[(cell.id, n)].shared.axis,
+               ms.graph.edges[(cell.id, n)].shared.direction) == (1, +1)]
+    assert len(new) == 2 and nb not in new
+    asked = _record_certify_calls(monkeypatch)
+    ms.certify_current(cell)
+    assert asked == [("facet_reachable", [facet_id(1, +1)])]
+    for n in new:
+        cert = ms.graph.edges[(cell.id, n)].cert
+        assert cert is not before
+        assert (cert.exit_facet, cert.kind, cert.margins, cert.bound, cert.t_est) == (
+            before.exit_facet, before.kind, before.margins, before.bound, before.t_est)
+        assert cert.controls.keys() == before.controls.keys()
+        assert all(np.array_equal(cert.controls[j], before.controls[j]) for j in cert.controls)
+        assert np.array_equal(cert.polytope.vertices, before.polytope.vertices)
 
 
 def test_unicycle_runs_are_deterministic(tmp_path):

@@ -40,7 +40,7 @@ def test_single_integrator_certificate():
     m = _model(np.zeros((2, 2)), np.eye(2), np.zeros(2))
     p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    cert = facet_reachable(m, p, facet_id(0, +1), pu)
+    cert = facet_reachable(m, p, [facet_id(0, +1)], pu)[0]
     assert cert is not None and cert.kind == "exact"
     _assert_cert_sound(m, cert)
     # every vertex control pushes +x and respects the box
@@ -54,8 +54,8 @@ def test_strong_drift_blocks_upstream_facet():
     m = _model(np.zeros((2, 2)), np.eye(2), [-5.0, 0.0])
     p = box_to_polytope(Box(lo=[0.0, 0.0], hi=[1.0, 1.0]))
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    assert facet_reachable(m, p, facet_id(0, +1), pu) is None
-    down = facet_reachable(m, p, facet_id(0, -1), pu)
+    assert facet_reachable(m, p, [facet_id(0, +1)], pu)[0] is None
+    down = facet_reachable(m, p, [facet_id(0, -1)], pu)[0]
     assert down is not None
     _assert_cert_sound(m, down)
 
@@ -72,7 +72,7 @@ def test_certificates_sound_on_random_instances():
         p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, 2)))
         pu = Box(lo=[-3.0, -3.0], hi=[3.0, 3.0])
         fct = int(rng.integers(0, 4))
-        cert = facet_reachable(m, p, fct, pu)
+        cert = facet_reachable(m, p, [fct], pu)[0]
         if cert is None:
             continue
         certified += 1
@@ -99,7 +99,7 @@ def test_closed_loop_exits_within_bound():
     p = box_to_polytope(cell)
     pu = Box(lo=[-2.0, -2.0], hi=[2.0, 2.0])
     fct = facet_id(0, +1)
-    cert = facet_reachable(m, p, fct, pu)
+    cert = facet_reachable(m, p, [fct], pu)[0]
     assert cert is not None
     tb = exit_time_bound(m, p, cert.controls, fct)
     ctrl = synthesize_controller(p, cert.controls)
@@ -234,12 +234,12 @@ def test_predictive_implies_exact_and_shrinks_with_bounds():
         pred, = predict_reachable([(m, bounds, p, [fct])], pu)[0]
         if pred is not None:
             # robust certificate must be valid for the nominal model too
-            exact = facet_reachable(m, p, fct, pu)
+            exact = facet_reachable(m, p, [fct], pu)[0]
             assert exact is not None
             _assert_cert_sound(m, pred)
             agree_checked += 1
         if predict_unreachable([(m, bounds, p, [fct])], pu)[0][0]:
-            assert facet_reachable(m, p, fct, pu) is None
+            assert facet_reachable(m, p, [fct], pu)[0] is None
     assert agree_checked > 10
 
 
@@ -478,7 +478,9 @@ def test_batched_questions_match_one_question_calls(n, m):
     """One predict_unreachable and one predict_reachable call over 300
     random questions, decided in more than one kernel slice, return exactly
     the verdicts and the certificates (controls, margins, bound and t_est)
-    of one call per question."""
+    of one call per question. On boxes and truncated pyramids, one
+    facet_reachable call for a list of exit facets returns exactly the
+    certificates of one call per facet."""
     rng = np.random.default_rng(59 + 10 * n + m)
     pu = Box(lo=rng.uniform(-3.0, -0.5, m), hi=rng.uniform(0.5, 3.0, m))
     questions = [_batch_question(rng, n, m, pu) for _ in range(300)]
@@ -503,6 +505,16 @@ def test_batched_questions_match_one_question_calls(n, m):
             assert all(np.array_equal(got.controls[j], want.controls[j]) for j in got.controls)
             assert (got.bound, got.t_est) == (want.bound, want.t_est)
     assert found > 20 and sum(map(sum, refuted)) > 20
+    # exact certification: every facet of the polytope, then the question's
+    # shuffled subset, in one call each
+    exact = 0
+    for model, _, p, facets in questions[:100]:
+        alone = [_cert_key(facet_reachable(model, p, [f], pu)[0]) for f in range(p.n_facets)]
+        for fs in (list(range(p.n_facets)), facets):
+            assert [_cert_key(c) for c in facet_reachable(model, p, fs, pu)] == [alone[f]
+                                                                                for f in fs]
+        exact += sum(k is not None for k in alone)
+    assert exact > 10
 
 
 def _pattern_verdicts(question, pu):
@@ -696,11 +708,14 @@ def test_answers_do_not_depend_on_the_model_layout(n, m):
 def test_relaxed_side_certificates_do_not_depend_on_the_model_layout():
     """Relaxed side-facet certificates on heading cells, for unicycle
     linearizations and for dense unactuated drifts, are bit-identical for
-    the three model layouts of _in_layout."""
-    rng = np.random.default_rng(83)
+    the three model layouts of _in_layout. One call for all six facets, or
+    for a shuffled subset, returns exactly the certificates of one call per
+    facet; at both thresholds the side relaxation accepts some facets and
+    refuses others."""
+    rng, order = np.random.default_rng(83), np.random.default_rng(84)
     s = unicycle_system()
     pu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
-    relaxed = 0
+    relaxed = refused = 0
     for _ in range(40):
         th = rng.uniform(-np.pi, np.pi - np.pi / 4)
         cell = _heading_cell(th, th + np.pi / 4, x_lo=rng.uniform(-5.0, 3.0, 2))
@@ -708,11 +723,19 @@ def test_relaxed_side_certificates_do_not_depend_on_the_model_layout():
                              (_model(rng.uniform(-0.3, 0.3, (3, 3)), np.zeros((3, 2)),
                                      rng.uniform(-1, 1, 3)), 60.0)):
             for f in range(4):
-                keys = [_cert_key(relaxed_facet_reachable(_in_layout(model, k), cell, f, pu,
-                                                          np.deg2rad(theta))) for k in range(3)]
+                keys = [_cert_key(relaxed_facet_reachable(_in_layout(model, k), cell, [f], pu,
+                                                          np.deg2rad(theta))[0]) for k in range(3)]
                 assert keys[1] == keys[0] and keys[2] == keys[0]
                 relaxed += keys[0] is not None and bool(keys[0][3])
-    assert relaxed >= 10
+            alone = [_cert_key(relaxed_facet_reachable(model, cell, [f], pu, np.deg2rad(theta))[0])
+                     for f in range(6)]
+            subset = [int(f) for f in order.permutation(6)[:order.integers(1, 6)]]
+            for fs in (list(range(6)), subset):
+                got = relaxed_facet_reachable(_in_layout(model, 2), cell, fs, pu,
+                                              np.deg2rad(theta))
+                assert [_cert_key(c) for c in got] == [alone[f] for f in fs]
+            refused += sum(k is None for k in alone[:4])
+    assert relaxed >= 10 and refused >= 10
 
 
 @pytest.mark.parametrize("offset", [1e-8, -1e-8])
@@ -759,8 +782,8 @@ def test_relaxed_rotation_facet_uses_subpolytope():
     cell = _heading_cell(0.0, np.pi / 4)
     m = analytic_linearize(s, cell.center)
     pu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
-    cert = relaxed_facet_reachable(m, cell, facet_id(2, +1), pu,
-                                   theta_thre=np.deg2rad(10.0))
+    cert = relaxed_facet_reachable(m, cell, [facet_id(2, +1)], pu,
+                                   theta_thre=np.deg2rad(10.0))[0]
     assert cert is not None and cert.kind == "relaxed"
     # valid only on the truncated pyramid, a strict subset of the cell
     assert cert.polytope.contains(cell.center)
@@ -774,11 +797,11 @@ def test_relaxed_side_facet_follows_heading():
     # heading in [0, pi/4]: the +x facet is reachable, the +y facet is not
     cell = _heading_cell(0.0, np.pi / 4)
     m = analytic_linearize(s, cell.center)
-    fwd = relaxed_facet_reachable(m, cell, facet_id(0, +1), pu,
-                                  theta_thre=np.deg2rad(10.0))
+    fwd = relaxed_facet_reachable(m, cell, [facet_id(0, +1)], pu,
+                                  theta_thre=np.deg2rad(10.0))[0]
     assert fwd is not None
-    side = relaxed_facet_reachable(m, cell, facet_id(1, +1), pu,
-                                   theta_thre=np.deg2rad(10.0))
+    side = relaxed_facet_reachable(m, cell, [facet_id(1, +1)], pu,
+                                   theta_thre=np.deg2rad(10.0))[0]
     assert side is None
     # relaxed vertices carry zero control and are excluded from the
     # exact-vertex list used for time bounds
@@ -795,10 +818,10 @@ def test_relaxed_threshold_angle_matters():
     m = analytic_linearize(s, cell.center)
     # with a generous threshold the +x facet certifies; with a zero
     # threshold the grazing vertices are rejected
-    assert relaxed_facet_reachable(m, cell, facet_id(0, +1), pu,
-                                   theta_thre=np.deg2rad(10.0)) is not None
-    assert relaxed_facet_reachable(m, cell, facet_id(0, +1), pu,
-                                   theta_thre=0.0) is None
+    assert relaxed_facet_reachable(m, cell, [facet_id(0, +1)], pu,
+                                   theta_thre=np.deg2rad(10.0))[0] is not None
+    assert relaxed_facet_reachable(m, cell, [facet_id(0, +1)], pu,
+                                   theta_thre=0.0)[0] is None
 
 
 def _in_order(terms):
@@ -861,23 +884,23 @@ def test_certificates_carry_the_planners_crossing_times():
                    rng.uniform(-2, 2, 2))
         lo = rng.uniform(-2, 0, 2)
         p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, 2)))
-        cases += [(m, facet_reachable(m, p, f, pu)) for f in range(4)]
+        cases += [(m, facet_reachable(m, p, [f], pu)[0]) for f in range(4)]
     s = unicycle_system()
     upu = Box(lo=[-10.0, -10.0], hi=[10.0, 10.0])
     for _ in range(60):
         th = rng.uniform(-np.pi, np.pi - np.pi / 4)
         cell = _heading_cell(th, th + np.pi / 4, x_lo=rng.uniform(-5.0, 3.0, 2))
         m = analytic_linearize(s, cell.center + rng.uniform(-0.3, 0.3, 3))
-        cases += [(m, relaxed_facet_reachable(m, cell, f, upu, theta)) for f in range(6)]
+        cases += [(m, relaxed_facet_reachable(m, cell, [f], upu, theta)[0]) for f in range(6)]
         # unactuated drift: margins of relaxed vertices may be negative
         m = _model(rng.uniform(-0.3, 0.3, (3, 3)), np.zeros((3, 2)), rng.uniform(-1, 1, 3))
-        cases += [(m, relaxed_facet_reachable(m, cell, f, upu, np.deg2rad(60.0)))
+        cases += [(m, relaxed_facet_reachable(m, cell, [f], upu, np.deg2rad(60.0))[0])
                   for f in range(4)]
         # a positive speed at most DELTA_STRICT / 2 gives no bound
         for speed in (1.0, 0.3 * DELTA_STRICT):
             spread = _spreading_model(cell, rng.uniform(0.01, 0.05), speed)
-            cases.append((spread, relaxed_facet_reachable(spread, cell, facet_id(0, +1),
-                                                          upu, theta)))
+            cases.append((spread, relaxed_facet_reachable(spread, cell, [facet_id(0, +1)],
+                                                          upu, theta)[0]))
     for m, cert in cases:
         if cert is None:
             continue
@@ -928,7 +951,7 @@ def test_vertex_controls_are_the_fastest_admissible():
         lo = rng.uniform(-2, 0, 2)
         p = box_to_polytope(Box(lo=lo, hi=lo + rng.uniform(0.5, 2.0, 2)))
         fct = int(rng.integers(0, 4))
-        cert = facet_reachable(m, p, fct, pu)
+        cert = facet_reachable(m, p, [fct], pu)[0]
         if cert is None:
             continue
         counts["exact"] += 1
@@ -945,7 +968,7 @@ def test_vertex_controls_are_the_fastest_admissible():
         m = analytic_linearize(s, cell.center + rng.uniform(-0.3, 0.3, 3))
         p = box_to_polytope(cell)
         for fct in range(4):
-            cert = relaxed_facet_reachable(m, cell, fct, upu, np.deg2rad(10.0))
+            cert = relaxed_facet_reachable(m, cell, [fct], upu, np.deg2rad(10.0))[0]
             if cert is None:
                 continue
             for j in cert.exact_vertices:
@@ -1005,7 +1028,7 @@ def test_degenerate_optimum_takes_the_lexicographically_smallest_control():
     p = box_to_polytope(cell)
     fct = facet_id(2, +1)
     assert np.array_equal(p.normals[fct] @ model.B, [0.0, 1.0])
-    cert = facet_reachable(model, p, fct, pu)
+    cert = facet_reachable(model, p, [fct], pu)[0]
     assert cert is not None
     nearer_top = 0
     for j, v in enumerate(p.vertices):
