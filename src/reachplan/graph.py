@@ -1,9 +1,10 @@
 """Reachability graph over partition cells, entropy weights, shortest path.
 
-Nodes are leaf cell ids. A directed edge (a, b) exists per shared facet
-rectangle and carries one of three statuses: certain (transition
-certified, weight = exit-time bound), impossible (refuted, excluded from
-search), or uncertain (weight trades traversal cost against the expected
+Nodes are leaf cell ids. A directed edge (a, b) exists per facet that
+two adjacent cells share, is known by a's exit facet toward b, and
+carries one of three statuses: certain (transition certified, weight =
+exit-time bound), impossible (refuted, excluded from search), or
+uncertain (weight trades traversal cost against the expected
 information gained by exploring it). Every uncertain edge is reachable
 with the graph's prior probability ``p_prior``. Snapshots record only
 what changed since the previous one; ``replay`` turns them back into
@@ -15,8 +16,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
-
-from .partition import SharedFacet
 
 if TYPE_CHECKING:
     from .reach import ReachCertificate
@@ -45,12 +44,13 @@ def uncertain_weight(C_u: float, l_u: float, beta_u: float, eig: float) -> float
 class Edge:
     """Everything known about one transition, kept while both cells live.
 
-    ``cert`` drives the transition; it may exist while the edge stays
-    uncertain, when no crossing time could be pinned on it. ``soft`` marks
-    an impossible status that comes from a failed sufficient-only
-    certification rather than a refutation. ``failures`` counts
-    executions that did not end in the target cell; the planner sets it
-    to its limit when the certificate yields no controller.
+    ``facet`` is the id of the source cell's exit facet toward the target
+    (``geometry.facet_id``). ``cert`` drives the transition; it may exist
+    while the edge stays uncertain, when no crossing time could be pinned
+    on it. ``soft`` marks an impossible status that comes from a failed
+    sufficient-only certification rather than a refutation. ``failures``
+    counts executions that did not end in the target cell; the planner
+    sets it to its limit when the certificate yields no controller.
     ``pred_sources`` holds the ids of the identified cells whose models
     were already tried for a predictive verdict on this edge (a tuple: an
     empty set per edge would cost about 0.2 MB of peak memory on a
@@ -59,7 +59,7 @@ class Edge:
     src: int
     dst: int
     status: str
-    shared: SharedFacet
+    facet: int
     weight: float = 0.0
     t_bound: Optional[float] = None
     cert_kind: Optional[str] = None
@@ -106,18 +106,18 @@ class ReachGraph:
                     relinked.add(b)
         for a in created:
             nbrs = tree.neighbours[a]
-            for b in nbrs:
-                self._add(a, b, tree.facets[(a, b)])
+            for b, fid in nbrs.items():
+                self._add(a, b, fid)
                 if b not in created:
-                    self._add(b, a, tree.facets[(b, a)])
+                    self._add(b, a, fid ^ 1)
                     relinked.add(b)
             self.out[a] = sorted(nbrs)
         for b in relinked:
             self.out[b] = sorted(tree.neighbours[b])
         self._stale |= relinked
 
-    def _add(self, a: int, b: int, sf: SharedFacet):
-        self.edges[(a, b)] = Edge(a, b, UNCERTAIN, sf)
+    def _add(self, a: int, b: int, facet: int):
+        self.edges[(a, b)] = Edge(a, b, UNCERTAIN, facet)
         self._unweighed.add((a, b))
         self._changed[(a, b)] = False
 
@@ -184,7 +184,7 @@ class ReachGraph:
             if h is None:
                 h = entropy[b] = self._uncertain_out_entropy(b)
             cell = leaves[a]
-            axis = e.shared.axis
+            axis = e.facet // 2
             l_u = cell.hi_list[axis] - cell.lo_list[axis]
             w = uncertain_weight(self.C_u, l_u, self.beta_u, self.p_prior * h)
             if w != e.weight:

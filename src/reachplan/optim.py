@@ -253,7 +253,6 @@ class QPResult:
     lam: np.ndarray
     kkt_stationarity: float
     kkt_complementarity: float
-    max_violation: float
 
 
 def solve_qp(H, q, G, h) -> QPResult:
@@ -305,8 +304,7 @@ def solve_qp(H, q, G, h) -> QPResult:
             return None
         comp = float(np.max(np.abs(lam_full * res))) if K else 0.0
         return QPResult(z=z, active=list(sub), lam=lam_full,
-                        kkt_stationarity=stat, kkt_complementarity=comp,
-                        max_violation=float(np.max(res)) if K else 0.0)
+                        kkt_stationarity=stat, kkt_complementarity=comp)
 
     from itertools import combinations
     for size in range(0, n + 1):

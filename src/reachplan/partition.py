@@ -5,42 +5,21 @@ the straight segment from the current state to the target: every leaf the
 segment touches is subdivided until it reaches the minimum side length.
 Refinement is monotone (no coarsening) and preserves leaf identities of
 untouched cells so per-cell bookkeeping survives re-partitioning. The tree
-keeps the shared facets between adjacent leaves current as it splits: a
-child can only touch its parent's former neighbours and its own siblings
-(the neighbour-finding argument of Samet's quadtrees), so a split costs
-time in the size of its neighbourhood, not in the number of leaves. It
-also records the leaves each split removed and created, from which the
-reachability graph follows the partition (``take_changes``).
+keeps, for every pair of adjacent leaves, the facet through which each
+touches the other, current as it splits: a child can only touch its
+parent's former neighbours and its own siblings (the neighbour-finding
+argument of Samet's quadtrees), so a split costs time in the size of its
+neighbourhood, not in the number of leaves. It also records the leaves
+each split removed and created, from which the reachability graph
+follows the partition (``take_changes``).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 from .geometry import CONTAINMENT_TOL, Box, GeometryError
-
-
-@dataclass
-class SharedFacet:
-    """Shared (n-1)-dimensional rectangle between two adjacent leaves.
-
-    ``axis``/``direction`` describe the transition as seen from the first
-    cell: its exit facet is facet_id(axis, direction). lo/hi give the
-    rectangle bounds; on ``axis`` they coincide at the shared plane.
-    """
-
-    axis: int
-    direction: int
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def measure(self) -> float:
-        s = (self.hi - self.lo).tolist()
-        del s[self.axis]
-        return float(math.prod(s))
 
 
 class PartitionTree:
@@ -64,10 +43,9 @@ class PartitionTree:
         self.root = self._new_box(lo, hi, depth=0)
         self.leaves: dict[int, Box] = {self.root.id: self.root}
         self.children: dict[int, list[int]] = {}
-        # (a, b) -> facet seen from leaf a, for every ordered adjacent pair;
-        # the (lower id, higher id) entry is the one shared_facet computed
-        self.facets: dict[tuple, SharedFacet] = {}
-        self.neighbours: dict[int, set] = {self.root.id: set()}
+        # leaf a -> {adjacent leaf b: id of a's facet toward b}; b's facet
+        # toward a is the opposite one, that id ^ 1
+        self.neighbours: dict[int, dict] = {self.root.id: {}}
         # leaves removed and created by splits since the last take_changes
         self._removed: set = set()
         self._created: set = {self.root.id}
@@ -140,12 +118,13 @@ class PartitionTree:
         self._created.update(self.children[cell.id])
         former = [self.leaves[n] for n in sorted(self._unlink(cell.id))]
         for i, c in enumerate(children):
-            self.neighbours[c.id] = set()
+            nbrs = self.neighbours[c.id] = {}
             # every candidate has a lower id than c, as in adjacency's order
             for other in former + children[:i]:
-                sf = shared_facet(other, c)
-                if sf is not None:
-                    self._link(other.id, c.id, sf)
+                fid = shared_facet(other, c)
+                if fid is not None:
+                    self.neighbours[other.id][c.id] = fid
+                    nbrs[other.id] = fid ^ 1
         return children
 
     def take_changes(self) -> tuple:
@@ -156,22 +135,12 @@ class PartitionTree:
         self._removed, self._created = set(), set()
         return changes
 
-    def _unlink(self, a: int) -> set:
-        """Forget leaf a's adjacencies; returns its former neighbour ids."""
+    def _unlink(self, a: int) -> dict:
+        """Forget leaf a's adjacencies; returns its former neighbours."""
         nbrs = self.neighbours.pop(a)
         for b in nbrs:
-            self.neighbours[b].discard(a)
-            del self.facets[(a, b)]
-            del self.facets[(b, a)]
+            del self.neighbours[b][a]
         return nbrs
-
-    def _link(self, a: int, b: int, sf: SharedFacet):
-        self.facets[(a, b)] = sf
-        self.facets[(b, a)] = SharedFacet(
-            axis=sf.axis, direction=-sf.direction, lo=sf.lo.copy(), hi=sf.hi.copy()
-        )
-        self.neighbours[a].add(b)
-        self.neighbours[b].add(a)
 
     def refine_segment(self, a, b) -> list:
         """Algorithm: refine every leaf the segment a-b touches to h_min.
@@ -252,45 +221,35 @@ def uniform_cell_count(root_lo, root_hi, h_min) -> int:
 
 
 def adjacency(tree: PartitionTree) -> dict:
-    """All ordered adjacent leaf pairs with their shared facet rectangles.
+    """All ordered adjacent leaf pairs with the exit facet of each.
 
-    Returns {(id_a, id_b): SharedFacet seen from cell a}, read from the map
+    Returns {(id_a, id_b): id of a's facet toward b}, read from the map
     the tree keeps current on split: (a, b) then (b, a) for each a < b, in
     ascending order. A large cell next to k smaller neighbors across one
     facet produces k entries. The reachability graph follows the tree
     through ``take_changes`` instead; this whole map is what tests check
     that graph against.
     """
+    nbrs = tree.neighbours
     out = {}
-    for a, b in sorted(k for k in tree.facets if k[0] < k[1]):
-        out[(a, b)] = tree.facets[(a, b)]
-        out[(b, a)] = tree.facets[(b, a)]
+    for a, b in sorted((a, b) for a in nbrs for b in nbrs[a] if a < b):
+        out[(a, b)] = nbrs[a][b]
+        out[(b, a)] = nbrs[b][a]
     return out
 
 
 def shared_facet(a: Box, b: Box, tol: float = 1e-9):
-    """Shared (n-1)-measure face of two boxes, or None."""
-    alo, ahi, blo, bhi = a.lo_list, a.hi_list, b.lo_list, b.hi_list
-    touch_axis = None
-    direction = 0
-    for k in range(len(alo)):
-        if abs(ahi[k] - blo[k]) <= tol:
-            if touch_axis is not None:
-                return None
-            touch_axis, direction = k, +1
-        elif abs(alo[k] - bhi[k]) <= tol:
-            if touch_axis is not None:
-                return None
-            touch_axis, direction = k, -1
-        else:
-            # must overlap with positive measure on every non-touching axis
-            if ahi[k] <= blo[k] + tol or bhi[k] <= alo[k] + tol:
-                return None
-    if touch_axis is None:
-        return None
-    lo = [max(p, q) for p, q in zip(alo, blo)]
-    hi = [min(p, q) for p, q in zip(ahi, bhi)]
-    lo[touch_axis] = hi[touch_axis] = ahi[touch_axis] if direction > 0 else alo[touch_axis]
-    if any(h - l <= tol for k, (l, h) in enumerate(zip(lo, hi)) if k != touch_axis):
-        return None
-    return SharedFacet(axis=touch_axis, direction=direction, lo=np.array(lo), hi=np.array(hi))
+    """Id of the facet of box a that touches box b over a positive
+    (n-1)-measure, or None."""
+    fid = None
+    for k, (alo, ahi, blo, bhi) in enumerate(zip(a.lo_list, a.hi_list,
+                                                 b.lo_list, b.hi_list)):
+        if abs(ahi - blo) <= tol or abs(alo - bhi) <= tol:
+            if fid is not None:
+                return None     # touching on two axes: no common facet
+            fid = 2 * k + 1 if abs(ahi - blo) <= tol else 2 * k
+        # must overlap with positive measure on every non-touching axis
+        elif (ahi <= blo + tol or bhi <= alo + tol
+              or min(ahi, bhi) - max(alo, blo) <= tol):
+            return None
+    return fid

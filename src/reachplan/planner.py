@@ -24,7 +24,7 @@ from . import graph as gr
 from .deviation import cell_pair_bounds
 from .dynamics import AffineModel, Trajectory, integrate
 from .geometry import (Box, GeometryError, box_to_polytope, boxes_to_polytopes, dot,
-                       facet_axis_dir, facet_id)
+                       facet_axis_dir)
 from .optim import STATS, SolverError
 from .partition import PartitionTree, uniform_cell_count
 from .reach import (facet_reachable, fastest_control, predict_reachable, predict_unreachable,
@@ -158,11 +158,15 @@ class _Mission:
     def pinned(self, cell: Box, e: gr.Edge) -> bool:
         """False when the cell's facet is larger than the one it shares
         with the edge's target: which neighbour a crossing enters then
-        cannot be pinned down."""
-        sf = e.shared
-        sides = cell.sides.tolist()
-        del sides[sf.axis]
-        return math.prod(sides) <= sf.measure() * (1 + 1e-9)
+        cannot be pinned down. Two overlapping cells of the tree have
+        nested intervals on every axis, so the facets match when every
+        side of the target across the facet is at least the cell's."""
+        axis = e.facet // 2
+        dst = self.tree.leaves[e.dst]
+        return all(dh - dl >= (h - l) * (1 - 1e-9)
+                   for k, (l, h, dl, dh) in enumerate(zip(cell.lo_list, cell.hi_list,
+                                                          dst.lo_list, dst.hi_list))
+                   if k != axis)
 
     # ---------------- identification ----------------
 
@@ -263,22 +267,20 @@ class _Mission:
 
     # ---------------- certification ----------------
 
-    def pending(self, cid: int, skip) -> tuple:
-        """(edges, facets): the uncertain out-edges nb -> Edge of cell ``cid``
-        that skip(edge) does not leave out, in out-list order, and the exit
-        facet id of each."""
-        edges = {nb: e for nb in self.graph.out.get(cid, ())
-                 if (e := self.graph.edges[(cid, nb)]).status == gr.UNCERTAIN and not skip(e)}
-        return edges, {nb: facet_id(e.shared.axis, e.shared.direction) for nb, e in edges.items()}
+    def pending(self, cid: int, skip) -> dict:
+        """The uncertain out-edges nb -> Edge of cell ``cid`` that
+        skip(edge) does not leave out, in out-list order."""
+        return {nb: e for nb in self.graph.out.get(cid, ())
+                if (e := self.graph.edges[(cid, nb)]).status == gr.UNCERTAIN and not skip(e)}
 
     def certify_current(self, cell: Box) -> int:
         """Exact/relaxed certification of the current cell's uncertain
         outgoing edges without a certificate, in one call for their distinct
         exit facets. Returns the number of edge statuses resolved."""
-        edges, fct = self.pending(cell.id, lambda e: e.cert is not None)
+        edges = self.pending(cell.id, lambda e: e.cert is not None)
         if not edges:
             return 0
-        exits = list(dict.fromkeys(fct.values()))
+        exits = list(dict.fromkeys(e.facet for e in edges.values()))
         model = self.models[cell.id]
         if self.scn.underactuated:
             found = relaxed_facet_reachable(model, cell, exits, self.pu,
@@ -288,7 +290,7 @@ class _Mission:
         certs = dict(zip(exits, found))
         resolved = 0
         for nb, e in edges.items():
-            cert = certs[fct[nb]]
+            cert = certs[e.facet]
             if cert is None:
                 # the relaxed condition is only sufficient, so its failure on
                 # a splittable cell calls for refinement rather than a verdict
@@ -342,38 +344,38 @@ class _Mission:
                  if h and cid not in self.models]
         if not cells:
             return 0
-        asks = []         # (cell, source id, pending edges, exit facet per edge)
+        asks = []         # (cell, source id, pending edges)
         questions = []    # (source model, deviation bounds) per ask
         for cell, src_cid in zip(cells, self.nearest_models(cells)):
-            edges, fct = self.pending(cell.id, lambda e: src_cid in e.pred_sources)
+            edges = self.pending(cell.id, lambda e: src_cid in e.pred_sources)
             if not edges:
                 continue
             src = self.models[src_cid]
-            asks.append((cell, src_cid, edges, fct))
+            asks.append((cell, src_cid, edges))
             questions.append((src, cell_pair_bounds(self.scn.L_df, self.scn.L_g,
                                                     src.linearization_point, cell)))
         if not asks:
             return 0
         polys = boxes_to_polytopes([cell for cell, *_ in asks])
-        exits = [list(dict.fromkeys(fct.values())) for *_, fct in asks]
+        exits = [list(dict.fromkeys(e.facet for e in edges.values())) for *_, edges in asks]
         refuted = [dict(zip(fs, r)) for fs, r in zip(exits, predict_unreachable(
             [(src, bounds, poly, fs) for (src, bounds), poly, fs in zip(questions, polys, exits)],
             self.pu))]
-        pinned = [[nb for nb, e in edges.items() if not ref[fct[nb]] and self.pinned(cell, e)]
-                  for (cell, _, edges, fct), ref in zip(asks, refuted)]
-        asked = [k for k, nbs in enumerate(pinned) if nbs]
+        pinned = [[e for e in edges.values() if not ref[e.facet] and self.pinned(cell, e)]
+                  for (cell, _, edges), ref in zip(asks, refuted)]
+        asked = [k for k, es in enumerate(pinned) if es]
         certs = [{} for _ in asks]
         if asked:
             answers = predict_reachable(
-                [(*questions[k], polys[k], [asks[k][3][nb] for nb in pinned[k]]) for k in asked],
+                [(*questions[k], polys[k], [e.facet for e in pinned[k]]) for k in asked],
                 self.pu)
             for k, found in zip(asked, answers):
-                certs[k] = dict(zip(pinned[k], found))
+                certs[k] = dict(zip((e.dst for e in pinned[k]), found))
         resolved = 0
-        for (cell, src_cid, edges, fct), ref, found in zip(asks, refuted, certs):
+        for (cell, src_cid, edges), ref, found in zip(asks, refuted, certs):
             for nb, e in edges.items():
                 e.pred_sources += (src_cid,)
-                if ref[fct[nb]]:
+                if ref[e.facet]:
                     self.graph.mark_impossible(cell.id, nb)
                     resolved += 1
                 elif found.get(nb) is not None:
@@ -436,7 +438,7 @@ class _Mission:
             # budget a generous multiple of the typical crossing time instead
             timeout = min(3.0 * e.t_bound, 20.0 * max(e.weight, scn.dt))
         else:
-            l_u = float(cell.sides[e.shared.axis])
+            l_u = float(cell.sides[e.facet // 2])
             timeout = 3.0 * l_u / self.speed_estimate(self.models.get(cell.id))
         timeout = max(timeout, 50 * scn.dt)
         traj = self.advance(ctrl, cell, timeout)
@@ -462,12 +464,11 @@ class _Mission:
                                                                  entered) is None:
             self.log.event(self.t, "workspace_exit", cell=entered.id)
             return "failed"
-        intended_fct = facet_id(e.shared.axis, e.shared.direction)
-        if entered.id != nb or traj.exit_facet != intended_fct:
+        if entered.id != nb or traj.exit_facet != e.facet:
             self._charge(e, e.failures + 1)
             self.log.event(self.t, "unintended_exit", cell=cell.id,
                            intended=nb, actual=entered.id,
-                           intended_facet=intended_fct,
+                           intended_facet=e.facet,
                            actual_facet=int(traj.exit_facet))
         else:
             self.log.event(self.t, "edge_traversed", source=cell.id, target=nb,
@@ -513,13 +514,12 @@ class _Mission:
 
         def rank(nb):
             # rotation facets first: the heading rate is directly actuated
-            return (0 if edges[(cell.id, nb)].shared.axis == cell.dim - 1 else 1, nb)
+            return (0 if edges[(cell.id, nb)].facet // 2 == cell.dim - 1 else 1, nb)
 
         u_abs = float(np.max(np.abs(np.concatenate([self.pu.lo, self.pu.hi]))))
         kappa = 2.0 * u_abs / float(np.min(cell.sides))
         for nb in sorted(candidates, key=rank):
-            sf = edges[(cell.id, nb)].shared
-            fct = facet_id(sf.axis, sf.direction)
+            fct = edges[(cell.id, nb)].facet
             gain = p.normals[fct] @ model.B
             others = [i for i in range(2 * cell.dim) if i != fct]
             # barrier-style rows: approach the remaining facets no faster
@@ -533,7 +533,7 @@ class _Mission:
                                 - float(p.normals[i] @ drift) for i in others])
                 return fastest_control(gain, rows, rhs, self.pu)
 
-            timeout = max(3.0 * float(cell.sides[sf.axis])
+            timeout = max(3.0 * float(cell.sides[fct // 2])
                           / self.speed_estimate(model), 50 * self.scn.dt)
             traj = self.advance_held(law, cell, math.ceil(timeout / (10 * self.scn.dt)))
             if traj.exit_facet is None:

@@ -38,9 +38,8 @@ def barrier_values(cell: Box, x) -> np.ndarray:
     """h_i(x) = b_i - n_iᵀx per facet; nonnegative inside the cell."""
     x = np.asarray(x, dtype=float)
     vals = np.empty(2 * cell.dim)
-    for k in range(cell.dim):
-        vals[2 * k] = x[k] - cell.lo[k]
-        vals[2 * k + 1] = cell.hi[k] - x[k]
+    vals[0::2] = x - cell.lo
+    vals[1::2] = cell.hi - x
     return vals
 
 
@@ -60,37 +59,28 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     gradV = err
     drift = model.A @ x + model.c
 
-    # rows over z = (u, delta): G z <= h
-    rows, rhs = [], []
-    rows.append(np.concatenate([gradV @ model.B, [-1.0]]))
-    rhs.append(-params.alpha * V - float(gradV @ drift))
+    # rows over z = (u, delta): G z <= h, in the order Lyapunov row, the
+    # lower and upper barrier row of each axis, the upper and lower bound
+    # of each input, delta >= 0
     h_vals = barrier_values(cell, x)
-    for k in range(n):
-        # lower facet: normal -e_k, barrier x_k - lo_k
-        row = np.zeros(m + 1)
-        row[:m] = -model.B[k]
-        rows.append(row)
-        rhs.append(params.kappa * h_vals[2 * k] + drift[k])
-        # upper facet: normal +e_k, barrier hi_k - x_k
-        row = np.zeros(m + 1)
-        row[:m] = model.B[k]
-        rows.append(row)
-        rhs.append(params.kappa * h_vals[2 * k + 1] - drift[k])
-    for k in range(m):
-        row = np.zeros(m + 1)
-        row[k] = 1.0
-        rows.append(row)
-        rhs.append(pu.hi[k])
-        row = np.zeros(m + 1)
-        row[k] = -1.0
-        rows.append(row)
-        rhs.append(pu.lo[k] * -1.0)
-    row = np.zeros(m + 1)
-    row[m] = -1.0
-    rows.append(row)
-    rhs.append(0.0)
-    G = np.array(rows)
-    h = np.array(rhs)
+    G = np.zeros((2 * n + 2 * m + 2, m + 1))
+    h = np.empty(2 * n + 2 * m + 2)
+    G[0, :m] = gradV @ model.B
+    G[0, m] = -1.0
+    h[0] = -params.alpha * V - float(gradV @ drift)
+    # barrier rows n_iᵀB u <= kappa h_i - n_iᵀ drift: lower facet n = -e_k
+    # (barrier x_k - lo_k), upper facet n = +e_k (barrier hi_k - x_k)
+    G[1:2 * n + 1:2, :m] = -model.B
+    G[2:2 * n + 2:2, :m] = model.B
+    h[1:2 * n + 1:2] = params.kappa * h_vals[0::2] + drift
+    h[2:2 * n + 2:2] = params.kappa * h_vals[1::2] + (-drift)
+    inputs = np.arange(m)
+    G[2 * n + 1 + 2 * inputs, inputs] = 1.0
+    G[2 * n + 2 + 2 * inputs, inputs] = -1.0
+    h[2 * n + 1:-1:2] = pu.hi
+    h[2 * n + 2:-1:2] = -pu.lo
+    G[-1, m] = -1.0
+    h[-1] = 0.0
 
     H = 2.0 * np.eye(m + 1)
     H[m, m] = 2.0 * params.slack_weight

@@ -9,17 +9,16 @@ from reachplan.graph import UNCERTAIN, Edge, uncertain_weight
 
 
 class FixedGraph:
-    """A fixed adjacency {(a, b): SharedFacet} in the form that
-    ``ReachGraph.rebuild`` reads a partition in: every cell is created on
-    the first rebuild and nothing changes after. Unlike a partition's, the
-    adjacency need not be symmetric."""
+    """A fixed adjacency {(a, b): id of a's facet toward b} in the form
+    that ``ReachGraph.rebuild`` reads a partition in: every cell is created
+    on the first rebuild and nothing changes after. Unlike a partition's,
+    the adjacency need not be symmetric."""
 
     def __init__(self, adjacency: dict):
-        self.facets = dict(adjacency)
         self.neighbours: dict = {}
-        for a, b in adjacency:
-            self.neighbours.setdefault(a, set()).add(b)
-            self.neighbours.setdefault(b, set())
+        for (a, b), fid in adjacency.items():
+            self.neighbours.setdefault(a, {})[b] = fid
+            self.neighbours.setdefault(b, {})
         self._created = set(self.neighbours)
 
     def take_changes(self) -> tuple:
@@ -34,9 +33,9 @@ def full_rebuild(g, adjacency: dict):
     old = g.edges
     g.edges = {}
     g.out = {}
-    for (a, b), sf in adjacency.items():
+    for (a, b), fid in adjacency.items():
         e = old.get((a, b))
-        g.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, sf)
+        g.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, fid)
         g.out.setdefault(a, []).append(b)
 
 
@@ -50,7 +49,7 @@ def full_refresh(g, cell_sides: dict):
         h = entropy.get(b)
         if h is None:
             h = entropy[b] = g._uncertain_out_entropy(b)
-        l_u = float(cell_sides[a][e.shared.axis])
+        l_u = float(cell_sides[a][e.facet // 2])
         e.weight = uncertain_weight(g.C_u, l_u, g.beta_u, g.p_prior * h)
 
 

@@ -18,10 +18,9 @@ from reachplan.cli import _write_outputs
 from reachplan.deviation import DeviationBounds, deviation_bounds
 from reachplan.dynamics import (AffineModel, TrueSystem, analytic_linearize,
                                 integrate, mecanum_system)
-from reachplan.geometry import Box, box_to_polytope
+from reachplan.geometry import Box, box_to_polytope, facet_id
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, ReachGraph, edge_entropy,
                              replay, uncertain_weight)
-from reachplan.partition import SharedFacet
 from reachplan.planner import run_mission
 from reachplan.reach import (exit_time_bound, facet_reachable,
                              predict_reachable, predict_unreachable,
@@ -260,11 +259,11 @@ def test_c09_graph_kernels():
     assert uncertain_weight(10.0, 0.5, 1.0, 0.0) == pytest.approx(5.0)
 
     rng = np.random.default_rng(113)
-    sf = SharedFacet(axis=0, direction=+1, lo=np.zeros(2), hi=np.ones(2))
+    fid = facet_id(0, +1)
     for _ in range(200):
         n = int(rng.integers(2, 9))
         g = ReachGraph(C_u=1.0, beta_u=0.0)
-        adj = {(a, b): sf for a, b in itertools.permutations(range(n), 2)
+        adj = {(a, b): fid for a, b in itertools.permutations(range(n), 2)
                if rng.random() < 0.45}
         g.rebuild(FixedGraph(adj))
         usable = {}

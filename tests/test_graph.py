@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from graph_reference import FixedGraph, full_rebuild, full_refresh, full_snapshot
-from reachplan.geometry import Box
+from reachplan.geometry import Box, facet_id
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, UNCERTAIN, Edge, ReachGraph,
                              edge_entropy, replay, uncertain_weight)
-from reachplan.partition import PartitionTree, SharedFacet, adjacency
+from reachplan.partition import PartitionTree, adjacency
 
 
 def _sf(axis=0, direction=+1):
-    return SharedFacet(axis=axis, direction=direction,
-                       lo=np.zeros(2), hi=np.ones(2))
+    return facet_id(axis, direction)
 
 
 def _line_graph(n_nodes, C_u=1.0, beta_u=0.0):
@@ -223,7 +222,7 @@ def test_refresh_weights_match_per_edge_formula():
                     out_h += edge_entropy(g.p_prior)
             eig = g.p_prior * out_h
             assert g.expected_info_gain(a, b) == eig
-            l_u = float(sides[a][e.shared.axis])
+            l_u = float(sides[a][e.facet // 2])
             assert e.weight == g.C_u * l_u / (1.0 + g.beta_u * eig)
 
 

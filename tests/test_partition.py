@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from reachplan.geometry import Box, GeometryError
-from reachplan.partition import (PartitionTree, SharedFacet, adjacency,
-                                 segment_intersects, shared_facet,
-                                 uniform_cell_count)
+from reachplan.geometry import Box, GeometryError, facet_id
+from reachplan.partition import (PartitionTree, adjacency, segment_intersects,
+                                 shared_facet, uniform_cell_count)
 
 
 def test_uniform_cell_count_oracle():
@@ -96,13 +95,16 @@ def test_segment_intersects_against_sampling():
 def test_shared_facet_oracle():
     a = Box(lo=[0.0, 0.0], hi=[1.0, 1.0], id=0)
     b = Box(lo=[1.0, 0.0], hi=[2.0, 1.0], id=1)
-    sf = shared_facet(a, b)
-    assert sf.axis == 0 and sf.direction == 1
-    assert sf.measure() == pytest.approx(1.0)
-    assert np.allclose(sf.lo, [1.0, 0.0]) and np.allclose(sf.hi, [1.0, 1.0])
+    assert shared_facet(a, b) == facet_id(0, +1)
+    assert shared_facet(b, a) == facet_id(0, -1)
     # half-overlap neighbor
     c = Box(lo=[1.0, 0.5], hi=[2.0, 1.5], id=2)
-    assert shared_facet(a, c).measure() == pytest.approx(0.5)
+    assert shared_facet(a, c) == facet_id(0, +1)
+    assert shared_facet(c, a) == facet_id(0, -1)
+    # below, across y
+    f = Box(lo=[0.5, -1.0], hi=[1.5, 0.0], id=5)
+    assert shared_facet(a, f) == facet_id(1, -1)
+    assert shared_facet(f, a) == facet_id(1, +1)
     # corner touch has measure zero: no facet
     d = Box(lo=[1.0, 1.0], hi=[2.0, 2.0], id=3)
     assert shared_facet(a, d) is None
@@ -117,10 +119,8 @@ def test_adjacency_on_uniform_grid():
     adj = adjacency(tree)
     # 2x2 grid: 4 interior shared facets, both directions
     assert len(adj) == 8
-    for (i, j), sf in adj.items():
-        back = adj[(j, i)]
-        assert back.axis == sf.axis and back.direction == -sf.direction
-        assert np.allclose(back.lo, sf.lo) and np.allclose(back.hi, sf.hi)
+    for (i, j), fid in adj.items():
+        assert adj[(j, i)] == fid ^ 1
 
 
 def test_adjacency_hanging_nodes():
@@ -131,11 +131,10 @@ def test_adjacency_hanging_nodes():
     adj = adjacency(tree)
     se = tree.locate([3.0, 1.0])
     # the coarse SE cell sees two fine western neighbors
-    west = [j for (i, j), sf in adj.items() if i == se.id and sf.axis == 0
-            and sf.direction == -1]
+    west = [j for (i, j), fid in adj.items() if i == se.id and fid == facet_id(0, -1)]
     assert len(west) == 2
     for j in west:
-        assert adj[(se.id, j)].measure() == pytest.approx(1.0)
+        assert adj[(j, se.id)] == facet_id(0, +1)
 
 
 def test_snapshot_sorted_and_complete():
@@ -152,22 +151,23 @@ def _all_pairs_adjacency(tree):
     out = {}
     for i, a in enumerate(leaves):
         for b in leaves[i + 1:]:
-            sf = shared_facet(a, b)
-            if sf is None:
+            fid = shared_facet(a, b)
+            if fid is None:
                 continue
-            out[(a.id, b.id)] = sf
-            out[(b.id, a.id)] = SharedFacet(axis=sf.axis, direction=-sf.direction,
-                                            lo=sf.lo.copy(), hi=sf.hi.copy())
+            out[(a.id, b.id)] = fid
+            out[(b.id, a.id)] = shared_facet(b, a)
     return out
 
 
-def _assert_same_adjacency(got, want):
-    assert list(got) == list(want)
-    for key, sf in want.items():
-        g = got[key]
-        assert (g.axis, g.direction) == (sf.axis, sf.direction)
-        assert g.lo.tobytes() == sf.lo.tobytes()
-        assert g.hi.tobytes() == sf.hi.tobytes()
+def _assert_same_adjacency(tree):
+    """The tree's map equals the all-pairs reference, pair order and facet
+    ids, and each pair's two facets are opposite."""
+    got, want = adjacency(tree), _all_pairs_adjacency(tree)
+    assert list(got.items()) == list(want.items())
+    assert set(tree.neighbours) == set(tree.leaves)
+    for a, nbrs in tree.neighbours.items():
+        for b, fid in nbrs.items():
+            assert tree.neighbours[b][a] == fid ^ 1
 
 
 _GRIDS = {
@@ -189,11 +189,7 @@ def test_incremental_adjacency_matches_all_pairs(grid, seed):
         if not cands:
             break
         tree.split(cands[int(rng.integers(len(cands)))])
-        _assert_same_adjacency(adjacency(tree), _all_pairs_adjacency(tree))
-        for a, nbrs in tree.neighbours.items():
-            assert a in tree.leaves
-            assert all((a, b) in tree.facets for b in nbrs)
-    assert set(tree.neighbours) == set(tree.leaves)
+        _assert_same_adjacency(tree)
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
@@ -204,7 +200,7 @@ def test_incremental_adjacency_under_segment_refinement(grid):
     for _ in range(4):
         a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
         tree.refine_segment(a, b)
-        _assert_same_adjacency(adjacency(tree), _all_pairs_adjacency(tree))
+        _assert_same_adjacency(tree)
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))

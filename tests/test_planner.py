@@ -1,6 +1,7 @@
 """Scenario plumbing and mission log bookkeeping."""
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -119,8 +120,7 @@ def test_gain_margin_escape_enters_the_neighbour():
 def _edge_across(ms, cell, axis, direction):
     """The neighbour of ``cell`` across its facet (axis, direction)."""
     return next(nb for nb in ms.graph.out[cell.id]
-                if (ms.graph.edges[(cell.id, nb)].shared.axis,
-                    ms.graph.edges[(cell.id, nb)].shared.direction) == (axis, direction))
+                if ms.graph.edges[(cell.id, nb)].facet == facet_id(axis, direction))
 
 
 def test_unintended_exit_is_logged_and_charged_to_the_edge():
@@ -340,7 +340,7 @@ def _pending_facets(ms, cell):
     """The distinct exit facets of the cell's uncertain out-edges without a
     certificate, in out-list order."""
     edges = [ms.graph.edges[(cell.id, nb)] for nb in ms.graph.out[cell.id]]
-    return list(dict.fromkeys(facet_id(e.shared.axis, e.shared.direction) for e in edges
+    return list(dict.fromkeys(e.facet for e in edges
                               if e.status == "uncertain" and e.cert is None))
 
 
@@ -384,7 +384,7 @@ def test_first_refused_facet_splits_the_cell_after_the_edges_before_it(monkeypat
     assert cell.lo.tolist() == [-10.0, 0.0, -np.pi / 2] and cell.hi.tolist() == [-5.0, 5.0, 0.0]
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
     edges = [ms.graph.edges[(cell.id, nb)] for nb in ms.graph.out[cell.id]]
-    facets = [facet_id(e.shared.axis, e.shared.direction) for e in edges]
+    facets = [e.facet for e in edges]
     assert facets == [2, 5, 4, 3, 1, 1, 1, 1, 1]
     asked = _record_certify_calls(monkeypatch)
     assert ms.certify_current(cell) == 4
@@ -415,8 +415,7 @@ def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypa
     assert ms.split_cell(ms.tree.leaves[nb])
     ms.rebuild_graph()
     new = [n for n in ms.graph.out[cell.id]
-           if (ms.graph.edges[(cell.id, n)].shared.axis,
-               ms.graph.edges[(cell.id, n)].shared.direction) == (1, +1)]
+           if ms.graph.edges[(cell.id, n)].facet == facet_id(1, +1)]
     assert len(new) == 2 and nb not in new
     asked = _record_certify_calls(monkeypatch)
     ms.certify_current(cell)
@@ -430,6 +429,32 @@ def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypa
         assert all(np.array_equal(cert.controls[j], before.controls[j]) for j in cert.controls)
         assert np.array_equal(cert.polytope.vertices, before.polytope.vertices)
 
+
+
+@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
+def test_pinned_decides_as_the_shared_rectangle_did(plant):
+    """On random refinements of each built-in grid, ``pinned`` (every side
+    of the target across the exit facet at least the cell's) decides every
+    edge as the rule it replaced: the product of the cell's sides across
+    the facet is at most that of the shared rectangle, from max(lo) and
+    min(hi), times (1 + 1e-9). Both verdicts occur."""
+    ms = _Mission(builtin_scenario(plant))
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(25):
+        cands = sorted((c for c in ms.tree.leaves.values() if ms.tree.splittable_axes(c)),
+                       key=lambda c: c.id)
+        ms.tree.split(cands[int(rng.integers(len(cands)))])
+        ms.rebuild_graph()
+        for (a, b), e in ms.graph.edges.items():
+            cell, dst = ms.tree.leaves[a], ms.tree.leaves[b]
+            shared = (np.minimum(cell.hi, dst.hi) - np.maximum(cell.lo, dst.lo)).tolist()
+            sides = cell.sides.tolist()
+            del shared[e.facet // 2], sides[e.facet // 2]
+            rule = math.prod(sides) <= math.prod(shared) * (1 + 1e-9)
+            assert ms.pinned(cell, e) == rule
+            verdicts.add(rule)
+    assert verdicts == {True, False}
 
 def test_unicycle_runs_are_deterministic(tmp_path):
     """The built-in unicycle mission with a target 2.5 m from the start
