@@ -116,9 +116,6 @@ class Polytope:
 
     ``facet_vertices[i]`` is the vertex-index set of facet i (the V_i sets);
     ``vertex_facets[j]`` is the facet-index set of vertex j (the W_j sets).
-    ``grid_codes`` stores, for cube-like solids (boxes and truncated
-    pyramids), the binary lo/hi code of each vertex so that a Kuhn
-    triangulation can be formed.
     """
 
     vertices: np.ndarray
@@ -126,7 +123,6 @@ class Polytope:
     offsets: np.ndarray
     facet_vertices: list
     vertex_facets: list
-    grid_codes: list | None = None
 
     @property
     def dim(self) -> int:
@@ -184,8 +180,7 @@ def boxes_to_polytopes(boxes) -> list:
     vertex_facets = [tuple(i for i in range(2 * n) if j in facet_vertices[i])
                      for j in range(2 ** n)]
     return [Polytope(vertices=verts[k], normals=normals[k], offsets=offsets[k],
-                     facet_vertices=list(facet_vertices), vertex_facets=list(vertex_facets),
-                     grid_codes=list(range(2 ** n)))
+                     facet_vertices=list(facet_vertices), vertex_facets=list(vertex_facets))
             for k in range(len(boxes))]
 
 
@@ -251,20 +246,18 @@ class Simplex:
 def triangulate(p: Polytope) -> list:
     """Kuhn triangulation of a cube-like polytope into n! simplices.
 
-    Simplices follow monotone vertex-code paths from the all-lo vertex to
-    the all-hi vertex, one per axis permutation (lexicographic order).
+    The polytope is a box or a truncated pyramid, whose vertex row j has
+    the lo/hi code j (``Box.vertex``). Simplices follow monotone
+    vertex-code paths from the all-lo vertex to the all-hi vertex, one per
+    axis permutation (lexicographic order).
     """
-    if p.grid_codes is None:
-        raise GeometryError("triangulation requires a box-derived polytope")
-    n = p.dim
-    code_to_row = {c: j for j, c in enumerate(p.grid_codes)}
     simplices = []
-    for perm in sorted(permutations(range(n))):
+    for perm in sorted(permutations(range(p.dim))):
         code = 0
-        ids = [code_to_row[0]]
+        ids = [code]
         for ax in perm:
             code |= 1 << ax
-            ids.append(code_to_row[code])
+            ids.append(code)
         ids = tuple(ids)
         simplices.append(Simplex(vertices=p.vertices[list(ids)], vertex_ids=ids))
     return simplices

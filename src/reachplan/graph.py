@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 CERTAIN = "certain"
 IMPOSSIBLE = "impossible"
 UNCERTAIN = "uncertain"
+# an edge that failed this often is left out of planning
+MAX_EDGE_FAILURES = 3
 
 
 def edge_entropy(p: float) -> float:
@@ -48,9 +50,12 @@ class Edge:
     (``geometry.facet_id``). ``cert`` drives the transition; it may exist
     while the edge stays uncertain, when no crossing time could be pinned
     on it. ``soft`` marks an impossible status that comes from a failed
-    sufficient-only certification rather than a refutation. ``failures``
-    counts executions that did not end in the target cell; the planner
-    sets it to its limit when the certificate yields no controller.
+    sufficient-only certification, or from a predictive refutation of the
+    exact condition on an underactuated scenario, rather than a proof.
+    ``failures`` counts executions that did not end in the target cell;
+    the planner sets it to MAX_EDGE_FAILURES when the certificate yields
+    no controller, and ``shortest_path`` leaves out an edge with that
+    many.
     ``pred_sources`` holds the ids of the identified cells whose models
     were already tried for a predictive verdict on this edge (a tuple: an
     empty set per edge would cost about 0.2 MB of peak memory on a
@@ -202,10 +207,10 @@ class ReachGraph:
         return tally
 
     def shortest_path(self, src: int, dst: int, blocked=frozenset()):
-        """Dijkstra over non-impossible edges; ties broken by the
-        lexicographically smallest node-id sequence. Edges in ``blocked``
-        are skipped for this query only. Returns (path, cost) or
-        (None, inf)."""
+        """Dijkstra over the edges that are neither impossible nor failed
+        MAX_EDGE_FAILURES times; ties broken by the lexicographically
+        smallest node-id sequence. Edges in ``blocked`` are skipped for
+        this query only. Returns (path, cost) or (None, inf)."""
         best: dict = {}
         heap = [(0.0, (src,))]
         while heap:
@@ -220,7 +225,7 @@ class ReachGraph:
                 if (node, nxt) in blocked:
                     continue
                 e = self.edges[(node, nxt)]
-                if e.status == IMPOSSIBLE:
+                if e.status == IMPOSSIBLE or e.failures >= MAX_EDGE_FAILURES:
                     continue
                 nd = d + e.weight
                 cand = (nd, path + (nxt,))

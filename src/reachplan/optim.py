@@ -250,7 +250,6 @@ def maximin_lp(obj_rows, obj_rhs, A_le, b_le, lo, hi):
 class QPResult:
     z: np.ndarray
     active: list
-    lam: np.ndarray
     kkt_stationarity: float
     kkt_complementarity: float
 
@@ -303,8 +302,8 @@ def solve_qp(H, q, G, h) -> QPResult:
         if stat > 1e-7 * max(1.0, float(np.linalg.norm(q, np.inf))):
             return None
         comp = float(np.max(np.abs(lam_full * res))) if K else 0.0
-        return QPResult(z=z, active=list(sub), lam=lam_full,
-                        kkt_stationarity=stat, kkt_complementarity=comp)
+        return QPResult(z=z, active=list(sub), kkt_stationarity=stat,
+                        kkt_complementarity=comp)
 
     from itertools import combinations
     for size in range(0, n + 1):

@@ -30,11 +30,9 @@ from .partition import PartitionTree, uniform_cell_count
 from .reach import (facet_reachable, fastest_control, predict_reachable, predict_unreachable,
                     relaxed_facet_reachable, synthesize_controller)
 from .scenario import Scenario
-from .sysid import CellEscape, ExcitationPlan, identify_affine
-from .terminal import TerminalParams, clf_cbf_control
+from .sysid import ExcitationPlan, identify_affine
+from .terminal import TerminalParams, barrier_rows, clf_cbf_control
 
-# an edge that failed this often is left out of planning
-MAX_EDGE_FAILURES = 3
 # RK4 steps that each ingress control is held: the ingress law's time
 # constant tau is their duration
 INGRESS_CHUNK = 5
@@ -83,7 +81,6 @@ class _Mission:
         self.tree = PartitionTree(scn.ws_lo, scn.ws_hi, scn.h_min)
         self.graph = gr.ReachGraph(scn.C_u, scn.beta_u, scn.p_prior)
         self.models: dict = {}        # cell id -> identified AffineModel
-        self.failed: set = set()      # pairs whose edge failed MAX_EDGE_FAILURES times
         self.retries = defaultdict(int)
         self.escape_count = 0
         self.log = MissionLog()
@@ -150,10 +147,15 @@ class _Mission:
 
         return self.advance(ctrl, cell, updates * k * self.scn.dt, stride)
 
-    def speed_estimate(self, model: Optional[AffineModel]) -> float:
+    def crossing_budget(self, cell: Box, facet: int, model: Optional[AffineModel]) -> float:
+        """Time allowed to cross ``facet`` of ``cell`` without a certified
+        time bound: three cell sides along the facet's axis at the model's
+        zero-input speed at the current state (at least 0.1, or 1 without a
+        model), and no less than 50 steps."""
+        speed = 1.0
         if model is not None:
-            return max(float(np.linalg.norm(model.xdot(self.x, np.zeros(self.pu.dim)))), 0.1)
-        return 1.0
+            speed = max(float(np.linalg.norm(model.xdot(self.x, np.zeros(self.pu.dim)))), 0.1)
+        return max(3.0 * float(cell.sides[facet // 2]) / speed, 50 * self.scn.dt)
 
     def pinned(self, cell: Box, e: gr.Edge) -> bool:
         """False when the cell's facet is larger than the one it shares
@@ -206,7 +208,7 @@ class _Mission:
         """Margin to gain before identifying ``cell``: three plan durations
         of travel at the speed seen during identification, at most a
         quarter of the cell's shortest side."""
-        speed = 1.0                 # speed_estimate's value without a model
+        speed = 1.0                 # crossing_budget's speed without a model
         if self.last_model is not None:
             m = self.last_model
             # drift plus the excitation amplitude through the input matrix
@@ -223,18 +225,14 @@ class _Mission:
         need = self.ingress_need(cell, plan)
         # where the plant barely beats its drift the margin comes slowly;
         # identification then starts from what the budget reached, and an
-        # escape during it is a CellEscape like any other
+        # escape during it aborts it like any other
         if not self.gain_margin(cell, need, INGRESS_BUDGET):
             return False
-        try:
-            model = identify_affine(self.sys, self.x, plan, cell=cell)
-        except CellEscape as e:
-            self.x = e.state
-            self.t += len(plan.inputs) * plan.period
+        model, self.x = identify_affine(self.sys, self.x, plan, cell=cell)
+        self.t += len(plan.inputs) * plan.period
+        if model is None:
             self.log.event(self.t, "identification_abort", cell=cell.id)
             return False
-        self.t += len(plan.inputs) * plan.period
-        self.x = model.final_state
         self.models[cell.id] = model
         self.log.event(self.t, "identified", cell=cell.id,
                        point=model.linearization_point.tolist())
@@ -376,6 +374,8 @@ class _Mission:
             for nb, e in edges.items():
                 e.pred_sources += (src_cid,)
                 if ref[e.facet]:
+                    # the refuted exact condition leaves the relaxed one open
+                    e.soft = self.scn.underactuated
                     self.graph.mark_impossible(cell.id, nb)
                     resolved += 1
                 elif found.get(nb) is not None:
@@ -404,13 +404,6 @@ class _Mission:
     def rebuild_graph(self):
         self.graph.rebuild(self.tree)
 
-    def _charge(self, e: gr.Edge, failures: int):
-        """Set an edge's failure count; at MAX_EDGE_FAILURES it is left out
-        of planning."""
-        e.failures = failures
-        if failures >= MAX_EDGE_FAILURES:
-            self.failed.add((e.src, e.dst))
-
     # ---------------- execution ----------------
 
     def execute_edge(self, cell: Box, nb: int, force: bool = False) -> str:
@@ -430,17 +423,15 @@ class _Mission:
             # a (nearly) flat simplex of the certified polytope carries no
             # affine law; the certificate is unusable, so plan without it
             e.cert = None
-            self._charge(e, MAX_EDGE_FAILURES)
+            e.failures = gr.MAX_EDGE_FAILURES
             self.log.event(self.t, "degenerate_certificate", cell=cell.id, to=nb)
             return "blocked"
         if e.status == gr.CERTAIN and e.t_bound:
             # worst-case bounds from grazing certificates can reach hours;
             # budget a generous multiple of the typical crossing time instead
-            timeout = min(3.0 * e.t_bound, 20.0 * max(e.weight, scn.dt))
+            timeout = max(min(3.0 * e.t_bound, 20.0 * max(e.weight, scn.dt)), 50 * scn.dt)
         else:
-            l_u = float(cell.sides[e.facet // 2])
-            timeout = 3.0 * l_u / self.speed_estimate(self.models.get(cell.id))
-        timeout = max(timeout, 50 * scn.dt)
+            timeout = self.crossing_budget(cell, e.facet, self.models.get(cell.id))
         traj = self.advance(ctrl, cell, timeout)
         self.last_u = traj.u[-1]
         if cell.id in self.models:
@@ -449,7 +440,7 @@ class _Mission:
             # certificate did not carry the state across in a generous time
             # budget; disqualify the edge rather than charging the cell
             self.log.event(self.t, "traversal_timeout", cell=cell.id, to=nb)
-            self._charge(e, e.failures + 1)
+            e.failures += 1
             return "blocked"
         entered = self.locate_after_exit(traj.exit_facet, cell)
         if entered is None:
@@ -465,7 +456,7 @@ class _Mission:
             self.log.event(self.t, "workspace_exit", cell=entered.id)
             return "failed"
         if entered.id != nb or traj.exit_facet != e.facet:
-            self._charge(e, e.failures + 1)
+            e.failures += 1
             self.log.event(self.t, "unintended_exit", cell=cell.id,
                            intended=nb, actual=entered.id,
                            intended_facet=e.facet,
@@ -482,8 +473,7 @@ class _Mission:
         if model is None:
             return
         params = TerminalParams(alpha=4.0, kappa=self.scn.terminal_kappa,
-                                slack_weight=self.scn.terminal_slack_weight,
-                                r_stop=0.05 * float(np.min(cell.sides)))
+                                slack_weight=self.scn.terminal_slack_weight)
 
         def law(x):
             try:
@@ -507,7 +497,6 @@ class _Mission:
         model = self.models.get(cell.id)
         if model is None or self.escape_count >= 25:
             return False
-        p = box_to_polytope(cell)
         edges = self.graph.edges
         candidates = [nb for nb in self.graph.out.get(cell.id, ())
                       if edges[(cell.id, nb)].soft]
@@ -520,21 +509,16 @@ class _Mission:
         kappa = 2.0 * u_abs / float(np.min(cell.sides))
         for nb in sorted(candidates, key=rank):
             fct = edges[(cell.id, nb)].facet
-            gain = p.normals[fct] @ model.B
-            others = [i for i in range(2 * cell.dim) if i != fct]
-            # barrier-style rows: approach the remaining facets no faster
-            # than in proportion to the distance left to them
-            rows = np.array([p.normals[i] @ model.B for i in others])
 
             def law(x):
-                x = np.array(x)
-                drift = model.A @ x + model.c
-                rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ x)
-                                - float(p.normals[i] @ drift) for i in others])
-                return fastest_control(gain, rows, rhs, self.pu)
+                # the exit facet's row is the gain; the barrier rows of the
+                # others approach them no faster than in proportion to the
+                # distance left to them
+                rows, rhs = barrier_rows(model, cell, x, kappa)
+                return fastest_control(rows[fct], np.delete(rows, fct, axis=0),
+                                       np.delete(rhs, fct), self.pu)
 
-            timeout = max(3.0 * float(cell.sides[fct // 2])
-                          / self.speed_estimate(model), 50 * self.scn.dt)
+            timeout = self.crossing_budget(cell, fct, model)
             traj = self.advance_held(law, cell, math.ceil(timeout / (10 * self.scn.dt)))
             if traj.exit_facet is None:
                 continue
@@ -559,8 +543,7 @@ class _Mission:
             self.log.event(self.t, "terminal_escape", cell=cell.id)
             return
         model = self.models[cell.id]
-        params = TerminalParams(alpha=scn.terminal_alpha,
-                                kappa=scn.terminal_kappa, r_stop=scn.r_stop,
+        params = TerminalParams(alpha=scn.terminal_alpha, kappa=scn.terminal_kappa,
                                 slack_weight=scn.terminal_slack_weight)
         self.log.event(self.t, "terminal_phase", cell=cell.id)
         period = 10 * scn.dt
@@ -634,15 +617,11 @@ def run_mission(scn: Scenario) -> MissionLog:
         n_resolved += ms.predictive_pass()
         ms.graph.refresh_uncertain_weights(ms.tree.leaves)
 
-        # an edge whose failures change below is blocked or ends the loop;
-        # the pairs of split cells match no edge
-        failed = frozenset(ms.failed)
         blocked: set = set()
         moved = False
         recentered: set = set()
         while True:
-            path, cost = ms.graph.shortest_path(cur.id, tgt.id,
-                                                blocked=failed.union(blocked))
+            path, cost = ms.graph.shortest_path(cur.id, tgt.id, blocked=blocked)
             if path is None:
                 break
             snap = ms.graph.snapshot()
@@ -693,7 +672,7 @@ def run_mission(scn: Scenario) -> MissionLog:
             blocked.add(edge)
         if log.status.startswith("failure"):
             break
-        if path is None and not moved:
+        if path is None:
             if not blocked:
                 if ms.forced_escape(cur):
                     continue

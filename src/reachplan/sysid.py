@@ -5,7 +5,7 @@ is held for one sampling period, the derivative is approximated by a
 forward difference, and a least-squares fit of [A B c] against the stacked
 regressor recovers the local affine parameters. The state is not reset
 between excitations (it drifts); the regressor records the midpoint state
-of each sample.
+of each sample, and the caller gets the state where the excitation ended.
 """
 from __future__ import annotations
 
@@ -16,14 +16,6 @@ import numpy as np
 
 from .dynamics import AffineModel, TrueSystem, _rk4_step
 from .geometry import Box
-
-
-class CellEscape(RuntimeError):
-    """State left the cell during excitation; caller must replan."""
-
-    def __init__(self, state):
-        super().__init__("state exited the cell during identification")
-        self.state = np.asarray(state, dtype=float)
 
 
 @dataclass
@@ -51,12 +43,14 @@ class ExcitationPlan:
 
 
 def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
-                    cell: Optional[Box] = None) -> AffineModel:
+                    cell: Optional[Box] = None) -> tuple[Optional[AffineModel], np.ndarray]:
     """Run the excitation plan from x0 and fit an affine model.
 
     Each input is held for one period, integrated with 10 RK4 substeps, and
     the forward difference (x_next - x)/T serves as the derivative sample.
-    Raises CellEscape if a cell is given and the state leaves it.
+    Returns (model, state at the end of the plan), or (None, the first
+    sampled state outside ``cell``) when a cell is given and the state
+    leaves it; the excitation stops there.
     """
     x = np.asarray(x0, dtype=float).tolist()
     T = plan.period
@@ -69,7 +63,7 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
         for _ in range(10):
             x_next = _rk4_step(s, x_next, u, h)
         if cell is not None and not cell.contains(x_next, tol=1e-9):
-            raise CellEscape(x_next)
+            return None, np.array(x_next)
         # the forward difference matches the derivative at the midpoint
         # state to second order, so regress against the midpoint
         rows_x.append([0.5 * (a + b) for a, b in zip(x, x_next)] + u + [1.0])
@@ -86,6 +80,4 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     A = theta[:, :n]
     B = theta[:, n:n + m]
     c = theta[:, n + m]
-    model = AffineModel(A=A, B=B, c=c, linearization_point=np.asarray(x0, float))
-    model.final_state = np.array(x)
-    return model
+    return AffineModel(A=A, B=B, c=c, linearization_point=np.asarray(x0, float)), np.array(x)

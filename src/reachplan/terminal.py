@@ -20,7 +20,6 @@ from .optim import QPResult, solve_qp
 class TerminalParams:
     alpha: float = 1.0               # Lyapunov decrease rate
     kappa: float = 1.0               # barrier rate
-    r_stop: float = 0.1              # convergence radius
     slack_weight: float = 1.0        # penalty on the Lyapunov slack
 
 
@@ -43,6 +42,18 @@ def barrier_values(cell: Box, x) -> np.ndarray:
     return vals
 
 
+def barrier_rows(model: AffineModel, cell: Box, x, kappa: float):
+    """The stay-inside rows n_iᵀB u <= kappa h_i(x) - n_iᵀ(A x + c) of the
+    cell's facets in facet-id order, as (rows, rhs): the lower facet of
+    axis k has n = -e_k (barrier x_k - lo_k), the upper one n = +e_k
+    (barrier hi_k - x_k)."""
+    x = np.asarray(x, dtype=float)
+    drift = model.A @ x + model.c
+    h = kappa * barrier_values(cell, x)
+    rows = np.stack([-model.B, model.B], axis=1).reshape(2 * cell.dim, -1)
+    return rows, np.stack([h[0::2] + drift, h[1::2] + (-drift)], axis=1).ravel()
+
+
 def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
                     params: TerminalParams) -> TerminalStep:
     """One CLF-CBF step at x.
@@ -60,20 +71,13 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     drift = model.A @ x + model.c
 
     # rows over z = (u, delta): G z <= h, in the order Lyapunov row, the
-    # lower and upper barrier row of each axis, the upper and lower bound
-    # of each input, delta >= 0
-    h_vals = barrier_values(cell, x)
+    # barrier rows, the upper and lower bound of each input, delta >= 0
     G = np.zeros((2 * n + 2 * m + 2, m + 1))
     h = np.empty(2 * n + 2 * m + 2)
     G[0, :m] = gradV @ model.B
     G[0, m] = -1.0
     h[0] = -params.alpha * V - float(gradV @ drift)
-    # barrier rows n_iᵀB u <= kappa h_i - n_iᵀ drift: lower facet n = -e_k
-    # (barrier x_k - lo_k), upper facet n = +e_k (barrier hi_k - x_k)
-    G[1:2 * n + 1:2, :m] = -model.B
-    G[2:2 * n + 2:2, :m] = model.B
-    h[1:2 * n + 1:2] = params.kappa * h_vals[0::2] + drift
-    h[2:2 * n + 2:2] = params.kappa * h_vals[1::2] + (-drift)
+    G[1:2 * n + 1, :m], h[1:2 * n + 1] = barrier_rows(model, cell, x, params.kappa)
     inputs = np.arange(m)
     G[2 * n + 1 + 2 * inputs, inputs] = 1.0
     G[2 * n + 2 + 2 * inputs, inputs] = -1.0
@@ -88,6 +92,7 @@ def clf_cbf_control(model: AffineModel, x, x_target, cell: Box, pu: Box,
     res: QPResult = solve_qp(H, q, G, h)
     u = res.z[:m]
     delta = float(res.z[m])
-    return TerminalStep(u=u, delta=delta, V=V, min_barrier=float(np.min(h_vals)),
+    return TerminalStep(u=u, delta=delta, V=V,
+                        min_barrier=float(np.min(barrier_values(cell, x))),
                         kkt_stationarity=res.kkt_stationarity,
                         kkt_complementarity=res.kkt_complementarity)

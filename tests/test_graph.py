@@ -8,8 +8,8 @@ import pytest
 
 from graph_reference import FixedGraph, full_rebuild, full_refresh, full_snapshot
 from reachplan.geometry import Box, facet_id
-from reachplan.graph import (CERTAIN, IMPOSSIBLE, UNCERTAIN, Edge, ReachGraph,
-                             edge_entropy, replay, uncertain_weight)
+from reachplan.graph import (CERTAIN, IMPOSSIBLE, MAX_EDGE_FAILURES, UNCERTAIN, Edge,
+                             ReachGraph, edge_entropy, replay, uncertain_weight)
 from reachplan.partition import PartitionTree, adjacency
 
 
@@ -177,6 +177,21 @@ def test_shortest_path_respects_blocked_set():
     assert path == [0, 1, 2, 3] and cost == pytest.approx(3.0)
     path, cost = g.shortest_path(0, 3, blocked=frozenset({(1, 2)}))
     assert path is None and cost == math.inf
+
+
+def test_shortest_path_leaves_out_an_edge_at_max_failures():
+    """An edge that failed MAX_EDGE_FAILURES times is left out of every
+    query; one failure fewer keeps it in."""
+    g, _ = _line_graph(4)
+    for e in g.edges.values():
+        e.status = CERTAIN
+        e.weight = 1.0
+    e = g.edges[(1, 2)]
+    e.failures = MAX_EDGE_FAILURES - 1
+    assert g.shortest_path(0, 3) == ([0, 1, 2, 3], 3.0)
+    e.failures = MAX_EDGE_FAILURES
+    assert g.shortest_path(0, 3) == (None, math.inf)
+    assert g.shortest_path(2, 0) == ([2, 1, 0], 2.0)
 
 
 def test_snapshot_shape():

@@ -140,8 +140,7 @@ def _terminal_chunked(ms, cell):
     """The chunked terminal loop, from the state the margin push left."""
     scn = ms.scn
     model = ms.models[cell.id]
-    params = TerminalParams(alpha=scn.terminal_alpha,
-                            kappa=scn.terminal_kappa, r_stop=scn.r_stop,
+    params = TerminalParams(alpha=scn.terminal_alpha, kappa=scn.terminal_kappa,
                             slack_weight=scn.terminal_slack_weight)
     ms.log.event(ms.t, "terminal_phase", cell=cell.id)
     period = 10 * scn.dt

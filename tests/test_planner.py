@@ -11,9 +11,9 @@ from reachplan import optim, planner
 from reachplan.cli import _write_outputs
 from reachplan.dynamics import Trajectory, analytic_linearize
 from reachplan.geometry import box_to_polytope, facet_id
-from reachplan.graph import replay
+from reachplan.graph import IMPOSSIBLE, MAX_EDGE_FAILURES, replay
 from reachplan.partition import uniform_cell_count
-from reachplan.planner import MAX_EDGE_FAILURES, MissionLog, _Mission, run_mission
+from reachplan.planner import MissionLog, _Mission, run_mission
 from reachplan.reach import facet_reachable, relaxed_facet_reachable
 from reachplan.scenario import Scenario, builtin_scenario
 from reachplan.sysid import ExcitationPlan
@@ -219,6 +219,33 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
                                  "intended": nb, "actual": entered.id,
                                  "actual_facet": facet_id(2, +1)}
     assert 0.0 < ms.t and ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
+
+
+@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
+def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monkeypatch):
+    """A predictive pass whose refutation rules out every facet asked: on
+    the unicycle the refuted edges are soft, so forced_escape pushes out
+    of a refuted cell through one of them; on the mecanum they stay hard
+    and forced_escape finds no candidate."""
+    ms = _Mission(builtin_scenario(plant))
+    ms.refine()
+    ms.rebuild_graph()
+    cell = ms.current_cell()
+    ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
+    monkeypatch.setattr(planner, "predict_unreachable",
+                        lambda questions, pu: [[True] * len(q[3]) for q in questions])
+    assert ms.predictive_pass() > 0
+    refuted = [e for e in ms.graph.edges.values()
+               if e.src != cell.id and e.status == IMPOSSIBLE]
+    assert refuted and all(e.soft == ms.scn.underactuated for e in refuted)
+    src = ms.tree.leaves[refuted[0].src]
+    ms.models[src.id] = analytic_linearize(ms.sys, src.center)
+    ms.x, ms.cur_id = src.center.copy(), src.id
+    assert ms.forced_escape(src) == ms.scn.underactuated
+    if ms.scn.underactuated:
+        event = ms.log.events[-1]
+        assert event["type"] == "forced_exploration" and event["cell"] == src.id
+        assert ms.graph.edges[(src.id, event["intended"])].soft
 
 
 def _centering_mission():

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 
 from reachplan.dynamics import AffineModel
-from reachplan.geometry import Box
+from reachplan.geometry import Box, box_to_polytope
 from reachplan.optim import SolverError
-from reachplan.terminal import (TerminalParams, barrier_values,
+from reachplan.terminal import (TerminalParams, barrier_rows, barrier_values,
                                 clf_cbf_control)
 
 
@@ -23,6 +23,30 @@ def test_barrier_values_oracle():
     assert barrier_values(cell, [-2.0, 3.0])[0] == pytest.approx(-1.0)
     # zero on a facet
     assert barrier_values(cell, [2.0, 3.0])[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_barrier_rows_match_the_polytope_construction(n):
+    """barrier_rows equals the rows built from the box's polytope form,
+    n_iᵀB u <= kappa (b_i - n_iᵀx) - n_iᵀ(A x + c), row for row in
+    facet-id order, on random models, cells and states in and out of the
+    cell (== ignores the sign of an exact zero)."""
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        model = AffineModel(A=rng.normal(size=(n, n)), B=rng.normal(size=(n, 2)),
+                            c=rng.normal(size=n), linearization_point=np.zeros(n))
+        lo = rng.uniform(-5.0, 5.0, n)
+        cell = Box(lo=lo, hi=lo + rng.uniform(0.1, 3.0, n))
+        x = rng.uniform(cell.lo - 0.5, cell.hi + 0.5)
+        kappa = float(rng.uniform(0.1, 10.0))
+        p = box_to_polytope(cell)
+        drift = model.A @ x + model.c
+        want_rows = np.array([p.normals[i] @ model.B for i in range(2 * n)])
+        want_rhs = np.array([kappa * float(p.offsets[i] - p.normals[i] @ x)
+                             - float(p.normals[i] @ drift) for i in range(2 * n)])
+        rows, rhs = barrier_rows(model, cell, x.tolist(), kappa)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(rhs, want_rhs)
 
 
 def test_interior_closed_form():
@@ -100,8 +124,8 @@ def test_closed_loop_convergence_and_invariance():
     m = _integrator()
     cell = Box(lo=[0.0, 0.0], hi=[1.0, 1.0])
     pu = Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])
-    params = TerminalParams(alpha=3.0, kappa=10.0, r_stop=0.05,
-                            slack_weight=1e6)
+    params = TerminalParams(alpha=3.0, kappa=10.0, slack_weight=1e6)
+    r_stop = 0.05
     target = np.array([0.3, 0.7])
     x = np.array([0.95, 0.05])
     dt = 1e-3
@@ -110,7 +134,7 @@ def test_closed_loop_convergence_and_invariance():
         step = clf_cbf_control(m, x, target, cell, pu, params)
         min_barrier = min(min_barrier, step.min_barrier)
         x = x + dt * (m.A @ x + m.B @ step.u + m.c)
-        if np.linalg.norm(x - target) < params.r_stop:
+        if np.linalg.norm(x - target) < r_stop:
             break
-    assert np.linalg.norm(x - target) < params.r_stop
+    assert np.linalg.norm(x - target) < r_stop
     assert min_barrier >= -1e-9
