@@ -70,6 +70,12 @@ class MissionLog:
         return self.status == "success"
 
 
+@dataclass
+class _WorkspaceExit(Exception):
+    """The state left the workspace from cell ``cell``: the mission ends."""
+    cell: int
+
+
 class _Mission:
     """Mutable mission state for one run."""
 
@@ -104,14 +110,15 @@ class _Mission:
         self.cur_id = c.id
         return c
 
-    def locate_after_exit(self, exit_fct: int, cell: Box):
-        """Leaf entered through ``exit_fct``, which becomes the current
-        cell, or None when the state left the workspace."""
+    def locate_after_exit(self, exit_fct: int, cell: Box) -> Box:
+        """Leaf entered through ``exit_fct`` of ``cell``, which becomes the
+        current cell. A crossing out of the workspace raises _WorkspaceExit,
+        which ends the mission."""
         axis, d = facet_axis_dir(exit_fct)
         probe = self.x.copy()
         probe[axis] += d * 1e-7
         if not self.ws.contains(probe, tol=0.0):
-            return None
+            raise _WorkspaceExit(cell.id)
         entered = self.tree.locate(probe)
         self.cur_id = entered.id
         return entered
@@ -200,8 +207,8 @@ class _Mission:
         if traj.exit_facet is None:
             return True
         self.retries[cell.id] += 1
-        self.locate_after_exit(traj.exit_facet, cell)
         self.log.event(self.t, "ingress_escape", cell=cell.id, facet=int(traj.exit_facet))
+        self.locate_after_exit(traj.exit_facet, cell)
         return False
 
     def ingress_need(self, cell: Box, plan: ExcitationPlan) -> float:
@@ -401,22 +408,17 @@ class _Mission:
         self.models.pop(cell.id, None)
         return True
 
-    def rebuild_graph(self):
-        self.graph.rebuild(self.tree)
-
     # ---------------- execution ----------------
 
-    def execute_edge(self, cell: Box, nb: int, force: bool = False) -> str:
-        """Drive the plant across one edge. Returns 'moved', 'blocked',
-        'outside_cert' or 'failed'."""
+    def execute_edge(self, cell: Box, nb: int) -> bool:
+        """Drive the plant across the edge to ``nb`` under its certificate's
+        controller. True when the state left the cell; False when the edge
+        has no usable certificate or the crossing timed out."""
         scn = self.scn
         e = self.graph.edges[(cell.id, nb)]
         cert = e.cert
         if cert is None:
-            return "blocked"
-        if not force and not cert.polytope.contains(self.x, tol=1e-7):
-            # relaxed certificate valid only on its subpolytope
-            return "outside_cert"
+            return False
         try:
             ctrl = synthesize_controller(cert.polytope, cert.controls)
         except GeometryError:
@@ -425,7 +427,7 @@ class _Mission:
             e.cert = None
             e.failures = gr.MAX_EDGE_FAILURES
             self.log.event(self.t, "degenerate_certificate", cell=cell.id, to=nb)
-            return "blocked"
+            return False
         if e.status == gr.CERTAIN and e.t_bound:
             # worst-case bounds from grazing certificates can reach hours;
             # budget a generous multiple of the typical crossing time instead
@@ -441,20 +443,15 @@ class _Mission:
             # budget; disqualify the edge rather than charging the cell
             self.log.event(self.t, "traversal_timeout", cell=cell.id, to=nb)
             e.failures += 1
-            return "blocked"
+            return False
         entered = self.locate_after_exit(traj.exit_facet, cell)
-        if entered is None:
-            self.log.event(self.t, "workspace_exit", cell=cell.id)
-            return "failed"
         # keep the same feedback law running briefly so the crossing velocity
         # carries the state clear of the shared facet before handing over;
         # the traversal is judged by the cell entered at the crossing
         pen = self.advance(ctrl, entered, 20 * scn.dt)
         self.last_u = pen.u[-1]
-        if pen.exit_facet is not None and self.locate_after_exit(pen.exit_facet,
-                                                                 entered) is None:
-            self.log.event(self.t, "workspace_exit", cell=entered.id)
-            return "failed"
+        if pen.exit_facet is not None:
+            self.locate_after_exit(pen.exit_facet, entered)
         if entered.id != nb or traj.exit_facet != e.facet:
             e.failures += 1
             self.log.event(self.t, "unintended_exit", cell=cell.id,
@@ -465,7 +462,7 @@ class _Mission:
             self.log.event(self.t, "edge_traversed", source=cell.id, target=nb,
                            exit_time=traj.exit_time,
                            bound=e.t_bound, status=e.status)
-        return "moved"
+        return True
 
     def centering_maneuver(self, cell: Box, duration: float):
         """Short CLF-CBF push toward the cell center to unblock planning."""
@@ -523,8 +520,6 @@ class _Mission:
             if traj.exit_facet is None:
                 continue
             entered = self.locate_after_exit(traj.exit_facet, cell)
-            if entered is None:
-                return False
             self.escape_count += 1
             self.log.event(self.t, "forced_exploration", cell=cell.id,
                            intended=nb, actual=entered.id,
@@ -589,109 +584,90 @@ def run_mission(scn: Scenario) -> MissionLog:
     log = ms.log
     log.event(0.0, "mission_start", scenario=scn.name or scn.system)
     stall = 0
-    for it in range(scn.max_iters):
-        if not ms.ws.contains(ms.x):
-            # an ingress rollout or an aborted identification left it
-            log.status = "failure:workspace_exit"
-            log.event(ms.t, "workspace_exit", cell=ms.cur_id)
-            break
-        n_split = ms.refine()
-        cur = ms.current_cell()
-        tgt = ms.tree.locate(scn.x_target)
-        if cur.id == tgt.id:
-            ms.terminal_phase(cur)
-            if log.status != "incomplete":
-                break
-            continue
-        if ms.retries[cur.id] > scn.retry_budget:
-            log.status = "failure:retry_budget"
-            log.event(ms.t, "retry_budget_exhausted", cell=cur.id)
-            break
-        ms.rebuild_graph()
-        if cur.id not in ms.models and not ms.ingress_and_identify(cur):
-            continue
-        ms.last_model = ms.models.get(cur.id, ms.last_model)
-        n_resolved = ms.certify_current(cur)
-        if cur.id not in ms.tree.leaves:
-            continue  # current cell was split, replan on the new partition
-        n_resolved += ms.predictive_pass()
-        ms.graph.refresh_uncertain_weights(ms.tree.leaves)
-
-        blocked: set = set()
-        moved = False
-        recentered: set = set()
-        while True:
-            path, cost = ms.graph.shortest_path(cur.id, tgt.id, blocked=blocked)
-            if path is None:
-                break
-            snap = ms.graph.snapshot()
-            snap.update({"iteration": it, "t": ms.t, "current_cell": cur.id,
-                         "path": path, "cost": cost,
-                         "leaf_count": ms.tree.leaf_count()})
-            log.snapshots.append(snap)
-            edge = (cur.id, path[1])
-            outcome = ms.execute_edge(cur, path[1], force=edge in recentered)
-            if outcome == "moved":
-                moved = True
-                # follow the certified prefix of the plan before replanning,
-                # otherwise per-edge replans thrash as weights shift
-                k = 1
-                while k + 1 < len(path):
-                    here = ms.current_cell()
-                    if here.id != path[k]:
-                        break
-                    nxt = (path[k], path[k + 1])
-                    e_nxt = ms.graph.edges.get(nxt)
-                    if (e_nxt is None or e_nxt.status != gr.CERTAIN
-                            or e_nxt.cert is None):
-                        break
-                    outcome = ms.execute_edge(here, path[k + 1])
-                    if outcome == "failed":
-                        log.status = "failure:workspace_exit"
-                    if outcome != "moved":
-                        break
-                    k += 1
-                break
-            if outcome == "failed":
-                log.status = "failure:workspace_exit"
-                break
-            if outcome == "outside_cert":
-                # valid certificate exists but only on a subregion, so pull
-                # the state toward the cell interior and retry; if still
-                # outside afterwards the gains are extrapolated (the exit
-                # facet may then differ from the intended one)
-                if ms.graph.edges[edge].failures >= 2:
-                    blocked.add(edge)
-                    continue
-                recentered.add(edge)
-                ms.centering_maneuver(cur, 0.5)
-                if ms.current_cell().id != cur.id:
-                    moved = True
+    try:
+        for it in range(scn.max_iters):
+            if not ms.ws.contains(ms.x):
+                # identification and the terminal phase leave escapes unlocated
+                raise _WorkspaceExit(ms.cur_id)
+            n_split = ms.refine()
+            cur = ms.current_cell()
+            tgt = ms.tree.locate(scn.x_target)
+            if cur.id == tgt.id:
+                ms.terminal_phase(cur)
+                if log.status != "incomplete":
                     break
                 continue
-            blocked.add(edge)
-        if log.status.startswith("failure"):
-            break
-        if path is None:
-            if not blocked:
-                if ms.forced_escape(cur):
+            if ms.retries[cur.id] > scn.retry_budget:
+                log.status = "failure:retry_budget"
+                log.event(ms.t, "retry_budget_exhausted", cell=cur.id)
+                break
+            ms.graph.rebuild(ms.tree)
+            if cur.id not in ms.models and not ms.ingress_and_identify(cur):
+                continue
+            ms.last_model = ms.models[cur.id]
+            n_resolved = ms.certify_current(cur)
+            if cur.id not in ms.tree.leaves:
+                continue  # current cell was split, replan on the new partition
+            n_resolved += ms.predictive_pass()
+            ms.graph.refresh_uncertain_weights(ms.tree.leaves)
+
+            blocked: set = set()
+            while True:
+                path, cost = ms.graph.shortest_path(cur.id, tgt.id, blocked=blocked)
+                if path is None:
+                    break
+                snap = ms.graph.snapshot()
+                snap.update({"iteration": it, "t": ms.t, "current_cell": cur.id,
+                             "path": path, "cost": cost,
+                             "leaf_count": ms.tree.leaf_count()})
+                log.snapshots.append(snap)
+                edge = (cur.id, path[1])
+                e = ms.graph.edges[edge]
+                if e.cert is not None and not e.cert.polytope.contains(ms.x, tol=1e-7):
+                    # a relaxed certificate holds on a subpolytope only, so
+                    # pull the state toward the cell interior first; if it is
+                    # still outside, the gains are extrapolated (the exit
+                    # facet may then differ from the intended one)
+                    if e.failures >= 2:
+                        blocked.add(edge)
+                        continue
+                    ms.centering_maneuver(cur, 0.5)
+                    if ms.current_cell().id != cur.id:
+                        break
+                if not ms.execute_edge(cur, path[1]):
+                    blocked.add(edge)
                     continue
-                log.status = "failure:no_path"
-                log.event(ms.t, "no_path", cell=cur.id)
+                # follow the certified prefix of the plan before replanning,
+                # otherwise per-edge replans thrash as weights shift
+                for a, b in zip(path[1:], path[2:]):
+                    here = ms.current_cell()
+                    e = ms.graph.edges[(a, b)]
+                    if not (here.id == a and e.status == gr.CERTAIN
+                            and e.cert.polytope.contains(ms.x, tol=1e-7)
+                            and ms.execute_edge(here, b)):
+                        break
                 break
-            ms.centering_maneuver(cur, 0.2)
-        if moved or n_resolved > 0 or n_split > 0:
-            stall = 0
+            if path is None:
+                if not blocked:
+                    if ms.forced_escape(cur):
+                        continue
+                    log.status = "failure:no_path"
+                    log.event(ms.t, "no_path", cell=cur.id)
+                    break
+                ms.centering_maneuver(cur, 0.2)
+            if path is not None or n_resolved > 0 or n_split > 0:
+                stall = 0
+            else:
+                stall += 1
+                if stall > scn.stall_limit:
+                    log.status = "failure:stalled"
+                    log.event(ms.t, "stalled", cell=cur.id)
+                    break
         else:
-            stall += 1
-            if stall > scn.stall_limit:
-                log.status = "failure:stalled"
-                log.event(ms.t, "stalled", cell=cur.id)
-                break
-    else:
-        log.status = "failure:iteration_budget"
-    if log.status == "incomplete":
-        log.status = "failure:terminal_not_reached"
+            log.status = "failure:iteration_budget"
+    except _WorkspaceExit as exit_:
+        log.status = "failure:workspace_exit"
+        log.event(ms.t, "workspace_exit", cell=exit_.cell)
     dist = float(np.linalg.norm(ms.x - scn.x_target))
     if np.isnan(log.final_distance):
         log.final_distance = dist

@@ -129,7 +129,7 @@ def test_unintended_exit_is_logged_and_charged_to_the_edge():
     names the intended and the actual cells and facets."""
     ms = _Mission(builtin_scenario("mecanum"))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
     nb = _edge_across(ms, cell, 1, -1)
     actual_fct = facet_id(0, -1)
@@ -137,7 +137,7 @@ def test_unintended_exit_is_logged_and_charged_to_the_edge():
     e = ms.graph.edges[(cell.id, nb)]
     e.cert = facet_reachable(model, box_to_polytope(cell), [actual_fct], ms.pu)[0]
     assert e.cert is not None
-    assert ms.execute_edge(cell, nb) == "moved"
+    assert ms.execute_edge(cell, nb) is True
     assert e.failures == 1
     entered = ms.tree.leaves[ms.cur_id]
     assert entered.id != nb and entered.hi[0] == cell.lo[0]
@@ -156,14 +156,14 @@ def test_traversal_is_judged_by_the_cell_entered_at_the_crossing():
     scn.dt = 0.02
     ms = _Mission(scn)
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
     nb = _edge_across(ms, cell, 0, -1)
     model = analytic_linearize(ms.sys, cell.center)
     e = ms.graph.edges[(cell.id, nb)]
     e.cert = facet_reachable(model, box_to_polytope(cell), [facet_id(0, -1)], ms.pu)[0]
     assert e.cert is not None
-    assert ms.execute_edge(cell, nb) == "moved"
+    assert ms.execute_edge(cell, nb) is True
     deeper = ms.tree.leaves[ms.cur_id]
     assert deeper.id != nb and deeper.hi[0] == ms.tree.leaves[nb].lo[0]
     assert e.failures == 0
@@ -179,7 +179,7 @@ def test_degenerate_certificate_blocks_the_edge():
     certificate is dropped and logged."""
     ms = _Mission(builtin_scenario("unicycle"))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
     nb = _edge_across(ms, cell, 2, +1)
     model = analytic_linearize(ms.sys, cell.center)
@@ -189,7 +189,7 @@ def test_degenerate_certificate_blocks_the_edge():
     assert e.cert is not None and e.cert.kind == "relaxed"
     assert e.cert.polytope.contains(ms.x)
     t0 = ms.t
-    assert ms.execute_edge(cell, nb) == "blocked"
+    assert ms.execute_edge(cell, nb) is False
     assert e.cert is None and e.failures == MAX_EDGE_FAILURES
     assert ms.log.events[-1] == {"t": t0, "type": "degenerate_certificate",
                                  "cell": cell.id, "to": nb}
@@ -203,7 +203,7 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
     forced exploration and counts the escape, without a tableau LP."""
     ms = _Mission(builtin_scenario("unicycle"))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
     for nb in ms.graph.out[cell.id]:
@@ -229,7 +229,7 @@ def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monke
     and forced_escape finds no candidate."""
     ms = _Mission(builtin_scenario(plant))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
     monkeypatch.setattr(planner, "predict_unreachable",
@@ -406,7 +406,7 @@ def test_first_refused_facet_splits_the_cell_after_the_edges_before_it(monkeypat
     unmarked."""
     ms = _Mission(builtin_scenario("unicycle"))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.tree.locate(np.array([-7.5, 2.5, -0.7]))
     assert cell.lo.tolist() == [-10.0, 0.0, -np.pi / 2] and cell.hi.tolist() == [-5.0, 5.0, 0.0]
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
@@ -431,7 +431,7 @@ def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypa
     facet once, with a certificate equal to the one before the split."""
     ms = _Mission(builtin_scenario("mecanum"))
     ms.refine()
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     cell = ms.tree.locate(np.array([1.0, 5.0]))
     assert cell.lo.tolist() == [0.0, 4.0] and cell.hi.tolist() == [2.0, 6.0]
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
@@ -440,7 +440,7 @@ def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypa
     before = ms.graph.edges[(cell.id, nb)].cert
     assert before is not None
     assert ms.split_cell(ms.tree.leaves[nb])
-    ms.rebuild_graph()
+    ms.graph.rebuild(ms.tree)
     new = [n for n in ms.graph.out[cell.id]
            if ms.graph.edges[(cell.id, n)].facet == facet_id(1, +1)]
     assert len(new) == 2 and nb not in new
@@ -472,7 +472,7 @@ def test_pinned_decides_as_the_shared_rectangle_did(plant):
         cands = sorted((c for c in ms.tree.leaves.values() if ms.tree.splittable_axes(c)),
                        key=lambda c: c.id)
         ms.tree.split(cands[int(rng.integers(len(cands)))])
-        ms.rebuild_graph()
+        ms.graph.rebuild(ms.tree)
         for (a, b), e in ms.graph.edges.items():
             cell, dst = ms.tree.leaves[a], ms.tree.leaves[b]
             shared = (np.minimum(cell.hi, dst.hi) - np.maximum(cell.lo, dst.lo)).tolist()
@@ -513,21 +513,19 @@ def test_prefix_edge_exit_ends_the_mission_with_one_event(monkeypatch):
     """An edge of the certified prefix that leaves the workspace ends the
     mission at once, with one workspace_exit event, even when the state
     rests exactly on the workspace boundary, where ws.contains holds. The
-    exit is staged: the first prefix edge puts the state on the boundary,
-    logs the exit and fails, as execute_edge does on a real exit."""
+    exit is staged: the first prefix edge puts the state on the boundary
+    and raises what locate_after_exit raises on a real exit."""
     execute_edge = planner._Mission.execute_edge
     refine = planner._Mission.refine
     calls = []     # per planning iteration, the outcomes so far
 
-    def staged(self, cell, nb, force=False):
-        if calls[-1] and calls[-1][-1] == "moved":
+    def staged(self, cell, nb):
+        if calls[-1] and calls[-1][-1] is True:
             self.x = self.ws.hi.copy()
-            self.log.event(self.t, "workspace_exit", cell=cell.id)
-            outcome = "failed"
-        else:
-            outcome = execute_edge(self, cell, nb, force)
-        calls[-1].append(outcome)
-        return outcome
+            calls[-1].append("exit")
+            raise planner._WorkspaceExit(cell.id)
+        calls[-1].append(execute_edge(self, cell, nb))
+        return calls[-1][-1]
 
     def counted(self):
         calls.append([])
@@ -537,9 +535,78 @@ def test_prefix_edge_exit_ends_the_mission_with_one_event(monkeypatch):
     monkeypatch.setattr(planner._Mission, "refine", counted)
     log = run_mission(builtin_scenario("mecanum"))
     assert log.status == "failure:workspace_exit"
-    assert calls[-1][-2:] == ["moved", "failed"]
+    assert calls[-1][-2:] == [True, "exit"]
     assert [e["type"] for e in log.events].count("workspace_exit") == 1
     assert [e["type"] for e in log.events[-2:]] == ["workspace_exit", "mission_end"]
+
+
+def _event_types(log):
+    return [e["type"] for e in log.events]
+
+
+def test_forced_escape_out_of_the_workspace_ends_the_mission(monkeypatch):
+    """A unicycle mission whose every edge out of the start cell is refuted
+    (softly) and whose forced escape turns at the full heading rate -10:
+    from the heading -7pi/8 the escape leaves the workspace through
+    theta = -pi, which is a workspace exit, not a missing path."""
+    def refute_all(self, cell):
+        edges = self.pending(cell.id, lambda e: e.cert is not None)
+        for nb, e in edges.items():
+            e.soft = True
+            self.graph.mark_impossible(cell.id, nb)
+        return len(edges)
+
+    monkeypatch.setattr(planner._Mission, "certify_current", refute_all)
+    monkeypatch.setattr(planner._Mission, "predictive_pass", lambda self: 0)
+    monkeypatch.setattr(planner, "fastest_control",
+                        lambda *args: np.array([0.0, -10.0]))
+    scn = builtin_scenario("unicycle")
+    scn.x_init = np.array([-4.375, 0.625, -7 * np.pi / 8])
+    log = run_mission(scn)
+    assert log.status == "failure:workspace_exit"
+    types = _event_types(log)
+    assert types.count("workspace_exit") == 1 and "no_path" not in types
+    assert types[-2:] == ["workspace_exit", "mission_end"]
+    assert log.metrics["final_state"][2] <= -np.pi
+
+
+def test_ingress_out_of_the_workspace_ends_the_mission():
+    """From 0.1 mm inside the unicycle's x1 = 10 facet, with no model yet,
+    the ingress control is zero and the drift carries the state out of the
+    workspace by less than ws.contains's tolerance. The first ingress
+    escape ends the mission with a workspace exit from that cell."""
+    scn = builtin_scenario("unicycle")
+    scn.x_init = np.array([9.9999, 0.625, np.pi / 8])
+    log = run_mission(scn)
+    assert log.status == "failure:workspace_exit"
+    types = _event_types(log)
+    assert types.count("ingress_escape") == 1 and types.count("workspace_exit") == 1
+    escape, exit_ = log.events[-3:-1]
+    assert (escape["type"], exit_["type"]) == ("ingress_escape", "workspace_exit")
+    assert escape["facet"] == facet_id(0, +1) and exit_["cell"] == escape["cell"]
+    assert 10.0 < log.metrics["final_state"][0] < 10.0 + 1e-9
+
+
+def test_centring_precedes_the_execution_of_an_outside_certificate(tmp_path):
+    """The built-in unicycle from (-4.375, -5.625, pi/8) to (-4.375, 1.875,
+    -5pi/8) meets first edges whose relaxed certificate does not hold the
+    state, centres before executing them, and succeeds. Its trajectory is
+    the one recorded before centring moved ahead of execution, and no plan
+    repeats the one before it (same iteration and path, nothing changed)."""
+    scn = builtin_scenario("unicycle")
+    scn.x_init = np.array([-4.375, -5.625, np.pi / 8])
+    scn.x_target = np.array([-4.375, 1.875, -5 * np.pi / 8])
+    log = run_mission(scn)
+    assert log.success
+    _write_outputs(str(tmp_path), scn, log)
+    assert hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest() == (
+        "1254489044de956330c9b1ec6ebd0d5b8696740b9f4be41ee897532dc836b622")
+    types = _event_types(log)
+    assert types.count("centering") == 6 and types.count("unintended_exit") == 2
+    assert len(log.snapshots) == 17
+    for prev, snap in zip(log.snapshots, log.snapshots[1:]):
+        assert ((snap["iteration"], snap["path"]) != (prev["iteration"], prev["path"])
+                or snap["edges"] or snap["removed"])
 
 
 def _mecanum_cell(side, x_init):
