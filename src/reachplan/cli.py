@@ -76,7 +76,7 @@ def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
     tree_snapshot = log.metrics.get("partition")
     if tree_snapshot is not None:
         with open(os.path.join(out_dir, "partition.json"), "w") as f:
-            json.dump(tree_snapshot, f, indent=1)
+            f.write(json.dumps(tree_snapshot))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "scenario": scn.to_dict(),
@@ -94,7 +94,7 @@ def _write_outputs(out_dir: str, scn: Scenario, log) -> None:
         "events": log.events,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=1)
+        f.write(json.dumps(summary))
 
 
 def cmd_run(args) -> int:
@@ -136,7 +136,7 @@ def cmd_partition_demo(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "partition.json"), "w") as f:
-            json.dump(tree.snapshot(), f, indent=1)
+            f.write(json.dumps(tree.snapshot()))
     return 0
 
 

@@ -3,12 +3,13 @@
 Nodes are leaf cell ids. A directed edge (a, b) exists per facet that
 two adjacent cells share, is known by a's exit facet toward b, and
 carries one of three statuses: certain (transition certified, weight =
-exit-time bound), impossible (refuted, excluded from search), or
-uncertain (weight trades traversal cost against the expected
+the certificate's crossing time), impossible (refuted, excluded from
+search), or uncertain (weight trades traversal cost against the expected
 information gained by exploring it). Every uncertain edge is reachable
-with the graph's prior probability ``p_prior``. Snapshots record only
-what changed since the previous one; ``replay`` turns them back into
-whole graphs.
+with the graph's prior probability ``p_prior``. An edge records only
+what nothing else owns: the pair is its key, and a certain edge's bound
+and kind are its certificate's. Snapshots record only what changed since
+the previous one; ``replay`` turns them back into whole graphs.
 """
 from __future__ import annotations
 
@@ -44,14 +45,13 @@ def uncertain_weight(C_u: float, l_u: float, beta_u: float, eig: float) -> float
 
 @dataclass
 class Edge:
-    """Everything known about one transition, kept while both cells live.
+    """What is known about one transition and recorded nowhere else, kept
+    while both cells live. Its cells are its key in ``ReachGraph.edges``.
 
     ``facet`` is the id of the source cell's exit facet toward the target
-    (``geometry.facet_id``). ``cert`` drives the transition; it may exist
-    while the edge stays uncertain, when no crossing time could be pinned
-    on it. ``soft`` marks an impossible status that comes from a failed
-    sufficient-only certification, or from a predictive refutation of the
-    exact condition on an underactuated scenario, rather than a proof.
+    (``geometry.facet_id``). ``cert`` drives the transition and, on a
+    certain edge, holds its time bound and kind; it may exist while the
+    edge stays uncertain, when no crossing time could be pinned on it.
     ``failures`` counts executions that did not end in the target cell;
     the planner sets it to MAX_EDGE_FAILURES when the certificate yields
     no controller, and ``shortest_path`` leaves out an edge with that
@@ -61,15 +61,10 @@ class Edge:
     empty set per edge would cost about 0.2 MB of peak memory on a
     250-leaf partition).
     """
-    src: int
-    dst: int
     status: str
     facet: int
     weight: float = 0.0
-    t_bound: Optional[float] = None
-    cert_kind: Optional[str] = None
     cert: Optional[ReachCertificate] = None
-    soft: bool = False
     failures: int = 0
     pred_sources: tuple = ()
 
@@ -122,7 +117,7 @@ class ReachGraph:
         self._stale |= relinked
 
     def _add(self, a: int, b: int, facet: int):
-        self.edges[(a, b)] = Edge(a, b, UNCERTAIN, facet)
+        self.edges[(a, b)] = Edge(UNCERTAIN, facet)
         self._unweighed.add((a, b))
         self._changed[(a, b)] = False
 
@@ -132,18 +127,17 @@ class ReachGraph:
         if not self._changed.setdefault((a, b), True):
             del self._changed[(a, b)]      # added and dropped between snapshots
 
-    def mark_certain(self, a: int, b: int, t_bound: float, kind: str,
-                     t_est: Optional[float] = None):
-        """t_bound is the guaranteed worst-case crossing time; t_est, when
-        given, is a typical-crossing estimate used as the search weight so
-        that a conservatively bounded edge is not priced out of the plan."""
+    def mark_certain(self, a: int, b: int, cert: ReachCertificate):
+        """Certify (a, b) with ``cert``, which carries a time bound. The
+        search weight is its typical crossing time, capped by the
+        guaranteed worst case, so that a conservatively bounded edge is not
+        priced out of the plan."""
         e = self.edges[(a, b)]
         if e.status == IMPOSSIBLE:
             raise RuntimeError(f"edge ({a},{b}) flips impossible -> certain")
         e.status = CERTAIN
-        e.weight = t_bound if t_est is None else min(t_est, t_bound)
-        e.t_bound = t_bound
-        e.cert_kind = kind
+        e.cert = cert
+        e.weight = min(cert.t_est, cert.bound.T0)
         self._changed.setdefault((a, b), True)
         self._stale.add(a)
 
@@ -155,11 +149,6 @@ class ReachGraph:
         e.weight = 0.0
         self._changed.setdefault((a, b), True)
         self._stale.add(a)
-
-    def expected_info_gain(self, a: int, b: int) -> float:
-        """p_prior times the total entropy of the target node's uncertain
-        outgoing edges (what resolving the target cell would teach us)."""
-        return self.p_prior * self._uncertain_out_entropy(b)
 
     def _uncertain_out_entropy(self, b: int) -> float:
         h = edge_entropy(self.p_prior)
@@ -191,6 +180,8 @@ class ReachGraph:
             cell = leaves[a]
             axis = e.facet // 2
             l_u = cell.hi_list[axis] - cell.lo_list[axis]
+            # the expected information gain: p_prior times what resolving
+            # the target cell's uncertain out-edges would teach us
             w = uncertain_weight(self.C_u, l_u, self.beta_u, self.p_prior * h)
             if w != e.weight:
                 e.weight = w
@@ -247,10 +238,12 @@ class ReachGraph:
             if e is None:
                 removed.append(list(pair))
             else:
+                cert = e.cert if e.status == CERTAIN else None
                 edges.append({"source": pair[0], "target": pair[1], "status": e.status,
                               "weight": e.weight,
                               "p_e": self.p_prior if e.status == UNCERTAIN else None,
-                              "t_bound": e.t_bound, "cert_kind": e.cert_kind})
+                              "t_bound": cert and cert.bound.T0,
+                              "cert_kind": cert and cert.kind})
         return {
             "edges": edges,
             "removed": removed,

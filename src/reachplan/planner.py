@@ -55,7 +55,7 @@ class MissionLog:
     final_distance: float = float("nan")
     metrics: dict = field(default_factory=dict)
 
-    def event(self, t: float, kind: str, **payload):
+    def event(self, t: float, kind: str, /, **payload):
         self.events.append({"t": t, "type": kind, **payload})
 
     def append_traj(self, traj: Trajectory, t0: float, cell_id: int):
@@ -165,17 +165,11 @@ class _Mission:
         return max(3.0 * float(cell.sides[facet // 2]) / speed, 50 * self.scn.dt)
 
     def pinned(self, cell: Box, e: gr.Edge) -> bool:
-        """False when the cell's facet is larger than the one it shares
-        with the edge's target: which neighbour a crossing enters then
-        cannot be pinned down. Two overlapping cells of the tree have
-        nested intervals on every axis, so the facets match when every
-        side of the target across the facet is at least the cell's."""
-        axis = e.facet // 2
-        dst = self.tree.leaves[e.dst]
-        return all(dh - dl >= (h - l) * (1 - 1e-9)
-                   for k, (l, h, dl, dh) in enumerate(zip(cell.lo_list, cell.hi_list,
-                                                          dst.lo_list, dst.hi_list))
-                   if k != axis)
+        """Whether the edge's target is the cell's only neighbour across
+        the edge's facet. Otherwise the cell's facet is larger than the one
+        it shares with the target, and which neighbour a crossing enters
+        cannot be pinned down."""
+        return list(self.tree.neighbours[cell.id].values()).count(e.facet) == 1
 
     # ---------------- identification ----------------
 
@@ -302,18 +296,15 @@ class _Mission:
                 if self.scn.underactuated and self.split_cell(cell):
                     self.log.event(self.t, "cell_split", cell=cell.id)
                     return resolved + 1
-                # the relaxed condition is not a proof of unreachability;
-                # remember that this mark may be lifted if planning ever
-                # becomes disconnected
-                e.soft = self.scn.underactuated
+                # on an underactuated scenario the relaxed condition is not a
+                # proof of unreachability, so forced_escape may still try it
                 self.graph.mark_impossible(cell.id, nb)
                 resolved += 1
                 continue
             e.cert = cert
-            if cert.bound is None or not self.pinned(cell, e):
-                continue
-            self.graph.mark_certain(cell.id, nb, cert.bound.T0, cert.kind, t_est=cert.t_est)
-            resolved += 1
+            if cert.bound is not None and self.pinned(cell, e):
+                self.graph.mark_certain(cell.id, nb, cert)
+                resolved += 1
         return resolved
 
     def nearest_models(self, cells: list) -> list:
@@ -374,21 +365,20 @@ class _Mission:
             answers = predict_reachable(
                 [(*questions[k], polys[k], [e.facet for e in pinned[k]]) for k in asked],
                 self.pu)
+            # a pinned edge is the only edge through its facet
             for k, found in zip(asked, answers):
-                certs[k] = dict(zip((e.dst for e in pinned[k]), found))
+                certs[k] = dict(zip((e.facet for e in pinned[k]), found))
         resolved = 0
         for (cell, src_cid, edges), ref, found in zip(asks, refuted, certs):
             for nb, e in edges.items():
                 e.pred_sources += (src_cid,)
                 if ref[e.facet]:
                     # the refuted exact condition leaves the relaxed one open
-                    e.soft = self.scn.underactuated
+                    # on an underactuated scenario (see forced_escape)
                     self.graph.mark_impossible(cell.id, nb)
                     resolved += 1
-                elif found.get(nb) is not None:
-                    e.cert = cert = found[nb]
-                    self.graph.mark_certain(cell.id, nb, cert.bound.T0, cert.kind,
-                                            t_est=cert.t_est)
+                elif (cert := found.get(e.facet)) is not None:
+                    self.graph.mark_certain(cell.id, nb, cert)
                     resolved += 1
         return resolved
 
@@ -423,15 +413,15 @@ class _Mission:
             ctrl = synthesize_controller(cert.polytope, cert.controls)
         except GeometryError:
             # a (nearly) flat simplex of the certified polytope carries no
-            # affine law; the certificate is unusable, so plan without it
-            e.cert = None
+            # affine law; the certificate is unusable, so plan without the edge
             e.failures = gr.MAX_EDGE_FAILURES
             self.log.event(self.t, "degenerate_certificate", cell=cell.id, to=nb)
             return False
-        if e.status == gr.CERTAIN and e.t_bound:
+        bound = cert.bound.T0 if e.status == gr.CERTAIN else None
+        if bound:
             # worst-case bounds from grazing certificates can reach hours;
             # budget a generous multiple of the typical crossing time instead
-            timeout = max(min(3.0 * e.t_bound, 20.0 * max(e.weight, scn.dt)), 50 * scn.dt)
+            timeout = max(min(3.0 * bound, 20.0 * max(e.weight, scn.dt)), 50 * scn.dt)
         else:
             timeout = self.crossing_budget(cell, e.facet, self.models.get(cell.id))
         traj = self.advance(ctrl, cell, timeout)
@@ -461,7 +451,7 @@ class _Mission:
         else:
             self.log.event(self.t, "edge_traversed", source=cell.id, target=nb,
                            exit_time=traj.exit_time,
-                           bound=e.t_bound, status=e.status)
+                           bound=bound, status=e.status, kind=cert.kind)
         return True
 
     def centering_maneuver(self, cell: Box, duration: float):
@@ -486,17 +476,19 @@ class _Mission:
 
     def forced_escape(self, cell: Box) -> bool:
         """Last-resort crossing when every path out of the current cell has
-        been refuted. Marks from failed (sufficient-only) relaxed
-        certifications are not proofs, so pick the most promising of those
-        facets and push through it, re-solving a one-point fastest-control
-        LP as the state moves; whatever facet the state actually leaves by is
-        accepted, exactly as for an unintended exit."""
+        been refuted, on an underactuated scenario only. There an impossible
+        mark comes from a failed (sufficient-only) relaxed certification or
+        from a predictive refutation of the exact condition, and neither is
+        a proof, so pick the most promising of those facets and push through
+        it, re-solving a one-point fastest-control LP as the state moves;
+        whatever facet the state actually leaves by is accepted, exactly as
+        for an unintended exit."""
         model = self.models.get(cell.id)
-        if model is None or self.escape_count >= 25:
+        if not self.scn.underactuated or model is None or self.escape_count >= 25:
             return False
         edges = self.graph.edges
         candidates = [nb for nb in self.graph.out.get(cell.id, ())
-                      if edges[(cell.id, nb)].soft]
+                      if edges[(cell.id, nb)].status == gr.IMPOSSIBLE]
 
         def rank(nb):
             # rotation facets first: the heading rate is directly actuated
@@ -572,7 +564,6 @@ class _Mission:
             ("failure:terminal_infeasible", "terminal_infeasible") if infeasible
             else ("success", "converged") if dist <= scn.r_stop
             else ("partial", "terminal_budget_exhausted"))
-        self.log.final_distance = dist
         self.log.event(self.t, kind, distance=dist)
         self.log.metrics["terminal_audits"] = audits
 
@@ -668,9 +659,7 @@ def run_mission(scn: Scenario) -> MissionLog:
     except _WorkspaceExit as exit_:
         log.status = "failure:workspace_exit"
         log.event(ms.t, "workspace_exit", cell=exit_.cell)
-    dist = float(np.linalg.norm(ms.x - scn.x_target))
-    if np.isnan(log.final_distance):
-        log.final_distance = dist
+    log.final_distance = float(np.linalg.norm(ms.x - scn.x_target))
     uniform = uniform_cell_count(scn.ws_lo, scn.ws_hi, scn.h_min)
     leafs = ms.tree.leaf_count()
     log.metrics.update({

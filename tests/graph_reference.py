@@ -5,7 +5,7 @@ reports only what changed. These functions redo the work over the whole
 graph, so tests can compare the two. ``FixedGraph`` hands a hand-made
 adjacency to ``ReachGraph.rebuild``.
 """
-from reachplan.graph import UNCERTAIN, Edge, uncertain_weight
+from reachplan.graph import CERTAIN, UNCERTAIN, Edge, uncertain_weight
 
 
 class FixedGraph:
@@ -35,7 +35,7 @@ def full_rebuild(g, adjacency: dict):
     g.out = {}
     for (a, b), fid in adjacency.items():
         e = old.get((a, b))
-        g.edges[(a, b)] = e if e is not None else Edge(a, b, UNCERTAIN, fid)
+        g.edges[(a, b)] = e if e is not None else Edge(UNCERTAIN, fid)
         g.out.setdefault(a, []).append(b)
 
 
@@ -55,14 +55,17 @@ def full_refresh(g, cell_sides: dict):
 
 def full_snapshot(g) -> dict:
     """Every edge of ``g`` in ascending pair order, with the tally and the
-    entropy: what ``replay`` must give back at each step."""
+    entropy: what ``replay`` must give back at each step. A certain edge's
+    bound and kind are read from its certificate."""
+    edges = []
+    for (a, b), e in sorted(g.edges.items()):
+        certain = e.status == CERTAIN
+        edges.append({"source": a, "target": b, "status": e.status, "weight": e.weight,
+                      "p_e": g.p_prior if e.status == UNCERTAIN else None,
+                      "t_bound": e.cert.bound.T0 if certain else None,
+                      "cert_kind": e.cert.kind if certain else None})
     return {
-        "edges": [
-            {"source": a, "target": b, "status": e.status, "weight": e.weight,
-             "p_e": g.p_prior if e.status == UNCERTAIN else None,
-             "t_bound": e.t_bound, "cert_kind": e.cert_kind}
-            for (a, b), e in sorted(g.edges.items())
-        ],
+        "edges": edges,
         "tally": g.status_tally(),
         "entropy": g.total_entropy(),
     }

@@ -267,13 +267,13 @@ def test_c09_graph_kernels():
                if rng.random() < 0.45}
         g.rebuild(FixedGraph(adj))
         usable = {}
-        for e in g.edges.values():
+        for pair, e in g.edges.items():
             if rng.random() < 0.2:
                 e.status = IMPOSSIBLE
             else:
                 e.status = CERTAIN
                 e.weight = float(np.round(rng.uniform(0.1, 5.0), 3))
-                usable[(e.src, e.dst)] = e.weight
+                usable[pair] = e.weight
         # exhaustive simple-path search as the oracle
         best = [math.inf, None]
 

@@ -11,10 +11,20 @@ from reachplan.geometry import Box, facet_id
 from reachplan.graph import (CERTAIN, IMPOSSIBLE, MAX_EDGE_FAILURES, UNCERTAIN, Edge,
                              ReachGraph, edge_entropy, replay, uncertain_weight)
 from reachplan.partition import PartitionTree, adjacency
+from reachplan.reach import ExitTimeBound, ReachCertificate
 
 
 def _sf(axis=0, direction=+1):
     return facet_id(axis, direction)
+
+
+def _cert(t_bound, kind="exact", t_est=None):
+    """A certificate holding only what the graph reads: its kind, its time
+    bound and its typical crossing time (by default the bound)."""
+    return ReachCertificate(exit_facet=_sf(), controls={}, kind=kind, margins={},
+                            polytope=None,
+                            bound=ExitTimeBound(T0=t_bound, alpha=0.0, beta=t_bound, c1=1.0),
+                            t_est=t_bound if t_est is None else t_est)
 
 
 def _line_graph(n_nodes, C_u=1.0, beta_u=0.0):
@@ -60,12 +70,15 @@ def test_uncertain_weight_spot_values():
 
 
 def test_expected_info_gain_hand_oracle():
+    """The weight of 0 -> 1 is C_u l_u / (1 + beta_u eig), where eig is
+    p_prior times the entropy of node 1's uncertain out-edges."""
     g, leaves = _line_graph(3, C_u=10.0, beta_u=1.0)
     # node 1 has two uncertain out-edges (1->0, 1->2), each at p = 0.5
-    assert g.expected_info_gain(0, 1) == pytest.approx(0.5 * 2 * math.log(2))
+    g.refresh_uncertain_weights(leaves)
+    assert g.edges[(0, 1)].weight == pytest.approx(
+        10.0 * 1.0 / (1.0 + 0.5 * 2 * math.log(2)))
     # resolving 1->2 removes one of them
-    g.mark_certain(1, 2, t_bound=3.0, kind="exact")
-    assert g.expected_info_gain(0, 1) == pytest.approx(0.5 * math.log(2))
+    g.mark_certain(1, 2, _cert(3.0))
     g.refresh_uncertain_weights(leaves)
     assert g.edges[(0, 1)].weight == pytest.approx(
         10.0 * 1.0 / (1.0 + 0.5 * math.log(2)))
@@ -73,13 +86,14 @@ def test_expected_info_gain_hand_oracle():
 
 def test_mark_transitions_and_flips_raise():
     g, _ = _line_graph(3)
-    g.mark_certain(0, 1, t_bound=2.0, kind="exact", t_est=0.5)
+    cert = _cert(2.0, t_est=0.5)
+    g.mark_certain(0, 1, cert)
     e = g.edges[(0, 1)]
-    assert e.status == CERTAIN and e.weight == 0.5 and e.t_bound == 2.0
+    assert e.status == CERTAIN and e.weight == 0.5 and e.cert is cert
     g.mark_impossible(1, 0)
     assert g.edges[(1, 0)].status == IMPOSSIBLE
     with pytest.raises(RuntimeError):
-        g.mark_certain(1, 0, t_bound=1.0, kind="exact")
+        g.mark_certain(1, 0, _cert(1.0))
     with pytest.raises(RuntimeError):
         g.mark_impossible(0, 1)
     tally = g.status_tally()
@@ -88,7 +102,7 @@ def test_mark_transitions_and_flips_raise():
 
 def test_weight_never_exceeds_bound():
     g, _ = _line_graph(2)
-    g.mark_certain(0, 1, t_bound=1.0, kind="exact", t_est=50.0)
+    g.mark_certain(0, 1, _cert(1.0, t_est=50.0))
     assert g.edges[(0, 1)].weight == 1.0
 
 
@@ -100,13 +114,13 @@ def test_rebuild_preserves_resolved_status():
     west_a, west_b = tree.split(west)           # [0, 1] and [1, 2]
     g = ReachGraph(C_u=1.0, beta_u=0.0)
     g.rebuild(tree)
-    g.mark_certain(west_b.id, east.id, t_bound=4.0, kind="relaxed", t_est=1.5)
+    g.mark_certain(west_b.id, east.id, _cert(4.0, kind="relaxed", t_est=1.5))
     g.mark_impossible(east.id, west_b.id)
     lo, hi = tree.split(west_a)                 # [0, 0.5] and [0.5, 1]
     g.rebuild(tree)
     assert g.edges[(west_b.id, east.id)].status == CERTAIN
     assert g.edges[(west_b.id, east.id)].weight == 1.5
-    assert g.edges[(west_b.id, east.id)].cert_kind == "relaxed"
+    assert g.edges[(west_b.id, east.id)].cert.kind == "relaxed"
     assert g.edges[(east.id, west_b.id)].status == IMPOSSIBLE
     assert g.edges[(hi.id, west_b.id)].status == UNCERTAIN
     assert (west_a.id, west_b.id) not in g.edges
@@ -115,7 +129,7 @@ def test_rebuild_preserves_resolved_status():
 def test_total_entropy_counts_only_uncertain():
     g, _ = _line_graph(3)
     assert g.total_entropy() == pytest.approx(4 * math.log(2))
-    g.mark_certain(0, 1, t_bound=1.0, kind="exact")
+    g.mark_certain(0, 1, _cert(1.0))
     assert g.total_entropy() == pytest.approx(3 * math.log(2))
 
 
@@ -196,13 +210,16 @@ def test_shortest_path_leaves_out_an_edge_at_max_failures():
 
 def test_snapshot_shape():
     g, _ = _line_graph(2)
-    g.mark_certain(0, 1, t_bound=2.0, kind="exact")
+    g.mark_certain(0, 1, _cert(2.0, kind="relaxed", t_est=0.5))
+    g.edges[(1, 0)].cert = _cert(3.0)       # pins no crossing time on its edge
     snap = g.snapshot()
     assert {e["status"] for e in snap["edges"]} == {CERTAIN, UNCERTAIN}
     by_pair = {(e["source"], e["target"]): e for e in snap["edges"]}
-    assert by_pair[(0, 1)]["t_bound"] == 2.0
+    assert by_pair[(0, 1)]["t_bound"] == 2.0 and by_pair[(0, 1)]["weight"] == 0.5
+    assert by_pair[(0, 1)]["cert_kind"] == "relaxed"
     assert by_pair[(0, 1)]["p_e"] is None
     assert by_pair[(1, 0)]["p_e"] == 0.5
+    assert by_pair[(1, 0)]["t_bound"] is None and by_pair[(1, 0)]["cert_kind"] is None
     assert snap["tally"][CERTAIN] == 1
     assert snap["entropy"] == pytest.approx(math.log(2))
 
@@ -224,7 +241,7 @@ def test_refresh_weights_match_per_edge_formula():
             if r < 0.25:
                 g.mark_impossible(a, b)
             elif r < 0.5:
-                g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
+                g.mark_certain(a, b, _cert(float(rng.uniform(0.1, 5))))
         g.refresh_uncertain_weights({i: Box(lo=np.zeros(2), hi=s, id=i)
                                      for i, s in sides.items()})
         for (a, b), e in g.edges.items():
@@ -236,24 +253,21 @@ def test_refresh_weights_match_per_edge_formula():
                 if e2.status == UNCERTAIN:
                     out_h += edge_entropy(g.p_prior)
             eig = g.p_prior * out_h
-            assert g.expected_info_gain(a, b) == eig
             l_u = float(sides[a][e.facet // 2])
             assert e.weight == g.C_u * l_u / (1.0 + g.beta_u * eig)
 
 
 def _mark_at_random(g, rng):
     """Resolve some uncertain edges and put the planner's per-edge state
-    (certificate, soft mark, failure count) on some edges."""
+    (certificate, failure count) on some edges."""
     for (a, b), e in g.edges.items():
         r = rng.random()
         if e.status == UNCERTAIN and r < 0.15:
             g.mark_impossible(a, b)
-            e.soft = bool(rng.random() < 0.5)
         elif e.status == UNCERTAIN and r < 0.3:
-            g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact",
-                           t_est=float(rng.uniform(0.1, 5)))
-            e.cert = object()
-        elif r < 0.4:
+            g.mark_certain(a, b, _cert(float(rng.uniform(0.1, 5)),
+                                       t_est=float(rng.uniform(0.1, 5))))
+        elif e.status != CERTAIN and r < 0.4:
             e.cert = object()       # a certificate that pins no crossing time
         if rng.random() < 0.2:
             e.failures += int(rng.integers(1, 4))
@@ -285,7 +299,7 @@ def test_rebuild_after_random_splits(dim):
                 if pair in before:
                     assert e is before[pair] and e == saved[pair]
                 else:
-                    assert e == Edge(pair[0], pair[1], UNCERTAIN, adj[pair])
+                    assert e == Edge(UNCERTAIN, adj[pair])
             assert g.out == {a: sorted(b for s, b in adj if s == a)
                              for a in {s for s, _ in adj}}
             sides = {c.id: c.sides for c in tree.leaves.values()}
@@ -334,7 +348,7 @@ def test_incremental_graph_matches_the_full_build(dim, driver):
             if pair in before:
                 assert e is before[pair] and e == saved[pair]
             else:
-                assert e == Edge(pair[0], pair[1], UNCERTAIN, adj[pair])
+                assert e == Edge(UNCERTAIN, adj[pair])
         # adjacency lists each source's targets in ascending order
         assert g.out == fresh.out
         for (a, b), e in g.edges.items():
@@ -342,7 +356,7 @@ def test_incremental_graph_matches_the_full_build(dim, driver):
             if e.status == UNCERTAIN and r < 0.1:
                 g.mark_impossible(a, b)
             elif e.status == UNCERTAIN and r < 0.2:
-                g.mark_certain(a, b, t_bound=float(rng.uniform(0.1, 5)), kind="exact")
+                g.mark_certain(a, b, _cert(float(rng.uniform(0.1, 5))))
         g.refresh_uncertain_weights(tree.leaves)
         for pair, e in g.edges.items():
             fresh.edges[pair].status = e.status
@@ -371,7 +385,7 @@ def test_snapshots_list_what_changed_since_the_last_one():
         [(west.id, east.id), (east.id, west.id)]
     assert first["removed"] == []
     assert g.snapshot()["edges"] == []
-    g.mark_certain(west.id, east.id, t_bound=1.0, kind="exact")
+    g.mark_certain(west.id, east.id, _cert(1.0))
     a, b = tree.split(east)
     g.rebuild(tree)
     c, d = tree.split(b)

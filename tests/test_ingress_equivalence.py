@@ -221,8 +221,8 @@ def test_terminal_rollout_matches_the_chunked_loop(x_init, model, budget, status
         old = ref.log.metrics["terminal_audits"]
         assert len(audits) == len(old) == qp
         assert max(abs(a["t"] - b["t"]) for a, b in zip(audits, old)) <= 1e-12
-        assert ms.log.final_distance == pytest.approx(ref.log.final_distance,
-                                                      abs=1e-12, rel=0)
+        assert ms.log.events[-1]["distance"] == pytest.approx(
+            ref.log.events[-1]["distance"], abs=1e-12, rel=0)
     assert np.max(np.abs(ms.x - ref.x)) <= 1e-12
     assert ms.t == pytest.approx(ref.t, abs=1e-12, rel=0)
     old, new = _without_closing_rows(_rows(ref.log)), _rows(ms.log)

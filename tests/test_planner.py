@@ -175,8 +175,8 @@ def test_traversal_is_judged_by_the_cell_entered_at_the_crossing():
 def test_degenerate_certificate_blocks_the_edge():
     """A relaxed heading-facet certificate on a truncated pyramid whose
     opposite facet is shrunk to 1e-9 has flat simplices that carry no
-    affine law: the edge is blocked and left out of planning, and the
-    certificate is dropped and logged."""
+    affine law: the edge is blocked and left out of planning, keeps its
+    certificate, and the failure is logged."""
     ms = _Mission(builtin_scenario("unicycle"))
     ms.refine()
     ms.graph.rebuild(ms.tree)
@@ -184,21 +184,24 @@ def test_degenerate_certificate_blocks_the_edge():
     nb = _edge_across(ms, cell, 2, +1)
     model = analytic_linearize(ms.sys, cell.center)
     e = ms.graph.edges[(cell.id, nb)]
-    e.cert = relaxed_facet_reachable(model, cell, [facet_id(2, +1)], ms.pu,
-                                     ms.scn.theta_thre, shrink=1e-9)[0]
-    assert e.cert is not None and e.cert.kind == "relaxed"
-    assert e.cert.polytope.contains(ms.x)
+    e.cert = cert = relaxed_facet_reachable(model, cell, [facet_id(2, +1)], ms.pu,
+                                            ms.scn.theta_thre, shrink=1e-9)[0]
+    assert cert is not None and cert.kind == "relaxed"
+    assert cert.polytope.contains(ms.x)
     t0 = ms.t
     assert ms.execute_edge(cell, nb) is False
-    assert e.cert is None and e.failures == MAX_EDGE_FAILURES
+    assert e.cert is cert and e.failures == MAX_EDGE_FAILURES
     assert ms.log.events[-1] == {"t": t0, "type": "degenerate_certificate",
                                  "cell": cell.id, "to": nb}
     assert ms.t == t0 and not ms.log.traj_t
+    others = frozenset((cell.id, b) for b in ms.graph.out[cell.id] if b != nb)
+    assert ms.graph.shortest_path(cell.id, nb, blocked=others) == (None, math.inf)
 
 
 def test_forced_escape_pushes_through_a_soft_impossible_facet():
-    """A unicycle cell with an identified model whose every out-edge is a
-    soft impossible mark: forced_escape pushes through the +heading facet
+    """A unicycle cell with an identified model whose every out-edge is
+    impossible, a mark that is no proof on the underactuated unicycle
+    (a soft mark): forced_escape pushes through the +heading facet
     first (the heading rate is directly actuated), logs the crossing as a
     forced exploration and counts the escape, without a tableau LP."""
     ms = _Mission(builtin_scenario("unicycle"))
@@ -207,7 +210,6 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
     cell = ms.current_cell()
     ms.models[cell.id] = analytic_linearize(ms.sys, cell.center)
     for nb in ms.graph.out[cell.id]:
-        ms.graph.edges[(cell.id, nb)].soft = True
         ms.graph.mark_impossible(cell.id, nb)
     nb = _edge_across(ms, cell, 2, +1)
     lp_calls = optim.STATS.lp_calls
@@ -223,10 +225,10 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
 
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
 def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monkeypatch):
-    """A predictive pass whose refutation rules out every facet asked: on
-    the unicycle the refuted edges are soft, so forced_escape pushes out
-    of a refuted cell through one of them; on the mecanum they stay hard
-    and forced_escape finds no candidate."""
+    """A predictive pass whose refutation rules out every facet asked marks
+    the edges impossible. On the underactuated unicycle such a mark is soft,
+    so forced_escape pushes out of a refuted cell through one of them; on
+    the mecanum it is a proof and forced_escape tries no crossing."""
     ms = _Mission(builtin_scenario(plant))
     ms.refine()
     ms.graph.rebuild(ms.tree)
@@ -235,17 +237,20 @@ def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monke
     monkeypatch.setattr(planner, "predict_unreachable",
                         lambda questions, pu: [[True] * len(q[3]) for q in questions])
     assert ms.predictive_pass() > 0
-    refuted = [e for e in ms.graph.edges.values()
-               if e.src != cell.id and e.status == IMPOSSIBLE]
-    assert refuted and all(e.soft == ms.scn.underactuated for e in refuted)
-    src = ms.tree.leaves[refuted[0].src]
+    refuted = [a for (a, _), e in ms.graph.edges.items()
+               if a != cell.id and e.status == IMPOSSIBLE]
+    assert refuted and ms.scn.underactuated == (plant == "unicycle")
+    src = ms.tree.leaves[refuted[0]]
     ms.models[src.id] = analytic_linearize(ms.sys, src.center)
     ms.x, ms.cur_id = src.center.copy(), src.id
+    t0 = ms.t
     assert ms.forced_escape(src) == ms.scn.underactuated
     if ms.scn.underactuated:
         event = ms.log.events[-1]
         assert event["type"] == "forced_exploration" and event["cell"] == src.id
-        assert ms.graph.edges[(src.id, event["intended"])].soft
+        assert ms.graph.edges[(src.id, event["intended"])].status == IMPOSSIBLE
+    else:
+        assert ms.t == t0 and ms.escape_count == 0
 
 
 def _centering_mission():
@@ -421,7 +426,7 @@ def test_first_refused_facet_splits_the_cell_after_the_edges_before_it(monkeypat
     for e in edges[:3]:
         assert e.status == "certain" and e.cert.kind == "relaxed"
     for e in edges[3:]:
-        assert e.status == "uncertain" and e.cert is None and not e.soft
+        assert e.status == "uncertain" and e.cert is None
 
 
 def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypatch):
@@ -460,8 +465,8 @@ def test_edge_recreated_by_a_neighbours_split_gets_the_same_certificate(monkeypa
 
 @pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
 def test_pinned_decides_as_the_shared_rectangle_did(plant):
-    """On random refinements of each built-in grid, ``pinned`` (every side
-    of the target across the exit facet at least the cell's) decides every
+    """On random refinements of each built-in grid, ``pinned`` (the target
+    is the cell's only neighbour across the exit facet) decides every
     edge as the rule it replaced: the product of the cell's sides across
     the facet is at most that of the shared rectangle, from max(lo) and
     min(hi), times (1 + 1e-9). Both verdicts occur."""
@@ -546,13 +551,13 @@ def _event_types(log):
 
 def test_forced_escape_out_of_the_workspace_ends_the_mission(monkeypatch):
     """A unicycle mission whose every edge out of the start cell is refuted
-    (softly) and whose forced escape turns at the full heading rate -10:
-    from the heading -7pi/8 the escape leaves the workspace through
-    theta = -pi, which is a workspace exit, not a missing path."""
+    (a soft mark on the unicycle) and whose forced escape turns at the full
+    heading rate -10: from the heading -7pi/8 the escape leaves the
+    workspace through theta = -pi, which is a workspace exit, not a missing
+    path."""
     def refute_all(self, cell):
         edges = self.pending(cell.id, lambda e: e.cert is not None)
-        for nb, e in edges.items():
-            e.soft = True
+        for nb in edges:
             self.graph.mark_impossible(cell.id, nb)
         return len(edges)
 
