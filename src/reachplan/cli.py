@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/validation error, 2 mission failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import os
@@ -213,7 +214,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it
+    unchanged, and each parse returns a fresh namespace."""
     ap = _ArgumentParser(prog="reachplan",
                          description="PWA abstraction planner/simulator")
     sub = ap.add_subparsers(dest="command", required=True)

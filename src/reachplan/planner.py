@@ -323,8 +323,11 @@ class _Mission:
         ones. The questions of every cell go to one refutation and at most
         one certification call. Marking an edge touches only that edge, so
         the cells are independent within a pass and are marked afterwards,
-        in cell order."""
-        if not self.models:
+        in cell order. An underactuated scenario runs no pass."""
+        # a predictive verdict is an exact-condition verdict: its refutation
+        # is no proof against a relaxed certificate, and underactuated
+        # plants rarely meet the exact conditions it would certify
+        if self.scn.underactuated or not self.models:
             return 0
         hops = {cid: 0 for cid in self.models if cid in self.tree.leaves}
         frontier = list(hops)
@@ -373,8 +376,6 @@ class _Mission:
             for nb, e in edges.items():
                 e.pred_sources += (src_cid,)
                 if ref[e.facet]:
-                    # the refuted exact condition leaves the relaxed one open
-                    # on an underactuated scenario (see forced_escape)
                     self.graph.mark_impossible(cell.id, nb)
                     resolved += 1
                 elif (cert := found.get(e.facet)) is not None:
@@ -477,12 +478,11 @@ class _Mission:
     def forced_escape(self, cell: Box) -> bool:
         """Last-resort crossing when every path out of the current cell has
         been refuted, on an underactuated scenario only. There an impossible
-        mark comes from a failed (sufficient-only) relaxed certification or
-        from a predictive refutation of the exact condition, and neither is
-        a proof, so pick the most promising of those facets and push through
-        it, re-solving a one-point fastest-control LP as the state moves;
-        whatever facet the state actually leaves by is accepted, exactly as
-        for an unintended exit."""
+        mark comes from a failed (sufficient-only) relaxed certification,
+        which is no proof, so pick the most promising of those facets and
+        push through it, re-solving a one-point fastest-control LP as the
+        state moves; whatever facet the state actually leaves by is
+        accepted, exactly as for an unintended exit."""
         model = self.models.get(cell.id)
         if not self.scn.underactuated or model is None or self.escape_count >= 25:
             return False

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graph_reference import full_snapshot
+from reachplan import cli
 from reachplan.cli import _write_outputs, main
 from reachplan.graph import ReachGraph, replay
 from reachplan.planner import run_mission
@@ -195,6 +196,33 @@ def test_argument_errors_exit_1(argv, capsys):
     """Exit code 2 is left to mission failures."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """main builds its parser once per process. A call's flags do not
+    carry over: a run without them parses to the defaults, and a usage
+    error after good calls still exits 1."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    seen = []
+    parse_args = parser.parse_args
+
+    def recorded(argv):
+        seen.append(parse_args(argv))
+        return seen[-1]
+
+    monkeypatch.setattr(parser, "parse_args", recorded)
+    out = tmp_path / "run"
+    main(["run", "--scenario", "mecanum", "--quiet", "--dt", "0.002", "--out", str(out)])
+    assert (out / "trajectory.csv").exists() and capsys.readouterr().out == ""
+    main(["run", "--scenario", "mecanum"])
+    assert "status:" in capsys.readouterr().out
+    assert [(a.quiet, a.dt, a.out) for a in seen] == [(True, 0.002, str(out)),
+                                                      (False, None, None)]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "mecanum", "--dt", "abc"])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
 

@@ -223,13 +223,11 @@ def test_forced_escape_pushes_through_a_soft_impossible_facet():
     assert 0.0 < ms.t and ms.log.traj_cell == [cell.id] * len(ms.log.traj_t)
 
 
-@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
-def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monkeypatch):
+def test_predictive_refutation_is_a_proof_on_the_mecanum(monkeypatch):
     """A predictive pass whose refutation rules out every facet asked marks
-    the edges impossible. On the underactuated unicycle such a mark is soft,
-    so forced_escape pushes out of a refuted cell through one of them; on
-    the mecanum it is a proof and forced_escape tries no crossing."""
-    ms = _Mission(builtin_scenario(plant))
+    the edges impossible. On the fully actuated mecanum such a mark is a
+    proof, so forced_escape tries no crossing out of a refuted cell."""
+    ms = _Mission(builtin_scenario("mecanum"))
     ms.refine()
     ms.graph.rebuild(ms.tree)
     cell = ms.current_cell()
@@ -239,18 +237,34 @@ def test_predictive_refutation_is_soft_only_on_underactuated_plants(plant, monke
     assert ms.predictive_pass() > 0
     refuted = [a for (a, _), e in ms.graph.edges.items()
                if a != cell.id and e.status == IMPOSSIBLE]
-    assert refuted and ms.scn.underactuated == (plant == "unicycle")
+    assert refuted and not ms.scn.underactuated
     src = ms.tree.leaves[refuted[0]]
     ms.models[src.id] = analytic_linearize(ms.sys, src.center)
     ms.x, ms.cur_id = src.center.copy(), src.id
     t0 = ms.t
-    assert ms.forced_escape(src) == ms.scn.underactuated
-    if ms.scn.underactuated:
-        event = ms.log.events[-1]
-        assert event["type"] == "forced_exploration" and event["cell"] == src.id
-        assert ms.graph.edges[(src.id, event["intended"])].status == IMPOSSIBLE
-    else:
-        assert ms.t == t0 and ms.escape_count == 0
+    assert not ms.forced_escape(src)
+    assert ms.t == t0 and ms.escape_count == 0
+
+
+@pytest.mark.parametrize("plant", ["mecanum", "unicycle"])
+def test_only_a_fully_actuated_mission_asks_predictive_questions(plant, monkeypatch):
+    """The built-in unicycle mission succeeds without one predictive
+    refutation, certification or deviation bound: an underactuated
+    scenario runs no predictive pass. The built-in mecanum mission asks
+    all three."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    names = ("predict_unreachable", "predict_reachable", "cell_pair_bounds")
+    for name in names:
+        monkeypatch.setattr(planner, name, counted(name, getattr(planner, name)))
+    assert run_mission(builtin_scenario(plant)).success
+    assert set(calls) == (set(names) if plant == "mecanum" else set())
 
 
 def _centering_mission():
