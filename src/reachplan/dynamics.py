@@ -262,15 +262,16 @@ def _exit_violation(x: list, lo: list, hi: list):
 
 
 def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
-              pu: Optional[Box] = None, record_stride: int = 1) -> Trajectory:
+              pu: Optional[Box] = None, record_stride: int = 1, hold: int = 1) -> Trajectory:
     """Fixed-step RK4 rollout with facet-crossing event detection.
 
     The control is held constant across each RK4 step (zero-order hold at
-    the step start); ``ctrl`` is called before every step with the state as
-    a list of floats, and returning None ends the rollout there, with the
-    state reached recorded. On the first step whose endpoint leaves the
-    cell the crossing time is bisected to 1e-9 and the trajectory truncated
-    there.
+    the step start). ``ctrl`` is called before every ``hold``-th step with
+    the state as a list of floats, and its control, clamped to ``pu``, is
+    held until the next call; a clamp counts on every step it applies to.
+    ``ctrl`` returning None ends the rollout there, with the state reached
+    recorded. On the first step whose endpoint leaves the cell the crossing
+    time is bisected to 1e-9 and the trajectory truncated there.
     """
     x0 = np.asarray(x0, dtype=float)
     if not cell.contains(x0, tol=1e-7):
@@ -281,16 +282,18 @@ def integrate(s: TrueSystem, ctrl, x0, cell: Box, dt: float, t_max: float,
         u_lo, u_hi = pu.lo.tolist(), pu.hi.tolist()
     ts, xs, us = [0.0], [x], []
     clamps = 0
+    was_clamped = False
     t = 0.0
     exit_facet = exit_time = None
     n_steps = int(np.ceil(t_max / dt - 1e-12))
     for step in range(n_steps):
-        if (v := ctrl(x)) is None:
-            break
-        u = np.asarray(v, dtype=float).tolist()
-        if pu is not None:
-            u, was_clamped = _clamp(u, u_lo, u_hi)
-            clamps += was_clamped
+        if step % hold == 0:
+            if (v := ctrl(x)) is None:
+                break
+            u = np.asarray(v, dtype=float).tolist()
+            if pu is not None:
+                u, was_clamped = _clamp(u, u_lo, u_hi)
+        clamps += was_clamped
         h = min(dt, t_max - t)
         x_new = _rk4_step(s, x, u, h)
         if not all(map(math.isfinite, x_new)):

@@ -149,10 +149,6 @@ class Polytope:
         for j, v in enumerate(self.vertices):
             if np.any(self.normals @ v - self.offsets > tol):
                 raise GeometryError(f"vertex {j} violates a facet halfspace")
-        for i, vs in enumerate(self.facet_vertices):
-            for j in vs:
-                if i not in self.vertex_facets[j]:
-                    raise GeometryError("incidence sets are inconsistent")
 
 
 def box_to_polytope(b: Box) -> Polytope:

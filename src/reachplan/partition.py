@@ -172,8 +172,6 @@ class PartitionTree:
         split_ids = []
         while work:
             cell = work.pop()
-            if cell.id not in self.leaves:
-                continue
             kids = self.split(cell)
             split_ids.append(cell.id)
             for k in kids:

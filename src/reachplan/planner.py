@@ -10,7 +10,6 @@ quadratic program takes over.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import defaultdict
@@ -123,36 +122,21 @@ class _Mission:
         self.cur_id = entered.id
         return entered
 
-    def advance(self, ctrl, cell: Box, t_max: float,
-                stride: Optional[int] = None) -> Trajectory:
+    def advance(self, ctrl, cell: Box, t_max: float, stride: Optional[int] = None,
+                hold: int = 1) -> Trajectory:
         """Roll the plant out under ``ctrl`` until it leaves ``cell``,
         ``t_max`` passes or ``ctrl`` returns None, log the samples of a
         rollout that took a step against the cell and move the mission
-        clock and state to the rollout's end. Samples are recorded every
-        ``stride`` steps, by default every ``record_stride``."""
-        traj = integrate(self.sys, ctrl, self.x, cell, self.scn.dt, t_max,
-                         pu=self.pu, record_stride=stride or self.scn.record_stride)
+        clock and state to the rollout's end. ``ctrl`` is called every
+        ``hold`` steps and its control held in between; samples are
+        recorded every ``stride`` steps, by default every ``record_stride``."""
+        traj = integrate(self.sys, ctrl, self.x, cell, self.scn.dt, t_max, pu=self.pu,
+                         record_stride=stride or self.scn.record_stride, hold=hold)
         if len(traj.u):
             self.log.append_traj(traj, self.t, cell.id)
         self.t += traj.t[-1]
         self.x = traj.final_state
         return traj
-
-    def advance_held(self, law, cell: Box, updates: int, k: int = 10,
-                     stride: Optional[int] = None) -> Trajectory:
-        """``advance`` for at most ``updates`` periods of ``k`` steps, each
-        under the control that ``law`` computes from the state at its start.
-        ``law`` returning None ends the rollout."""
-        steps = itertools.count()
-        u = None
-
-        def ctrl(x):
-            nonlocal u
-            if next(steps) % k == 0:
-                u = law(x)
-            return u
-
-        return self.advance(ctrl, cell, updates * k * self.scn.dt, stride)
 
     def crossing_budget(self, cell: Box, facet: int, model: Optional[AffineModel]) -> float:
         """Time allowed to cross ``facet`` of ``cell`` without a certified
@@ -197,7 +181,8 @@ class _Mission:
             # keep pointing into this cell, so hold it to penetrate
             return self.last_u if hold else ingress(x)
 
-        traj = self.advance_held(law, cell, chunks, INGRESS_CHUNK, INGRESS_CHUNK)
+        traj = self.advance(law, cell, chunks * INGRESS_CHUNK * self.scn.dt, INGRESS_CHUNK,
+                            hold=INGRESS_CHUNK)
         if traj.exit_facet is None:
             return True
         self.retries[cell.id] += 1
@@ -329,18 +314,11 @@ class _Mission:
         # plants rarely meet the exact conditions it would certify
         if self.scn.underactuated or not self.models:
             return 0
-        hops = {cid: 0 for cid in self.models if cid in self.tree.leaves}
-        frontier = list(hops)
+        # the unidentified cells within two edges of an identified one
+        near = set(self.models)
         for _ in range(2):
-            nxt = []
-            for cid in frontier:
-                for nb in self.graph.out.get(cid, ()):
-                    if nb not in hops:
-                        hops[nb] = hops[cid] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        cells = [self.tree.leaves[cid] for cid, h in sorted(hops.items())
-                 if h and cid not in self.models]
+            near |= {nb for cid in near for nb in self.graph.out.get(cid, ())}
+        cells = [self.tree.leaves[cid] for cid in sorted(near - self.models.keys())]
         if not cells:
             return 0
         asks = []         # (cell, source id, pending edges)
@@ -469,7 +447,8 @@ class _Mission:
             except SolverError:
                 return None
 
-        traj = self.advance_held(law, cell, max(1, int(duration / (10 * self.scn.dt))))
+        updates = max(1, int(duration / (10 * self.scn.dt)))
+        traj = self.advance(law, cell, updates * 10 * self.scn.dt, hold=10)
         if traj.exit_facet is not None:
             self.locate_after_exit(traj.exit_facet, cell)
             return
@@ -508,7 +487,8 @@ class _Mission:
                                        np.delete(rhs, fct), self.pu)
 
             timeout = self.crossing_budget(cell, fct, model)
-            traj = self.advance_held(law, cell, math.ceil(timeout / (10 * self.scn.dt)))
+            updates = math.ceil(timeout / (10 * self.scn.dt))
+            traj = self.advance(law, cell, updates * 10 * self.scn.dt, hold=10)
             if traj.exit_facet is None:
                 continue
             entered = self.locate_after_exit(traj.exit_facet, cell)
@@ -554,7 +534,8 @@ class _Mission:
                            "kkt_complementarity": step.kkt_complementarity})
             return step.u
 
-        traj = self.advance_held(law, cell, math.ceil(scn.terminal_budget / period))
+        traj = self.advance(law, cell, math.ceil(scn.terminal_budget / period) * 10 * scn.dt,
+                            hold=10)
         if traj.exit_facet is not None:
             self.log.event(self.t, "terminal_escape", cell=cell.id,
                            facet=int(traj.exit_facet))

@@ -22,7 +22,7 @@ depend on: a refutation decides the sign patterns one at a time, for the
 exit facets that still have a vertex without a feasible pattern, and
 certification drops every exit facet where a box bound on some vertex's
 speed falls short of DELTA_STRICT before the kernel runs. The systems
-are built and decided in slices of at most KERNEL_SLICE. Exact and
+of one round, or of one certification call, go to the kernel at once. Exact and
 relaxed certification take a cell's list of exit facets and ask them in
 one call of the same builder (one batch of truncated pyramids for the
 relaxed heading facets, one fastest-control call for the side facets).
@@ -172,10 +172,6 @@ _DET_TOL = 1e-12     # candidate rows this close to parallel define no point
 _FEAS_TOL = 1e-9
 _NEAR = 1e-6
 _TIE = 1e-9
-# Systems per kernel call: a larger batch is built and decided in slices,
-# which bounds the rows and the kernel's temporaries (about 100 candidate
-# points per system for m = 3) whatever the number of questions.
-KERNEL_SLICE = 256
 
 
 @functools.lru_cache(maxsize=16)
@@ -206,21 +202,20 @@ def _pattern_tables(m: int, K: int):
 class _Batch:
     """Questions (models[q], polys[q], facets[q]) stacked on a question
     axis. Entry e is exit facet fe[e] of question qe[e], in question order.
-    Every polytope must share the first one's vertex-facet table, so that
-    all vertices meet their facets in one pattern. Holds what the rows of
-    every entry share: V (Q, M, n), the vertex norms ‖v_j‖ (Q, M),
-    N (Q, I, n), B (Q, n, m), w = A v_j + c (Q, M, n), the facet drifts
-    n_iᵀw_j of that table (Q, K, M) and N B (Q, I, m)."""
+    Every polytope is a box of one dimension n or a truncated pyramid
+    built from one (geometry.boxes_to_polytopes), so all share the first
+    one's vertex-facet table and each vertex lies on n facets. Holds what
+    the rows of every entry share: V (Q, M, n), the vertex norms ‖v_j‖
+    (Q, M), N (Q, I, n), B (Q, n, m), w = A v_j + c (Q, M, n), the facet
+    drifts n_iᵀw_j of that table (Q, K, M) and N B (Q, I, m)."""
 
     def __init__(self, models, polys, facets):
-        if any(p.vertex_facets != polys[0].vertex_facets for p in polys):
-            raise ValueError("the polytopes of one call must share one vertex-facet table")
         self.polys = list(polys)
         self.sizes = [len(fs) for fs in facets]
         self.qe = [q for q, fs in enumerate(facets) for _ in fs]
         self.fe = [f for fs in facets for f in fs]
-        # row k holds the k-th facet of every vertex, -1 past a vertex's last
-        self.table = list(itertools.zip_longest(*polys[0].vertex_facets, fillvalue=-1))
+        # row k holds the k-th facet of every vertex
+        self.table = list(zip(*polys[0].vertex_facets))
         self.idx = np.array(self.table)
         self.V = np.stack([p.vertices for p in polys])
         self.N = np.stack([p.normals for p in polys])
@@ -247,8 +242,7 @@ def _vertex_systems(b: _Batch, entries, lo, hi, margin, dB):
     R = 2m + K; P patterns of lo, hi (P, m), margin (Q, M) and
     dB (Q, m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are
     each vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j,
-    where the exit facet and the padding of vertices with fewer facets are
-    0·u ≤ 1. The last row is the strict row negated: its slack
+    where the exit facet's is 0·u ≤ 1. The last row is the strict row negated: its slack
     d[R] - C[:, R]·u is n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # The mask is built in Python: integer ufuncs and argmax are not used
@@ -256,7 +250,7 @@ def _vertex_systems(b: _Batch, entries, lo, hi, margin, dB):
     # raise its peak RSS.
     m = b.NB.shape[2]
     qe, fe = [b.qe[e] for e in entries], [b.fe[e] for e in entries]
-    real = np.array([[[i >= 0 and i != f for f in fe] for i in row] for row in b.table],
+    real = np.array([[[i != f for f in fe] for i in row] for row in b.table],
                     dtype=bool)                                        # (K, M, E)
     idx = b.idx
     K, M = idx.shape
@@ -275,21 +269,6 @@ def _vertex_systems(b: _Batch, entries, lo, hi, margin, dB):
     C[:, -1] = (dBe - b.NB[qe, fe].T[:, :, None])[:, None]
     d[-1] = (drift_exit + margin[qe]).T[:, :, None]
     return C, d, pick
-
-
-def _decide(b: _Batch, entries, rows):
-    """(possible, u, slack) of _closed_form_verdicts for every system of
-    _vertex_systems(b, entries, *rows), built and decided a slice of whole
-    entries at a time: at most KERNEL_SLICE systems, or one entry's M·P
-    when that is more. So a batch never holds the rows of all its entries
-    at once, and as each system is decided on its own, neither slicing nor
-    the choice of entries changes a result. ``entries`` must not be empty."""
-    step = max(1, KERNEL_SLICE // (b.V.shape[1] * rows[0].shape[0]))
-    parts = [_closed_form_verdicts(*_vertex_systems(b, entries[i:i + step], *rows))
-             for i in range(0, len(entries), step)]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(x, axis=-2) for x in zip(*parts))
 
 
 def _robust_rows(b: _Batch, bounds, pu: Box):
@@ -388,8 +367,8 @@ def _fastest_controls(b: _Batch, entries, pu: Box, spread):
     one. The speed is the kernel's slack, which _speeds matches to
     rounding.
     """
-    _, u, speed = _decide(b, entries, (pu.lo[None], pu.hi[None], -spread,
-                                       np.zeros((len(b.polys), pu.dim, 1))))
+    _, u, speed = _closed_form_verdicts(*_vertex_systems(
+        b, entries, pu.lo[None], pu.hi[None], -spread, np.zeros((len(b.polys), pu.dim, 1))))
     return u[..., 0].transpose(1, 2, 0), speed[..., 0]
 
 
@@ -439,8 +418,9 @@ def predict_unreachable(questions, pu: Box) -> list:
             if not entries:
                 break
             if fits:
-                possible = _decide(b, entries, (lo[k:k + 1], hi[k:k + 1], margin,
-                                                dB[..., k:k + 1]))[0][..., 0].tolist()
+                verdicts, _, _ = _closed_form_verdicts(*_vertex_systems(
+                    b, entries, lo[k:k + 1], hi[k:k + 1], margin, dB[..., k:k + 1]))
+                possible = verdicts[..., 0].tolist()
                 for i, e in enumerate(entries):
                     pending[e] = [j for j in pending[e] if not possible[j][i]]
         return [bool(js) for js in pending]
@@ -476,7 +456,7 @@ LOCATE_BAND = 1e-10
 class PWAController:
     """Piecewise-affine feedback u = F_l x + g_l on a triangulated polytope.
 
-    Every Kuhn simplex starts at the same vertex v0 (code 0), so the
+    Every Kuhn simplex of ``triangulate`` starts at vertex v0 (code 0), so the
     barycentric weights of x in all n! simplices are one product,
     ``bary @ (x - v0) + unit``: block l of n+1 rows holds the inverse edge
     matrix of simplex l under the row that gives its v0 weight. A weight
@@ -498,8 +478,6 @@ class PWAController:
         self.origin = self.simplices[0].vertices[0]
         edges, blocks = [], []
         for s in self.simplices:
-            if not np.array_equal(s.vertices[0], self.origin):
-                raise ValueError("simplices must share their first vertex")
             edges.append((s.vertices[1:] - s.vertices[0]).T)
             inv = np.linalg.inv(edges[-1])
             blocks.append(np.vstack([-inv.sum(axis=0), inv]))

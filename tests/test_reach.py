@@ -476,7 +476,8 @@ def _batch_question(rng, n, m, pu):
 @pytest.mark.parametrize("n, m", [(2, 1), (2, 3), (3, 2), (3, 3)])
 def test_batched_questions_match_one_question_calls(n, m):
     """One predict_unreachable and one predict_reachable call over 300
-    random questions, decided in more than one kernel slice, return exactly
+    random questions, with one kernel call per refutation round (at most
+    one per sign pattern) and one for the certification, return exactly
     the verdicts and the certificates (controls, margins, bound and t_est)
     of one call per question. On boxes and truncated pyramids, one
     facet_reachable call for a list of exit facets returns exactly the
@@ -486,8 +487,10 @@ def test_batched_questions_match_one_question_calls(n, m):
     questions = [_batch_question(rng, n, m, pu) for _ in range(300)]
     calls = optim.STATS.kernel_calls
     refuted = predict_unreachable(questions, pu)
-    assert optim.STATS.kernel_calls - calls > 1
+    assert 1 <= optim.STATS.kernel_calls - calls <= 2 ** m
+    calls = optim.STATS.kernel_calls
     certs = predict_reachable(questions, pu)
+    assert optim.STATS.kernel_calls - calls == 1
     assert len(refuted) == len(certs) == len(questions)
     found = 0
     for q, r, cs in zip(questions, refuted, certs):

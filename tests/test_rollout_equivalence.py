@@ -4,7 +4,11 @@
 here, as they were, as the reference: on random states, controls and
 cells of both built-in plants the float rollout must leave by the same
 facet at the same time, through the same states, in as many RK4 steps.
+A control held for ``hold`` steps is checked against the per-step
+closure that held it before ``integrate`` did (``_held``).
 """
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -33,6 +37,22 @@ def _exit_violation_np(x, cell):
         if xk - hi > best_v:
             best_v, best_f = xk - hi, facet_id(k, +1)
     return best_f, best_v
+
+
+def _held(law, k):
+    """A ctrl for a rollout that calls ctrl every step, holding for k steps
+    the control ``law`` computes at the first of them; it also returns
+    law's None."""
+    steps = itertools.count()
+    u = None
+
+    def ctrl(x):
+        nonlocal u
+        if next(steps) % k == 0:
+            u = law(x)
+        return u
+
+    return ctrl
 
 
 def _integrate_np(s, ctrl, x0, cell, dt, t_max, pu, record_stride):
@@ -89,8 +109,9 @@ def _integrate_np(s, ctrl, x0, cell, dt, t_max, pu, record_stride):
     return np.array(ts), np.array(xs), np.array(us), None, None, clamps, steps
 
 
+@pytest.mark.parametrize("hold", [1, 5, 10])
 @pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
-def test_float_rollout_matches_numpy_rollout(maker, monkeypatch):
+def test_float_rollout_matches_numpy_rollout(maker, hold, monkeypatch):
     s = maker()
     rng = np.random.default_rng(31)
     steps = 0
@@ -110,20 +131,26 @@ def test_float_rollout_matches_numpy_rollout(maker, monkeypatch):
         K = rng.uniform(-2.0, 2.0, (s.m, s.n))
         k0 = rng.uniform(-5.0, 5.0, s.m)     # some controls leave the input box
 
+        calls = 0
+
         def ctrl(x):
+            nonlocal calls
+            calls += 1
             return K @ np.asarray(x) + k0
 
         dt = float(rng.choice([1e-3, 4e-3, 1e-2]))
         t_max = float(rng.uniform(0.05, 0.4))
         stride = int(rng.choice([1, 3, 10]))
         want_t, want_x, want_u, want_fct, want_te, want_clamps, want_steps = \
-            _integrate_np(s, ctrl, x0, cell, dt, t_max, pu, stride)
-        steps = 0
+            _integrate_np(s, _held(ctrl, hold), x0, cell, dt, t_max, pu, stride)
+        want_calls, calls, steps = calls, 0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            got = integrate(s, ctrl, x0, cell, dt, t_max, pu=pu, record_stride=stride)
+            got = integrate(s, ctrl, x0, cell, dt, t_max, pu=pu, record_stride=stride,
+                            hold=hold)
         assert got.exit_facet == want_fct
         assert steps == want_steps
+        assert calls == want_calls
         assert got.clamp_warnings == want_clamps
         assert got.t.shape == want_t.shape and got.x.shape == want_x.shape
         assert got.u.shape == want_u.shape
@@ -138,3 +165,58 @@ def test_float_rollout_matches_numpy_rollout(maker, monkeypatch):
             assert abs(got.exit_time - want_te) <= TOL
     # both outcomes are exercised
     assert exits >= 10 and timeouts >= 10, (exits, timeouts)
+
+
+@pytest.mark.parametrize("hold", [1, 5, 10])
+@pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
+def test_held_control_matches_the_per_step_closure(maker, hold):
+    """integrate(law, hold=k) calls law once per update of k steps and
+    reaches the same samples, exit, clamp count and end as a rollout that
+    calls the per-step closure ``_held(law, k)``, also for laws that leave
+    the input box and for a law that returns None mid-rollout."""
+    s = maker()
+    rng = np.random.default_rng(71 + hold)
+    pu = Box(lo=[-4.0] * s.m, hi=[4.0] * s.m)
+    ends = clamped = 0
+    for _ in range(40):
+        x0 = rng.uniform(-6.0, 6.0, s.n)
+        cell = Box(lo=x0 - rng.uniform(0.02, 1.0, s.n), hi=x0 + rng.uniform(0.02, 1.0, s.n))
+        K = rng.uniform(-2.0, 2.0, (s.m, s.n))
+        k0 = rng.uniform(-6.0, 6.0, s.m)
+        last = int(rng.integers(0, 6)) if rng.random() < 0.5 else None
+        calls = []
+
+        def law(x):
+            calls.append(list(x))
+            if last is not None and len(calls) > last:
+                return None
+            return (K @ np.asarray(x) + k0).tolist()
+
+        dt = float(rng.choice([1e-3, 4e-3]))
+        t_max = float(rng.uniform(0.05, 0.3))
+        stride = int(rng.choice([1, 5, 10]))
+        held = _held(law, hold)
+        begun = 0
+
+        def per_step(x):
+            nonlocal begun
+            begun += 1
+            return held(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            want = integrate(s, per_step, x0, cell, dt, t_max, pu=pu, record_stride=stride)
+            want_calls, calls = calls, []
+            got = integrate(s, law, x0, cell, dt, t_max, pu=pu, record_stride=stride,
+                            hold=hold)
+        assert calls == want_calls
+        assert got.t.tolist() == want.t.tolist()
+        assert got.x.tolist() == want.x.tolist()
+        assert got.u.tolist() == want.u.tolist()
+        assert (got.exit_facet, got.exit_time) == (want.exit_facet, want.exit_time)
+        assert got.clamp_warnings == want.clamp_warnings
+        # one call per update begun, the one that returned None included
+        assert len(calls) == math.ceil(begun / hold)
+        ends += last is not None and len(calls) > last
+        clamped += got.clamp_warnings > 0
+    assert ends >= 5 and clamped >= 5, (ends, clamped)
