@@ -214,8 +214,8 @@ class _Mission:
         # escape during it aborts it like any other
         if not self.gain_margin(cell, need, INGRESS_BUDGET):
             return False
-        model, self.x = identify_affine(self.sys, self.x, plan, cell=cell)
-        self.t += len(plan.inputs) * plan.period
+        model, self.x, elapsed = identify_affine(self.sys, self.x, plan, cell=cell)
+        self.t += elapsed
         if model is None:
             self.log.event(self.t, "identification_abort", cell=cell.id)
             return False

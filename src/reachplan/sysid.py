@@ -5,7 +5,8 @@ is held for one sampling period, the derivative is approximated by a
 forward difference, and a least-squares fit of [A B c] against the stacked
 regressor recovers the local affine parameters. The state is not reset
 between excitations (it drifts); the regressor records the midpoint state
-of each sample, and the caller gets the state where the excitation ended.
+of each sample, and the caller gets the state where the excitation ended
+and the time it ran.
 """
 from __future__ import annotations
 
@@ -42,28 +43,29 @@ class ExcitationPlan:
         return ExcitationPlan(inputs=inputs, period=period, amplitude=a)
 
 
-def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
-                    cell: Optional[Box] = None) -> tuple[Optional[AffineModel], np.ndarray]:
+def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan, cell: Optional[Box] = None
+                    ) -> tuple[Optional[AffineModel], np.ndarray, float]:
     """Run the excitation plan from x0 and fit an affine model.
 
     Each input is held for one period, integrated with 10 RK4 substeps, and
     the forward difference (x_next - x)/T serves as the derivative sample.
-    Returns (model, state at the end of the plan), or (None, the first
-    sampled state outside ``cell``) when a cell is given and the state
-    leaves it; the excitation stops there.
+    Returns (model, state at the end of the plan, len(plan.inputs)·T), or
+    (None, the first sampled state outside ``cell``, (k + 1)·T) when a cell
+    is given and the state leaves it in period k; the excitation stops
+    there.
     """
     x = np.asarray(x0, dtype=float).tolist()
     T = plan.period
     rows_x = []
     rows_dx = []
-    for u in plan.inputs:
+    for k, u in enumerate(plan.inputs):
         u = np.asarray(u, dtype=float).tolist()
         x_next = x
         h = T / 10
         for _ in range(10):
             x_next = _rk4_step(s, x_next, u, h)
         if cell is not None and not cell.contains(x_next, tol=1e-9):
-            return None, np.array(x_next)
+            return None, np.array(x_next), (k + 1) * T
         # the forward difference matches the derivative at the midpoint
         # state to second order, so regress against the midpoint
         rows_x.append([0.5 * (a + b) for a, b in zip(x, x_next)] + u + [1.0])
@@ -80,4 +82,5 @@ def identify_affine(s: TrueSystem, x0, plan: ExcitationPlan,
     A = theta[:, :n]
     B = theta[:, n:n + m]
     c = theta[:, n + m]
-    return AffineModel(A=A, B=B, c=c, linearization_point=np.asarray(x0, float)), np.array(x)
+    model = AffineModel(A=A, B=B, c=c, linearization_point=np.asarray(x0, float))
+    return model, np.array(x), len(plan.inputs) * T

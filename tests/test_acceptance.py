@@ -226,7 +226,7 @@ def test_c08_identification_accuracy():
                        g=lambda x, B=B: B.copy())
         x0 = rng.uniform(-1.0, 1.0, 2)
         plan = ExcitationPlan.default(pu, m=2, period=1e-3, n=2)
-        mdl, _ = identify_affine(s, x0, plan)
+        mdl, _, _ = identify_affine(s, x0, plan)
         scale = max(np.abs(A).max(), np.abs(B).max(), np.abs(c).max())
         err = max(np.abs(mdl.A - A).max(), np.abs(mdl.B - B).max(),
                   np.abs(mdl.c - c).max())
@@ -238,7 +238,7 @@ def test_c08_identification_accuracy():
             center = np.array([cx, cy])
             cell = Box(lo=center - 0.5, hi=center + 0.5)
             plan = ExcitationPlan.default(pu, m=2, period=1e-3, n=2)
-            mdl, _ = identify_affine(s, center, plan, cell=cell)
+            mdl, _, _ = identify_affine(s, center, plan, cell=cell)
             ref = analytic_linearize(s, center)
             assert np.linalg.norm(mdl.A - ref.A, 2) <= 0.05
             assert np.linalg.norm(mdl.B - ref.B, 2) <= 0.05

@@ -682,3 +682,18 @@ def test_budgeted_ingress_identifies_from_the_margin_reached():
     assert 0.03 < _margin(ms, cell, reached) < need
     assert ms.models[cell.id].linearization_point.tolist() == reached.tolist()
     assert ms.log.events[-1]["type"] == "identified"
+
+
+def test_aborted_identification_moves_the_clock_by_the_periods_run(monkeypatch):
+    """1 cm above the low y facet of the cell [1.75, 2] x [2.5, 2.75], the
+    drift of about -4.6 m/s carries the state out in the third excitation
+    period: identification aborts, and the mission clock moves by those
+    three periods, not by the whole plan's six."""
+    ms, cell, plan = _mecanum_cell(0.25, [1.875, 2.625])
+    monkeypatch.setattr(ms, "gain_margin", lambda *args: True)
+    ms.x = np.array([cell.center[0], cell.lo[1] + 0.01])
+    assert not ms.ingress_and_identify(cell)
+    assert len(plan.inputs) == 6 and ms.t == 3 * plan.period
+    assert not cell.contains(ms.x) and cell.id not in ms.models
+    assert [e["type"] for e in ms.log.events] == ["identification_abort"]
+    assert ms.log.events[0]["t"] == ms.t
