@@ -21,11 +21,11 @@ one certification call. Each decides only the systems its verdicts
 depend on: a refutation decides the sign patterns one at a time, for the
 exit facets that still have a vertex without a feasible pattern, and
 certification drops every exit facet where a box bound on some vertex's
-speed falls short of DELTA_STRICT before the kernel runs. The systems
-of one round, or of one certification call, go to the kernel at once. Exact and
-relaxed certification take a cell's list of exit facets and ask them in
-one call of the same builder (one batch of truncated pyramids for the
-relaxed heading facets, one fastest-control call for the side facets).
+speed falls short of DELTA_STRICT before the kernel runs. A round, or a
+certification call, is one kernel call. Exact and relaxed certification
+take a cell's list of exit facets and ask them in one call of the same
+builder (one batch of truncated pyramids for the relaxed heading facets,
+one fastest-control call for the side facets).
 No mission LP goes to the tableau simplex.
 """
 from __future__ import annotations
@@ -214,9 +214,8 @@ class _Batch:
         self.sizes = [len(fs) for fs in facets]
         self.qe = [q for q, fs in enumerate(facets) for _ in fs]
         self.fe = [f for fs in facets for f in fs]
-        # row k holds the k-th facet of every vertex
-        self.table = list(zip(*polys[0].vertex_facets))
-        self.idx = np.array(self.table)
+        # (K, M): row k holds the k-th facet of every vertex
+        self.idx = np.array(polys[0].vertex_facets).T
         self.V = np.stack([p.vertices for p in polys])
         self.N = np.stack([p.normals for p in polys])
         self.B = np.stack([mo.B for mo in models])
@@ -242,15 +241,16 @@ def _vertex_systems(b: _Batch, entries, lo, hi, margin, dB):
     R = 2m + K; P patterns of lo, hi (P, m), margin (Q, M) and
     dB (Q, m, P). Rows 0..2m-1 bound u to [lo_k, hi_k]. The next K are
     each vertex's facet rows n_iᵀ(A v_j + B u + c) + dB_kᵀu ≤ margin_j,
-    where the exit facet's is 0·u ≤ 1. The last row is the strict row negated: its slack
-    d[R] - C[:, R]·u is n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
+    where the exit facet's is 0·u ≤ 1. The last row is the strict row
+    negated: its slack d[R] - C[:, R]·u is
+    n1ᵀ(A v_j + B u + c) - dB_kᵀu + margin_j.
     """
     # The mask is built in Python: integer ufuncs and argmax are not used
     # elsewhere in a mission, and touching their code first here would
     # raise its peak RSS.
     m = b.NB.shape[2]
     qe, fe = [b.qe[e] for e in entries], [b.fe[e] for e in entries]
-    real = np.array([[[i != f for f in fe] for i in row] for row in b.table],
+    real = np.array([[[i != f for f in fe] for i in row] for row in b.idx.tolist()],
                     dtype=bool)                                        # (K, M, E)
     idx = b.idx
     K, M = idx.shape
@@ -278,7 +278,7 @@ def _robust_rows(b: _Batch, bounds, pu: Box):
     question q loosened by what a model within bounds[q] could gain:
     margin_j = eps_A‖v_j‖ + eps_c, dB_k = -eps_B·s_k. So infeasibility at a
     vertex refutes every in-bound model."""
-    S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, len(b.table))
+    S, cap_lo, cap_hi, _, _ = _pattern_tables(pu.dim, len(b.idx))
     eps = np.array([[e.eps_A, e.eps_B, e.eps_c] for e in bounds])
     margin = eps[:, :1] * b.norms + eps[:, 2:]
     lo = np.maximum(pu.lo, cap_lo)
@@ -456,8 +456,8 @@ LOCATE_BAND = 1e-10
 class PWAController:
     """Piecewise-affine feedback u = F_l x + g_l on a triangulated polytope.
 
-    Every Kuhn simplex of ``triangulate`` starts at vertex v0 (code 0), so the
-    barycentric weights of x in all n! simplices are one product,
+    Every Kuhn simplex of ``triangulate`` starts at vertex v0 (code 0), so
+    the barycentric weights of x in all n! simplices are one product,
     ``bary @ (x - v0) + unit``: block l of n+1 rows holds the inverse edge
     matrix of simplex l under the row that gives its v0 weight. A weight
     within LOCATE_BAND of the tolerance, or a point outside the polytope,

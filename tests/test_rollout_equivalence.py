@@ -109,11 +109,11 @@ def _integrate_np(s, ctrl, x0, cell, dt, t_max, pu, record_stride):
     return np.array(ts), np.array(xs), np.array(us), None, None, clamps, steps
 
 
-@pytest.mark.parametrize("hold", [1, 5, 10])
 @pytest.mark.parametrize("maker", [mecanum_system, unicycle_system])
-def test_float_rollout_matches_numpy_rollout(maker, hold, monkeypatch):
+def test_float_rollout_matches_numpy_rollout(maker, monkeypatch):
+    """Also with the control held for 5 and 10 steps: integrate calls ctrl
+    as often as the per-step closure calls it."""
     s = maker()
-    rng = np.random.default_rng(31)
     steps = 0
     rk4_step = dynamics._rk4_step
 
@@ -124,47 +124,49 @@ def test_float_rollout_matches_numpy_rollout(maker, hold, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_rk4_step", counted)
     pu = Box(lo=[-4.0] * s.m, hi=[4.0] * s.m)
-    exits = timeouts = 0
-    for _ in range(60):
-        x0 = rng.uniform(-6.0, 6.0, s.n)
-        cell = Box(lo=x0 - rng.uniform(0.02, 1.0, s.n), hi=x0 + rng.uniform(0.02, 1.0, s.n))
-        K = rng.uniform(-2.0, 2.0, (s.m, s.n))
-        k0 = rng.uniform(-5.0, 5.0, s.m)     # some controls leave the input box
+    for hold in (1, 5, 10):
+        rng = np.random.default_rng(31)
+        exits = timeouts = 0
+        for _ in range(60):
+            x0 = rng.uniform(-6.0, 6.0, s.n)
+            cell = Box(lo=x0 - rng.uniform(0.02, 1.0, s.n),
+                       hi=x0 + rng.uniform(0.02, 1.0, s.n))
+            K = rng.uniform(-2.0, 2.0, (s.m, s.n))
+            k0 = rng.uniform(-5.0, 5.0, s.m)     # some controls leave the input box
+            calls = 0
 
-        calls = 0
+            def ctrl(x):
+                nonlocal calls
+                calls += 1
+                return K @ np.asarray(x) + k0
 
-        def ctrl(x):
-            nonlocal calls
-            calls += 1
-            return K @ np.asarray(x) + k0
-
-        dt = float(rng.choice([1e-3, 4e-3, 1e-2]))
-        t_max = float(rng.uniform(0.05, 0.4))
-        stride = int(rng.choice([1, 3, 10]))
-        want_t, want_x, want_u, want_fct, want_te, want_clamps, want_steps = \
-            _integrate_np(s, _held(ctrl, hold), x0, cell, dt, t_max, pu, stride)
-        want_calls, calls, steps = calls, 0, 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            got = integrate(s, ctrl, x0, cell, dt, t_max, pu=pu, record_stride=stride,
-                            hold=hold)
-        assert got.exit_facet == want_fct
-        assert steps == want_steps
-        assert calls == want_calls
-        assert got.clamp_warnings == want_clamps
-        assert got.t.shape == want_t.shape and got.x.shape == want_x.shape
-        assert got.u.shape == want_u.shape
-        assert np.abs(got.t - want_t).max() <= TOL
-        assert np.abs(got.x - want_x).max() <= TOL
-        assert np.abs(got.u - want_u).max(initial=0.0) <= TOL
-        if want_fct is None:
-            timeouts += 1
-            assert got.exit_time is None
-        else:
-            exits += 1
-            assert abs(got.exit_time - want_te) <= TOL
-    # both outcomes are exercised
-    assert exits >= 10 and timeouts >= 10, (exits, timeouts)
+            dt = float(rng.choice([1e-3, 4e-3, 1e-2]))
+            t_max = float(rng.uniform(0.05, 0.4))
+            stride = int(rng.choice([1, 3, 10]))
+            want_t, want_x, want_u, want_fct, want_te, want_clamps, want_steps = \
+                _integrate_np(s, _held(ctrl, hold), x0, cell, dt, t_max, pu, stride)
+            want_calls, calls, steps = calls, 0, 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                got = integrate(s, ctrl, x0, cell, dt, t_max, pu=pu, record_stride=stride,
+                                hold=hold)
+            assert got.exit_facet == want_fct
+            assert steps == want_steps
+            assert calls == want_calls
+            assert got.clamp_warnings == want_clamps
+            assert got.t.shape == want_t.shape and got.x.shape == want_x.shape
+            assert got.u.shape == want_u.shape
+            assert np.abs(got.t - want_t).max() <= TOL
+            assert np.abs(got.x - want_x).max() <= TOL
+            assert np.abs(got.u - want_u).max(initial=0.0) <= TOL
+            if want_fct is None:
+                timeouts += 1
+                assert got.exit_time is None
+            else:
+                exits += 1
+                assert abs(got.exit_time - want_te) <= TOL
+        # both outcomes are exercised
+        assert exits >= 10 and timeouts >= 10, (hold, exits, timeouts)
 
 
 @pytest.mark.parametrize("hold", [1, 5, 10])

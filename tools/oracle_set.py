@@ -19,7 +19,6 @@ this script serves both. A whole set takes about a minute.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -107,17 +106,7 @@ def run_one(name: str, spec, work: str) -> dict:
             "events": _sha(json.dumps(summary["events"]).encode())}
 
 
-def main_(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="*", help="run only the missions named")
-    args = parser.parse_args(argv)
+if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name, spec in missions():
-            if args.only and name not in args.only:
-                continue
             print(json.dumps(run_one(name, spec, work)), flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main_())
